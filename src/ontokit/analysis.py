@@ -11,12 +11,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union as TypingUnion
 
 from .model import (
-    BUILTIN_CONCEPTS,
     ConceptExpression,
     Declaration,
     Entity,
     EntityKind,
-    EquivalentConcepts,
     Iri,
     Named,
     NamedRole,
@@ -36,6 +34,7 @@ from .reasoner import (
     is_satisfiable,
     materialize_inverses,
     normalize,
+    told_subsumers,
 )
 
 
@@ -59,32 +58,8 @@ class UnknownEntityError(Exception):
 def asserted_taxonomy(ontology: Ontology) -> Taxonomy:
     """Taxonomy from told subsumptions between named concepts (plus the
     named-to-named halves of equivalences); no reasoning involved."""
-    names = sorted(
-        {e.iri for e in signature(ontology)
-         if e.kind is EntityKind.CONCEPT and e.iri not in BUILTIN_CONCEPTS},
-        key=lambda iri: iri.value,
-    )
-    told: dict[Iri, set[Iri]] = {name: {name} for name in names}
-    for axiom in ontology.axioms:
-        if isinstance(axiom, SubConceptOf) and isinstance(axiom.sub, Named) \
-                and isinstance(axiom.sup, Named):
-            told[axiom.sub.iri].add(axiom.sup.iri)
-        elif isinstance(axiom, EquivalentConcepts):
-            named_ops = [op.iri for op in axiom.operands if isinstance(op, Named)]
-            for a in named_ops:
-                for b in named_ops:
-                    told[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for ups in told.values():
-            extra: set[Iri] = set()
-            for up in ups:
-                extra |= told.get(up, set())
-            if not extra <= ups:
-                ups |= extra
-                changed = True
-    return build_taxonomy(names, lambda c, d: d in told[c])
+    told = told_subsumers(ontology)
+    return build_taxonomy(told, lambda c, d: d in told[c])
 
 
 @dataclass(frozen=True)

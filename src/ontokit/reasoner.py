@@ -11,9 +11,9 @@ are fixed so results are deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .model import (
     AnnotationAssertion,
@@ -50,6 +50,7 @@ from .model import (
     inverse_of,
     signature,
 )
+from .taxonomy import Taxonomy, build_taxonomy, most_specific
 
 
 class ResourceLimitExceeded(Exception):
@@ -127,19 +128,6 @@ def _nnf_complement(expr: ConceptExpression) -> ConceptExpression:
     return to_nnf(Complement(expr))
 
 
-_SORT_KEYS: dict = {}
-
-
-def _sort_key(expr) -> str:
-    """Canonical text for lexicographic tie-breaks, memoized: expression
-    reprs are deterministic and total but expensive to recompute."""
-    key = _SORT_KEYS.get(expr)
-    if key is None:
-        key = repr(expr)
-        _SORT_KEYS[expr] = key
-    return key
-
-
 # ---------------------------------------------------------------------------
 # TBox normalization
 # ---------------------------------------------------------------------------
@@ -167,9 +155,19 @@ class NormalizedTBox:
     domain_triggers: tuple[tuple[RoleExpression, ConceptExpression], ...]
     node_constraints: tuple[ConceptExpression, ...]
     uses_inverse: bool
+    # Memo for sort_key; it lives and dies with the TBox the tableau runs on.
+    sort_keys: dict = field(default_factory=dict, repr=False, compare=False)
 
     def subsumers_of(self, role: RoleExpression) -> frozenset[RoleExpression]:
         return self.role_subsumers.get(role, frozenset((role,)))
+
+    def sort_key(self, expr) -> str:
+        """Canonical text for lexicographic tie-breaks, memoized: expression
+        reprs are deterministic and total but expensive to recompute."""
+        key = self.sort_keys.get(expr)
+        if key is None:
+            key = self.sort_keys[expr] = repr(expr)
+        return key
 
 
 def _expr_uses_inverse(expr: ConceptExpression) -> bool:
@@ -237,7 +235,7 @@ def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
                     if isinstance(role, InverseRole):
                         uses_inverse = True
     # Reflexive-transitive closure over the (small) role-expression set.
-    ordered = sorted(exprs, key=_sort_key)
+    ordered = sorted(exprs, key=repr)
     subsumers: dict[RoleExpression, set[RoleExpression]] = {e: {e} for e in ordered}
     for sub, sup in base:
         subsumers.setdefault(sub, {sub}).add(sup)
@@ -375,10 +373,10 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
         general_inclusions=general,
         role_subsumers=role_subsumers,
         transitive_roles=transitive,
-        absorbed={name: tuple(sorted(exprs, key=_sort_key))
+        absorbed={name: tuple(sorted(exprs, key=repr))
                   for name, exprs in absorbed.items()},
-        domain_triggers=tuple(sorted(domain_triggers, key=_sort_key)),
-        node_constraints=tuple(sorted(node_constraints, key=_sort_key)),
+        domain_triggers=tuple(sorted(domain_triggers, key=repr)),
+        node_constraints=tuple(sorted(node_constraints, key=repr)),
         uses_inverse=uses_inverse,
     )
 
@@ -434,9 +432,9 @@ class _Graph:
     a lexicographically sorted view cached per node."""
 
     __slots__ = ("labels", "sorted_cache", "parents", "out_edges", "in_edges",
-                 "next_id", "counter")
+                 "next_id", "counter", "sort_key")
 
-    def __init__(self, counter: list[int]):
+    def __init__(self, counter: list[int], sort_key: Callable[[object], str]):
         self.labels: list[dict[ConceptExpression, None]] = []
         self.sorted_cache: list[Optional[list[ConceptExpression]]] = []
         self.parents: list[Optional[int]] = []
@@ -444,9 +442,10 @@ class _Graph:
         self.in_edges: list[list[tuple[Iri, int]]] = []
         self.next_id = 0
         self.counter = counter  # shared created-node count for the limit check
+        self.sort_key = sort_key
 
     def copy(self) -> "_Graph":
-        g = _Graph(self.counter)
+        g = _Graph(self.counter, self.sort_key)
         g.labels = [dict(lbl) for lbl in self.labels]
         g.sorted_cache = list(self.sorted_cache)
         g.parents = list(self.parents)
@@ -489,7 +488,7 @@ class _Graph:
     def sorted_label(self, node: int) -> list[ConceptExpression]:
         cached = self.sorted_cache[node]
         if cached is None:
-            cached = sorted(self.labels[node], key=_sort_key)
+            cached = sorted(self.labels[node], key=self.sort_key)
             self.sorted_cache[node] = cached
         return cached
 
@@ -595,7 +594,7 @@ class _Tableau:
             for target in self._neighbours(g, node, role):
                 if g.add(target, filler):
                     return True
-            for trans in sorted(tbox.transitive_roles, key=_sort_key):
+            for trans in sorted(tbox.transitive_roles, key=tbox.sort_key):
                 if role in tbox.subsumers_of(trans):
                     propagated = Universal(trans, filler)
                     for target in self._neighbours(g, node, trans):
@@ -719,8 +718,8 @@ class _Tableau:
                                blocking=tuple(blocking), clash=False)
 
 
-def _fresh_graph() -> _Graph:
-    return _Graph(counter=[0])
+def _fresh_graph(tbox: NormalizedTBox) -> _Graph:
+    return _Graph(counter=[0], sort_key=tbox.sort_key)
 
 
 def is_satisfiable(
@@ -733,7 +732,7 @@ def is_satisfiable(
     nnf_concept = to_nnf(concept)
     tableau = _Tableau(tbox, limits,
                        equality_blocking=_expr_uses_inverse(nnf_concept))
-    g = _fresh_graph()
+    g = _fresh_graph(tbox)
     root = g.new_node(parent=None, max_nodes=limits.max_nodes)
     try:
         tableau._init_node(g, root)
@@ -770,21 +769,22 @@ def _individuals_of(ontology: Ontology) -> list[Iri]:
     return sorted(found, key=lambda iri: iri.value)
 
 
-def _abox_satisfiable(
+def _abox_labels(
     ontology: Ontology,
     tbox: NormalizedTBox,
     limits: ReasonerLimits,
     extra: Iterable[tuple[Iri, ConceptExpression]] = (),
-) -> bool:
+) -> Optional[dict[Iri, dict[ConceptExpression, None]]]:
     """Tableau consistency of the ABox (one root per individual, no unique
-    name assumption) with optional extra concept constraints."""
+    name assumption) with optional extra concept constraints. Returns the
+    label of each individual's node in a clash-free completion graph, or
+    None when there is none. With no named individuals the initial graph is
+    empty and trivially clash-free."""
     individuals = _individuals_of(ontology)
-    if not individuals:
-        return True
     extra = list(extra)
     force_equality = any(_expr_uses_inverse(to_nnf(c)) for _, c in extra)
     tableau = _Tableau(tbox, limits, equality_blocking=force_equality)
-    g = _fresh_graph()
+    g = _fresh_graph(tbox)
     node_of: dict[Iri, int] = {}
     try:
         for individual in individuals:
@@ -799,14 +799,17 @@ def _abox_satisfiable(
         for individual, concept in extra:
             g.add(node_of[individual], to_nnf(concept))
     except _Clash:
-        return False
-    return tableau.search(g) is not None
+        return None
+    final = tableau.search(g)
+    if final is None:
+        return None
+    return {individual: final.labels[node] for individual, node in node_of.items()}
 
 
 def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> bool:
-    """ABox consistency. With no named individuals the initial graph is empty
-    and trivially clash-free, so the verdict is True by construction."""
-    return _abox_satisfiable(ontology, normalize(ontology), limits)
+    """ABox consistency. With no named individuals the verdict is True by
+    construction."""
+    return _abox_labels(ontology, normalize(ontology), limits) is not None
 
 
 def _named_concepts_of(ontology: Ontology) -> list[Iri]:
@@ -824,13 +827,13 @@ def instances_of(
 ) -> tuple[Iri, ...]:
     """All individuals whose membership in `concept` is entailed."""
     tbox = normalize(ontology)
-    if not _abox_satisfiable(ontology, tbox, limits):
+    if _abox_labels(ontology, tbox, limits) is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     negated = _nnf_complement(concept)
     members = [
         individual
         for individual in _individuals_of(ontology)
-        if not _abox_satisfiable(ontology, tbox, limits, extra=[(individual, negated)])
+        if _abox_labels(ontology, tbox, limits, extra=[(individual, negated)]) is None
     ]
     return tuple(members)
 
@@ -840,16 +843,15 @@ def entailed_types(
 ) -> dict[Iri, tuple[Iri, ...]]:
     """For each individual, every named concept it provably belongs to."""
     tbox = normalize(ontology)
-    if not _abox_satisfiable(ontology, tbox, limits):
+    if _abox_labels(ontology, tbox, limits) is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     names = _named_concepts_of(ontology)
     result: dict[Iri, tuple[Iri, ...]] = {}
     for individual in _individuals_of(ontology):
         entailed = [
             name for name in names
-            if not _abox_satisfiable(
-                ontology, tbox, limits,
-                extra=[(individual, Complement(Named(name)))])
+            if _abox_labels(ontology, tbox, limits,
+                            extra=[(individual, Complement(Named(name)))]) is None
         ]
         result[individual] = tuple(entailed)
     return result
@@ -860,23 +862,36 @@ def realize(
 ) -> dict[Iri, tuple[Iri, ...]]:
     """Most specific named concepts per individual (an antichain in the
     inferred taxonomy). An individual with no entailed named concept maps to
-    the built-in top concept."""
-    tbox = normalize(ontology)
-    full = entailed_types(ontology, limits)
-    subsumed: dict[tuple[Iri, Iri], bool] = {}
+    the built-in top concept.
 
-    def leq(c: Iri, d: Iri) -> bool:
-        if (c, d) not in subsumed:
-            subsumed[(c, d)] = is_subsumed_by(Named(c), Named(d), tbox, limits)
-        return subsumed[(c, d)]
+    Each individual descends `classify`'s taxonomy by the same top search
+    the taxonomy builder runs, with an ABox entailment test in place of the
+    subsumption test: a group is tested only once the individual belongs to
+    all of its parents. The consistency check's completion graph is a model
+    of the ontology, so a group with a primitive member missing from the
+    individual's node is ruled out without a test (see `_refuted`)."""
+    tbox = normalize(ontology)
+    labels = _abox_labels(ontology, tbox, limits)
+    if labels is None:
+        raise InconsistentOntologyError("ontology is inconsistent")
+    taxonomy = classify(ontology, limits)
+
+    def below(group: int) -> list[int]:
+        return [c for c in taxonomy.children_of(group) if c != Taxonomy.BOTTOM]
 
     result: dict[Iri, tuple[Iri, ...]] = {}
-    for individual, types in full.items():
-        most_specific = [
-            c for c in types
-            if not any(d != c and leq(d, c) and not leq(c, d) for d in types)
-        ]
-        result[individual] = tuple(most_specific) or (OWL_THING,)
+    for individual, label in labels.items():
+        def entailed(group: int) -> bool:
+            members = taxonomy.members(group)
+            if any(_refuted(label, name, tbox) for name in members):
+                return False
+            probe = [(individual, Complement(Named(members[0])))]
+            return _abox_labels(ontology, tbox, limits, extra=probe) is None
+
+        found = most_specific(Taxonomy.TOP, entailed, taxonomy.parents_of, below)
+        names = sorted({name for group in found for name in taxonomy.members(group)},
+                       key=lambda iri: iri.value)
+        result[individual] = tuple(names) or (OWL_THING,)
     return result
 
 
@@ -890,194 +905,30 @@ def materialize_inverses(ontology: Ontology) -> Ontology:
     frontier = list(asserted)
     while frontier:
         assertion = frontier.pop()
-        for sup in sorted(role_subsumers.get(InverseRole(assertion.role), ()), key=_sort_key):
+        for sup in sorted(role_subsumers.get(InverseRole(assertion.role), ()), key=repr):
             if isinstance(sup, NamedRole):
                 implied = RoleAssertion(sup.iri, assertion.object, assertion.subject)
                 if implied not in closure:
                     closure.add(implied)
                     frontier.append(implied)
     result = ontology
-    for assertion in sorted(closure - asserted, key=_sort_key):
+    for assertion in sorted(closure - asserted, key=repr):
         result = add_axiom(result, assertion)
     return result
 
 
 # ---------------------------------------------------------------------------
-# Taxonomy
+# Classification
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Taxonomy:
-    """Equivalence groups of named concepts in a transitively reduced DAG.
-
-    Group 0 is the top group (names equivalent to ⊤, possibly none), group 1
-    the bottom group (unsatisfiable names); the rest are sorted by their
-    first member. Edges run child -> parent.
-    """
-
-    groups: tuple[tuple[Iri, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-
-    TOP = 0
-    BOTTOM = 1
-
-    @cached_property
-    def _group_index(self) -> dict[Iri, int]:
-        return {iri: idx for idx, members in enumerate(self.groups) for iri in members}
-
-    @cached_property
-    def _parents(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {i: [] for i in range(len(self.groups))}
-        for child, parent in self.edges:
-            out[child].append(parent)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
-    @cached_property
-    def _children(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {i: [] for i in range(len(self.groups))}
-        for child, parent in self.edges:
-            out[parent].append(child)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
-    def concepts(self) -> tuple[Iri, ...]:
-        return tuple(sorted(self._group_index, key=lambda iri: iri.value))
-
-    def group_of(self, iri: Iri) -> int:
-        return self._group_index[iri]
-
-    def members(self, group: int) -> tuple[Iri, ...]:
-        return self.groups[group]
-
-    def parents_of(self, group: int) -> tuple[int, ...]:
-        return self._parents.get(group, ())
-
-    def children_of(self, group: int) -> tuple[int, ...]:
-        return self._children.get(group, ())
-
-    def equivalents_of(self, iri: Iri) -> tuple[Iri, ...]:
-        return self.groups[self.group_of(iri)]
-
-    def parent_concepts_of(self, iri: Iri) -> tuple[Iri, ...]:
-        """Named members of the direct parent groups."""
-        out: list[Iri] = []
-        for parent in self.parents_of(self.group_of(iri)):
-            out.extend(self.groups[parent])
-        return tuple(sorted(set(out), key=lambda i: i.value))
-
-    def named_links(self) -> frozenset[tuple[Iri, Iri]]:
-        """Direct (child concept, parent concept) pairs, expanded over group
-        members; links to the pseudo top/bottom are represented only through
-        named members of those groups."""
-        pairs: set[tuple[Iri, Iri]] = set()
-        for child, parent in self.edges:
-            for c in self.groups[child]:
-                for p in self.groups[parent]:
-                    pairs.add((c, p))
-        return frozenset(pairs)
-
-    def _reach(self, start: int, direction: dict[int, tuple[int, ...]]) -> set[int]:
-        seen: set[int] = set()
-        stack = [start]
-        while stack:
-            g = stack.pop()
-            for nxt in direction.get(g, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    def ancestors_of(self, iri: Iri) -> tuple[Iri, ...]:
-        """Named concepts strictly above, transitively (equivalents excluded)."""
-        groups = self._reach(self.group_of(iri), self._parents)
-        out = [m for g in groups for m in self.groups[g]]
-        return tuple(sorted(set(out), key=lambda i: i.value))
-
-    def descendants_of(self, iri: Iri) -> tuple[Iri, ...]:
-        groups = self._reach(self.group_of(iri), self._children)
-        out = [m for g in groups for m in self.groups[g]]
-        return tuple(sorted(set(out), key=lambda i: i.value))
-
-    def closure_pairs(self) -> frozenset[tuple[Iri, Iri]]:
-        """(c, d) for every strict-or-equivalent named pair with c ⊑ d."""
-        pairs: set[tuple[Iri, Iri]] = set()
-        for iri in self._group_index:
-            for other in self.equivalents_of(iri):
-                if other != iri:
-                    pairs.add((iri, other))
-            for ancestor in self.ancestors_of(iri):
-                pairs.add((iri, ancestor))
-        return frozenset(pairs)
-
-
-def build_taxonomy(
-    names: Iterable[Iri],
-    leq: Callable[[Iri, Iri], bool],
-    top_names: Iterable[Iri] = (),
-    bottom_names: Iterable[Iri] = (),
-) -> Taxonomy:
-    """Construct the reduced DAG of equivalence groups from a subsumption
-    preorder over named concepts. Shared by inferred and asserted builds."""
-    top_set = set(top_names)
-    bottom_set = set(bottom_names)
-    proper = sorted(set(names) - top_set - bottom_set, key=lambda iri: iri.value)
-
-    # Merge mutually subsuming names into groups.
-    group_of: dict[Iri, int] = {}
-    member_lists: list[list[Iri]] = []
-    for name in proper:
-        placed = False
-        for idx, members in enumerate(member_lists):
-            representative = members[0]
-            if leq(name, representative) and leq(representative, name):
-                members.append(name)
-                group_of[name] = idx
-                placed = True
-                break
-        if not placed:
-            group_of[name] = len(member_lists)
-            member_lists.append([name])
-
-    ordered = sorted((tuple(sorted(m, key=lambda i: i.value)) for m in member_lists),
-                     key=lambda members: members[0].value)
-    groups: tuple[tuple[Iri, ...], ...] = (
-        tuple(sorted(top_set, key=lambda i: i.value)),
-        tuple(sorted(bottom_set, key=lambda i: i.value)),
-        *ordered,
-    )
-
-    def strictly_below(a: tuple[Iri, ...], b: tuple[Iri, ...]) -> bool:
-        return leq(a[0], b[0]) and not leq(b[0], a[0])
-
-    named_ids = range(2, len(groups))
-    edges: list[tuple[int, int]] = []
-    for child in named_ids:
-        uppers = [p for p in named_ids
-                  if p != child and strictly_below(groups[child], groups[p])]
-        direct = [
-            p for p in uppers
-            if not any(q != p and strictly_below(groups[q], groups[p]) for q in uppers)
-        ]
-        if direct:
-            edges.extend((child, p) for p in direct)
-        else:
-            edges.append((child, Taxonomy.TOP))
-    leaves = [g for g in named_ids if not any(parent == g for _, parent in edges)]
-    if leaves:
-        edges.extend((Taxonomy.BOTTOM, leaf) for leaf in leaves)
-    else:
-        edges.append((Taxonomy.BOTTOM, Taxonomy.TOP))
-    return Taxonomy(groups=groups, edges=tuple(sorted(edges)))
-
-
-def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Taxonomy:
-    """Inferred taxonomy over all named concepts: pairwise subsumption tests
-    seeded with told subsumptions, unsatisfiable names in the bottom group,
-    mutually subsuming names merged. Independent of axiom order."""
-    tbox = normalize(ontology)
-    names = _named_concepts_of(ontology)
-
-    told: dict[Iri, set[Iri]] = {name: {name} for name in names}
+def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
+    """Each named concept's told subsumers, itself included: the transitive
+    closure of named-to-named subclass axioms and of the named members of
+    equivalence axioms. Keys run in told-topological order (fewest told
+    subsumers first, ties by IRI), so no name precedes a strict told
+    subsumer: a strict subsumer's closure is a proper subset."""
+    told: dict[Iri, set[Iri]] = {name: {name} for name in _named_concepts_of(ontology)}
     for axiom in ontology.axioms:
         if isinstance(axiom, SubConceptOf) and isinstance(axiom.sub, Named) \
                 and isinstance(axiom.sup, Named):
@@ -1087,37 +938,63 @@ def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Tax
             named_ops = [op.iri for op in axiom.operands
                          if isinstance(op, Named) and op.iri in told]
             for a in named_ops:
-                for b in named_ops:
-                    told[a].add(b)
+                told[a].update(named_ops)
     changed = True
     while changed:
         changed = False
-        for name, ups in told.items():
+        for ups in told.values():
             extra: set[Iri] = set()
             for up in ups:
-                extra |= told.get(up, set())
+                extra |= told[up]
             if not extra <= ups:
                 ups |= extra
                 changed = True
+    order = sorted(told, key=lambda name: (len(told[name]), name.value))
+    return {name: frozenset(told[name]) for name in order}
 
-    sat_cache: dict[Iri, bool] = {
-        name: is_satisfiable(Named(name), tbox, limits).satisfiable for name in names
-    }
-    bottom = [name for name in names if not sat_cache[name]]
-    top = [name for name in names
-           if sat_cache[name] and is_subsumed_by(Top(), Named(name), tbox, limits)]
 
-    memo: dict[tuple[Iri, Iri], bool] = {}
+def _refuted(label: Container[ConceptExpression], name: Iri, tbox: NormalizedTBox) -> bool:
+    """Whether the node with this label, in a clash-free completion graph,
+    shows an element outside the named concept.
+
+    Sound for primitive names only. A complete, clash-free graph reads as a
+    model in which a primitive name holds exactly at the nodes whose label
+    has it, since every inclusion that can put the name on a node has been
+    applied wherever its premise holds. A defined name is unfolded lazily:
+    the tableau adds its body when the name is in a label, never the name
+    when its body holds. In the model the name holds wherever its body
+    does, so its absence proves nothing. The fixture's
+    `OrganismStructure ⊑ Infectious` is such a case."""
+    return name not in tbox.definitions and Named(name) not in label
+
+
+def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Taxonomy:
+    """Inferred taxonomy over all named concepts: unsatisfiable names in the
+    bottom group, names equivalent to ⊤ in the top group, and the rest
+    inserted by `build_taxonomy` in told-topological order, with mutually
+    subsuming names merged. Independent of axiom order.
+
+    A satisfiability pre-pass tests each name once and keeps its witness.
+    The builder's questions "c ⊑ d?" are then answered without a tableau
+    test where the answer is known: yes when d is a told subsumer of c, no
+    when the root of c's witness refutes d (`_refuted`). ⊤'s witness
+    refutes "⊤ ⊑ d" the same way. Only the other questions cost a test."""
+    tbox = normalize(ontology)
+    told = told_subsumers(ontology)
+    witness = {name: is_satisfiable(Named(name), tbox, limits).witness for name in told}
+    bottom = [name for name in told if witness[name] is None]
+    top: list[Iri] = []
+    if len(bottom) < len(told):
+        root = is_satisfiable(Top(), tbox, limits).witness.nodes[0].label
+        top = [name for name in told
+               if witness[name] is not None and not _refuted(root, name, tbox)
+               and is_subsumed_by(Top(), Named(name), tbox, limits)]
 
     def leq(c: Iri, d: Iri) -> bool:
-        if c == d:
+        if d in told[c]:
             return True
-        key = (c, d)
-        if key not in memo:
-            if d in told[c]:
-                memo[key] = True
-            else:
-                memo[key] = is_subsumed_by(Named(c), Named(d), tbox, limits)
-        return memo[key]
+        if _refuted(witness[c].nodes[0].label, d, tbox):
+            return False
+        return is_subsumed_by(Named(c), Named(d), tbox, limits)
 
-    return build_taxonomy(names, leq, top_names=top, bottom_names=bottom)
+    return build_taxonomy(told, leq, top_names=top, bottom_names=bottom)

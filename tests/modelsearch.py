@@ -287,17 +287,6 @@ def find_countermodel(ontology: Ontology, sub: ConceptExpression,
                                    max_size, budget)
 
 
-def find_model_of(ontology: Ontology, concept: ConceptExpression,
-                  max_size: int = 3, budget: int = 300_000):
-    """A model of the TBox in which `concept` is non-empty."""
-
-    def accept(interp: Interpretation) -> bool:
-        return bool(eval_concept(concept, interp))
-
-    return _search_interpretations(ontology.axioms, [concept], accept,
-                                   max_size, budget)
-
-
 # ---------------------------------------------------------------------------
 # Witness graphs as finite interpretations
 # ---------------------------------------------------------------------------
