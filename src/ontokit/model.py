@@ -513,9 +513,25 @@ def compute_counts(ontology: Ontology) -> EntityCounts:
 
 def usages(entity: Entity, ontology: Ontology) -> tuple[Axiom, ...]:
     """Every axiom mentioning the entity in a kind-compatible position, in
-    ontology order."""
-    if entity not in signature(ontology):
+    ontology order.
+
+    The entity is in the signature iff some axiom references exactly its kind
+    and IRI; an annotation subject alone, compatible with any kind, does not
+    put it there."""
+    found: list[Axiom] = []
+    in_signature = False
+    for axiom in ontology.axioms:
+        mentioned = False
+        for kind, iri in axiom_references(axiom):
+            if iri == entity.iri:
+                if kind == entity.kind:
+                    in_signature = mentioned = True
+                    break
+                mentioned = mentioned or kind is None
+        if mentioned:
+            found.append(axiom)
+    if not in_signature:
         raise EntityNotInSignatureError(
             f"entity not in signature: {entity.kind.value} <{entity.iri}>"
         )
-    return tuple(a for a in ontology.axioms if _mentions(a, entity))
+    return tuple(found)

@@ -772,15 +772,16 @@ def _individuals_of(ontology: Ontology) -> list[Iri]:
 def _abox_labels(
     ontology: Ontology,
     tbox: NormalizedTBox,
+    individuals: list[Iri],
     limits: ReasonerLimits,
     extra: Iterable[tuple[Iri, ConceptExpression]] = (),
 ) -> Optional[dict[Iri, dict[ConceptExpression, None]]]:
-    """Tableau consistency of the ABox (one root per individual, no unique
-    name assumption) with optional extra concept constraints. Returns the
-    label of each individual's node in a clash-free completion graph, or
-    None when there is none. With no named individuals the initial graph is
-    empty and trivially clash-free."""
-    individuals = _individuals_of(ontology)
+    """Tableau consistency of the ABox (one root per individual in
+    `individuals`, which is `_individuals_of(ontology)`; no unique name
+    assumption) with optional extra concept constraints. Returns the label of
+    each individual's node in a clash-free completion graph, or None when
+    there is none. With no named individuals the initial graph is empty and
+    trivially clash-free."""
     extra = list(extra)
     force_equality = any(_expr_uses_inverse(to_nnf(c)) for _, c in extra)
     tableau = _Tableau(tbox, limits, equality_blocking=force_equality)
@@ -809,7 +810,8 @@ def _abox_labels(
 def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> bool:
     """ABox consistency. With no named individuals the verdict is True by
     construction."""
-    return _abox_labels(ontology, normalize(ontology), limits) is not None
+    return _abox_labels(ontology, normalize(ontology), _individuals_of(ontology),
+                        limits) is not None
 
 
 def _named_concepts_of(ontology: Ontology) -> list[Iri]:
@@ -827,13 +829,15 @@ def instances_of(
 ) -> tuple[Iri, ...]:
     """All individuals whose membership in `concept` is entailed."""
     tbox = normalize(ontology)
-    if _abox_labels(ontology, tbox, limits) is None:
+    individuals = _individuals_of(ontology)
+    if _abox_labels(ontology, tbox, individuals, limits) is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     negated = _nnf_complement(concept)
     members = [
         individual
-        for individual in _individuals_of(ontology)
-        if _abox_labels(ontology, tbox, limits, extra=[(individual, negated)]) is None
+        for individual in individuals
+        if _abox_labels(ontology, tbox, individuals, limits,
+                        extra=[(individual, negated)]) is None
     ]
     return tuple(members)
 
@@ -843,14 +847,15 @@ def entailed_types(
 ) -> dict[Iri, tuple[Iri, ...]]:
     """For each individual, every named concept it provably belongs to."""
     tbox = normalize(ontology)
-    if _abox_labels(ontology, tbox, limits) is None:
+    individuals = _individuals_of(ontology)
+    if _abox_labels(ontology, tbox, individuals, limits) is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     names = _named_concepts_of(ontology)
     result: dict[Iri, tuple[Iri, ...]] = {}
-    for individual in _individuals_of(ontology):
+    for individual in individuals:
         entailed = [
             name for name in names
-            if _abox_labels(ontology, tbox, limits,
+            if _abox_labels(ontology, tbox, individuals, limits,
                             extra=[(individual, Complement(Named(name)))]) is None
         ]
         result[individual] = tuple(entailed)
@@ -871,7 +876,8 @@ def realize(
     of the ontology, so a group with a primitive member missing from the
     individual's node is ruled out without a test (see `_refuted`)."""
     tbox = normalize(ontology)
-    labels = _abox_labels(ontology, tbox, limits)
+    individuals = _individuals_of(ontology)
+    labels = _abox_labels(ontology, tbox, individuals, limits)
     if labels is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     taxonomy = classify(ontology, limits)
@@ -886,7 +892,7 @@ def realize(
             if any(_refuted(label, name, tbox) for name in members):
                 return False
             probe = [(individual, Complement(Named(members[0])))]
-            return _abox_labels(ontology, tbox, limits, extra=probe) is None
+            return _abox_labels(ontology, tbox, individuals, limits, extra=probe) is None
 
         found = most_specific(Taxonomy.TOP, entailed, taxonomy.parents_of, below)
         names = sorted({name for group in found for name in taxonomy.members(group)},

@@ -1,7 +1,9 @@
 """Deterministic static website generation.
 
 One hyperlinked page per declared entity plus an index with entity counts and
-the inferred concept tree. Markup is hand-emitted minimal HTML with no
+the inferred concept tree. Generation takes one pass over the axioms, which
+indexes each axiom under the IRIs it mentions, plus one render per page that
+reads only its own entity's axioms. Markup is hand-emitted minimal HTML with no
 scripts or external assets, so equal inputs produce byte-identical output and
 structural tests stay trivial.
 """
@@ -44,9 +46,10 @@ from .model import (
     TransitiveRole,
     Union,
     Universal,
+    _mentions,
+    axiom_references,
     compute_counts,
     declared_entities,
-    usages,
 )
 from .reasoner import Taxonomy
 
@@ -293,13 +296,40 @@ def generate_site(
     for entity in sorted(entities, key=Entity.sort_key):
         links.setdefault(entity.iri, paths[entity])
     realization = realization or {}
+    mentioning: dict[Iri, list[Axiom]] = {}
+    for axiom in ontology.axioms:
+        for iri in _compared_iris(axiom):
+            mentioning.setdefault(iri, []).append(axiom)
+    members: dict[Iri, list[Iri]] = {}
+    for individual, types in realization.items():
+        for concept in types:
+            members.setdefault(concept, []).append(individual)
+    inferred_parents = {iri: inferred.parent_concepts_of(iri)
+                        for iri in inferred.concepts()}
 
     documents = [_index_document(ontology, inferred, entities, paths, links)]
     for entity in entities:
         documents.append(
-            _entity_document(entity, ontology, inferred, asserted, realization,
-                             paths, links))
+            _entity_document(entity, mentioning.get(entity.iri, ()), realization,
+                             members, inferred_parents, paths, links))
     return tuple(sorted(documents, key=lambda doc: doc.relative_path))
+
+
+def _compared_iris(axiom: Axiom) -> set[Iri]:
+    """Every IRI a page section may compare against `axiom`: its references,
+    plus a built-in concept named outright in a concept position, which
+    `axiom_references` skips but a declared owl:Thing's page still lists."""
+    iris = {iri for _, iri in axiom_references(axiom)}
+    if isinstance(axiom, SubConceptOf):
+        concepts = (axiom.sub, axiom.sup)
+    elif isinstance(axiom, (EquivalentConcepts, DisjointConcepts)):
+        concepts = axiom.operands
+    elif isinstance(axiom, (ConceptAssertion, RoleDomain, RoleRange)):
+        concepts = (axiom.concept,)
+    else:
+        concepts = ()
+    iris.update(c.iri for c in concepts if isinstance(c, Named))
+    return iris
 
 
 def _index_document(ontology, inferred, entities, paths, links) -> SiteDocument:
@@ -340,19 +370,22 @@ def _index_document(ontology, inferred, entities, paths, links) -> SiteDocument:
                         _html_page(ontology.iri.value, "".join(body)))
 
 
-def _entity_document(entity, ontology, inferred, asserted, realization,
+def _entity_document(entity, axioms, realization, members, inferred_parents,
                      paths, links) -> SiteDocument:
+    """`axioms` are those that mention the entity's IRI, in ontology order;
+    `members` maps each concept to the individuals realized under it, and
+    `inferred_parents` each concept of the inferred tree to its parents."""
     sections: list[RenderedSection] = []
     iri = entity.iri
     if entity.kind is EntityKind.CONCEPT:
-        sections.extend(_concept_sections(iri, ontology, inferred, asserted,
-                                          realization, links))
+        sections.extend(_concept_sections(iri, axioms, inferred_parents.get(iri, ()),
+                                          members.get(iri, ()), links))
     elif entity.kind is EntityKind.OBJECT_ROLE:
-        sections.extend(_role_sections(iri, ontology, links))
+        sections.extend(_role_sections(iri, axioms, links))
     elif entity.kind is EntityKind.INDIVIDUAL:
-        sections.extend(_individual_sections(iri, ontology, realization, links))
-    sections.append(_annotation_section(iri, ontology))
-    sections.append(_usage_section(entity, ontology, links))
+        sections.extend(_individual_sections(iri, axioms, realization, links))
+    sections.append(_annotation_section(iri, axioms))
+    sections.append(_usage_section(entity, axioms, links))
 
     header = (f"<h1>{html.escape(iri.fragment)}</h1>\n"
               f"<p><code>{html.escape(iri.value)}</code> "
@@ -362,12 +395,12 @@ def _entity_document(entity, ontology, inferred, asserted, realization,
     return SiteDocument(paths[entity], iri.fragment, _html_page(iri.fragment, body))
 
 
-def _concept_sections(iri, ontology, inferred, asserted, realization, links):
+def _concept_sections(iri, axioms, parents, realized, links):
     told_supers: list[str] = []
     equivalents: list[str] = []
     disjoints: list[str] = []
-    members: list[str] = []
-    for axiom in ontology.axioms:
+    members: list[str] = [_entity_html(individual, links) for individual in realized]
+    for axiom in axioms:
         if isinstance(axiom, SubConceptOf) and axiom.sub == Named(iri):
             told_supers.append(render_expression(axiom.sup, links))
         elif isinstance(axiom, EquivalentConcepts) and Named(iri) in axiom.operands:
@@ -378,20 +411,13 @@ def _concept_sections(iri, ontology, inferred, asserted, realization, links):
                              for op in axiom.operands if op != Named(iri))
         elif isinstance(axiom, ConceptAssertion) and axiom.concept == Named(iri):
             members.append(_entity_html(axiom.individual, links))
-    for individual, types in sorted(realization.items(), key=lambda kv: kv[0].value):
-        if iri in types:
-            members.append(_entity_html(individual, links))
-    inferred_supers = [
-        _entity_html(parent, links)
-        for parent in (inferred.parent_concepts_of(iri)
-                       if iri in inferred.concepts() else ())
-    ]
+    inferred_supers = [_entity_html(parent, links) for parent in parents]
     domain_of = [
-        _entity_html(a.role, links) for a in ontology.axioms
+        _entity_html(a.role, links) for a in axioms
         if isinstance(a, RoleDomain) and a.concept == Named(iri)
     ]
     range_of = [
-        _entity_html(a.role, links) for a in ontology.axioms
+        _entity_html(a.role, links) for a in axioms
         if isinstance(a, RoleRange) and a.concept == Named(iri)
     ]
     return [
@@ -405,13 +431,13 @@ def _concept_sections(iri, ontology, inferred, asserted, realization, links):
     ]
 
 
-def _role_sections(iri, ontology, links):
+def _role_sections(iri, axioms, links):
     subs: list[str] = []
     inverses: list[str] = []
     domains: list[str] = []
     ranges: list[str] = []
     assertions: list[str] = []
-    for axiom in ontology.axioms:
+    for axiom in axioms:
         if isinstance(axiom, SubRoleOf) and axiom.sup == iri:
             subs.append(_entity_html(axiom.sub, links))
         elif isinstance(axiom, InverseRoles) and iri in (axiom.first, axiom.second):
@@ -433,10 +459,10 @@ def _role_sections(iri, ontology, links):
     ]
 
 
-def _individual_sections(iri, ontology, realization, links):
+def _individual_sections(iri, axioms, realization, links):
     told_types: list[str] = []
     assertions: list[str] = []
-    for axiom in ontology.axioms:
+    for axiom in axioms:
         if isinstance(axiom, ConceptAssertion) and axiom.individual == iri:
             told_types.append(render_expression(axiom.concept, links))
         elif isinstance(axiom, RoleAssertion) and iri in (axiom.subject, axiom.object):
@@ -456,20 +482,20 @@ def _individual_sections(iri, ontology, realization, links):
     ]
 
 
-def _annotation_section(iri, ontology) -> RenderedSection:
+def _annotation_section(iri, axioms) -> RenderedSection:
     notes = [
         html.escape(f"{axiom.role.fragment}: {axiom.value.lexical}")
-        for axiom in ontology.axioms
+        for axiom in axioms
         if isinstance(axiom, AnnotationAssertion) and axiom.subject == iri
     ]
     return RenderedSection(SectionHeading.ANNOTATIONS, _sorted_entries(notes))
 
 
-def _usage_section(entity, ontology, links) -> RenderedSection:
+def _usage_section(entity, axioms, links) -> RenderedSection:
     entries = [
         _axiom_html(axiom, links)
-        for axiom in usages(entity, ontology)
-        if not isinstance(axiom, Declaration)
+        for axiom in axioms
+        if not isinstance(axiom, Declaration) and _mentions(axiom, entity)
     ]
     return RenderedSection(SectionHeading.USAGE, _sorted_entries(entries))
 

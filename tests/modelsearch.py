@@ -9,6 +9,7 @@ interpretations for model checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -53,8 +54,10 @@ class Interpretation:
     concepts: dict[Iri, frozenset[int]]
     roles: dict[Iri, frozenset[tuple[int, int]]]
 
-    @property
+    @functools.cached_property
     def domain(self) -> frozenset[int]:
+        # The size is fixed at construction; the search reads the domain
+        # millions of times.
         return frozenset(range(self.size))
 
 
@@ -66,16 +69,17 @@ def eval_role(role: RoleExpression, interp: Interpretation) -> frozenset[tuple[i
 
 
 def eval_concept(expr: ConceptExpression, interp: Interpretation) -> frozenset[int]:
-    if isinstance(expr, Top):
-        return interp.domain
-    if isinstance(expr, Bottom):
-        return frozenset()
+    # Named leaves are the most frequent case in the countermodel search.
     if isinstance(expr, Named):
         if expr.iri == OWL_THING:
             return interp.domain
         if expr.iri == OWL_NOTHING:
             return frozenset()
         return interp.concepts.get(expr.iri, frozenset())
+    if isinstance(expr, Top):
+        return interp.domain
+    if isinstance(expr, Bottom):
+        return frozenset()
     if isinstance(expr, Intersection):
         result = interp.domain
         for op in expr.operands:

@@ -1,6 +1,7 @@
 import pytest
 
 from ontokit.model import (
+    AnnotationAssertion,
     ConceptAssertion,
     Declaration,
     Entity,
@@ -151,6 +152,18 @@ def test_usages_declaration_only():
 def test_usages_requires_signature_membership(disease):
     with pytest.raises(EntityNotInSignatureError):
         usages(Entity(EntityKind.CONCEPT, Iri("http://elsewhere#X")), disease)
+
+
+def test_usages_annotation_subject_alone_is_not_membership():
+    x = Iri("http://x#X")
+    note = AnnotationAssertion(Iri("http://x#note"), x, Literal("n"))
+    decl = Declaration(Entity(EntityKind.CONCEPT, x))
+    with pytest.raises(EntityNotInSignatureError):
+        usages(Entity(EntityKind.CONCEPT, x), make_ontology(Iri("http://x"), (), [note]))
+    o = make_ontology(Iri("http://x"), (), [note, decl])
+    assert usages(Entity(EntityKind.CONCEPT, x), o) == (note, decl)
+    with pytest.raises(EntityNotInSignatureError):
+        usages(Entity(EntityKind.INDIVIDUAL, x), o)
 
 
 def test_usages_in_ontology_order(disease):

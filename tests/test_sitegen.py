@@ -1,23 +1,37 @@
+import collections
+import hashlib
 import random
 
+from ontokit import model, sitegen
 from ontokit.analysis import asserted_taxonomy
 from ontokit.model import (
+    AnnotationAssertion,
     Complement,
+    ConceptAssertion,
+    DataAssertion,
+    Declaration,
+    Entity,
+    EntityKind,
     Existential,
     Intersection,
     InverseRole,
     Iri,
+    Literal,
     Named,
     NamedRole,
+    OWL_THING,
     Ontology,
+    RoleAssertion,
+    SubConceptOf,
     Top,
     Bottom,
     Union,
     Universal,
     compute_counts,
     declared_entities,
+    make_ontology,
 )
-from ontokit.reasoner import classify, entailed_types, is_consistent
+from ontokit.reasoner import classify, entailed_types, is_consistent, realize
 from ontokit.sitegen import generate_site, render_expression, verify_links, SiteDocument
 from ontokit.disease import DISEASE_NS
 from genontology import random_full_ontology
@@ -260,3 +274,114 @@ ClassAssertion(:A :i)
     paths = sorted(d.relative_path for d in docs)
     assert paths == ["A.html", "B.html", "i.html", "index.html", "r.html"]
     assert verify_links(docs).broken_links == 0
+
+
+# ---------------------------------------------------------------------------
+# Byte identity and cost of generation
+# ---------------------------------------------------------------------------
+
+
+def _site_digest(sites):
+    digest = hashlib.sha256()
+    for docs in sites:
+        for doc in docs:
+            digest.update(repr(doc).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _random_site(seed):
+    # The taxonomies and the realization are drawn without the reasoner, so
+    # the digest pins the generator alone (and on seed 7 the tableau runs
+    # for more than five seconds).
+    rng = random.Random(seed)
+    ontology = random_full_ontology(rng)
+    entities = declared_entities(ontology)
+    concepts = [e.iri for e in entities if e.kind is EntityKind.CONCEPT]
+    realization = {
+        e.iri: tuple(sorted(rng.sample(concepts, rng.randint(0, 2)))) or (OWL_THING,)
+        for e in entities if e.kind is EntityKind.INDIVIDUAL
+    }
+    taxonomy = asserted_taxonomy(ontology)
+    return generate_site(ontology, taxonomy, taxonomy, realization)
+
+
+def _declared_thing_ontology():
+    # Possible through the API only: the parser never yields Named(owl:Thing).
+    a = Iri("http://x#A")
+    return make_ontology(Iri("http://x"), (), [
+        Declaration(Entity(EntityKind.CONCEPT, OWL_THING)),
+        SubConceptOf(Named(OWL_THING), Named(a)),
+        SubConceptOf(Named(a), Named(OWL_THING)),
+    ])
+
+
+def _told_ontology(n_classes):
+    """A lenient told-only ontology: a binary class tree, one role, typed and
+    related individuals, data values and annotations."""
+    ns = "http://x#"
+    classes = [Iri(f"{ns}C{i}") for i in range(n_classes)]
+    individuals = [Iri(f"{ns}i{i}") for i in range(n_classes // 4)]
+    role, data, note = Iri(ns + "r"), Iri(ns + "d"), Iri(ns + "note")
+    axioms = [SubConceptOf(Named(classes[i]), Named(classes[(i - 1) // 2]))
+              for i in range(1, n_classes)]
+    axioms += [AnnotationAssertion(note, c, Literal(f"class {c.fragment}")) for c in classes]
+    for i, individual in enumerate(individuals):
+        axioms.append(ConceptAssertion(Named(classes[-1 - i]), individual))
+        axioms.append(RoleAssertion(role, individual, individuals[i // 2]))
+        axioms.append(DataAssertion(data, individual, Literal(f"value-{i}")))
+    return make_ontology(Iri("http://x"), (), axioms)
+
+
+# Recorded from the generator that scanned every axiom once per page, before
+# generation became one pass over the axioms.
+SITE_DIGESTS = {
+    "fixture": "deb077dfdbe6e6bf90fdb950a098ad382023f45aa030686b79c880cca84bf738",
+    "random": "a392b6db9ab48070cad6d61b6dd40aaf70d2691cd49e4be27f1a7f29b9708b74",
+    "declared-thing": "ac2ea95f7da5ba53580d32c4f2f0a9c0894154dcd8230b4136e54b1925196e9e",
+}
+
+
+def test_sites_keep_recorded_bytes(disease, disease_taxonomy):
+    fixture = generate_site(disease, disease_taxonomy, asserted_taxonomy(disease),
+                            realize(disease))
+    thing = _declared_thing_ontology()
+    assert {
+        "fixture": _site_digest([fixture]),
+        "random": _site_digest([_random_site(seed) for seed in range(40)]),
+        "declared-thing": _site_digest(
+            [generate_site(thing, classify(thing), asserted_taxonomy(thing))]),
+    } == SITE_DIGESTS
+
+
+def test_declared_thing_page_keeps_asserted_superclass():
+    ontology = _declared_thing_ontology()
+    docs = generate_site(ontology, classify(ontology), asserted_taxonomy(ontology))
+    page = {d.relative_path: d.body for d in docs}["Thing.html"]
+    asserted = page.split("<h2>Superclasses (asserted)</h2>\n")[1].split("</ul>")[0]
+    assert '<a href="A.html">A</a>' in asserted
+    assert "<h2>Usage</h2>" not in page
+
+
+def test_generate_site_does_not_rescan_signature_per_page(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("signature", "usages"):
+        wrapped = counting(name, getattr(model, name))
+        for module in (model, sitegen):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    for n_classes in (60, 120):
+        ontology = _told_ontology(n_classes)
+        taxonomy = asserted_taxonomy(ontology)
+        calls.clear()
+        docs = generate_site(ontology, taxonomy, taxonomy)
+        assert len(docs) > n_classes
+        # declared_entities and compute_counts each read the signature once.
+        assert calls["signature"] <= 2, (n_classes, calls)
+        assert calls["usages"] == 0, (n_classes, calls)
