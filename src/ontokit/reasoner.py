@@ -3,9 +3,10 @@
 Covers ALC plus role hierarchies, inverse roles, and transitive roles:
 concept satisfiability, subsumption, classification, ABox consistency,
 realization, and instance retrieval. The tableau uses lazy unfolding for
-definitional equivalences, absorption for primitive named inclusions, and
-internalized disjunctions for everything else; expansion order and tie-breaks
-are fixed so results are deterministic.
+definitional equivalences, absorption for inclusions whose left-hand side
+is or has as a conjunct a primitive name, and internalized disjunctions for
+everything else; expansion order and tie-breaks are fixed so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def to_nnf(expr: ConceptExpression) -> ConceptExpression:
     if isinstance(expr, Complement):
         inner = expr.operand
         if isinstance(inner, Named):
-            return expr
+            return _nnf_complement(to_nnf(inner)) if inner.iri in BUILTIN_CONCEPTS else expr
         if isinstance(inner, Top):
             return Bottom()
         if isinstance(inner, Bottom):
@@ -143,7 +144,9 @@ class NormalizedTBox:
     from the general inclusions: membership-triggered additions for primitive
     named left-hand sides, edge-triggered domain constraints, per-node
     constraints from Top-LHS axioms, and internalized disjunctions for the
-    rest.
+    rest. `absorbed[P]` also holds `¬rest ⊔ rhs` for an inclusion
+    `P ⊓ rest ⊑ rhs` whose left-hand side has the primitive conjunct `P`
+    (binary absorption), so that disjunction only appears where `P` does.
     """
 
     definitions: dict[Iri, ConceptExpression]
@@ -191,6 +194,16 @@ def _role_expressions_in(expr: ConceptExpression) -> set[RoleExpression]:
     elif isinstance(expr, Complement):
         out |= _role_expressions_in(expr.operand)
     return out
+
+
+def _primitive_conjunct(expr: ConceptExpression, definitions: Container[Iri]) -> Optional[int]:
+    """Index of the first operand of an NNF intersection that is a name
+    without a definition (NNF has no built-in names), or None."""
+    if isinstance(expr, Intersection):
+        for i, op in enumerate(expr.operands):
+            if isinstance(op, Named) and op.iri not in definitions:
+                return i
+    return None
 
 
 def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
@@ -263,7 +276,18 @@ def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
 def normalize(ontology: Ontology) -> NormalizedTBox:
     """Compile the TBox: extract unfoldable definitions, lower everything
     else to NNF general inclusions, close the role hierarchy under inverses,
-    and precompute the tableau evaluation form."""
+    and precompute the tableau evaluation form.
+
+    Absorption (Horrocks & Tobies, KR 2000) keeps inclusions off the node
+    constraints, which every node must satisfy. An inclusion with a
+    primitive named left-hand side is added where that name is; one whose
+    left-hand side is an intersection with a primitive conjunct `P` (the
+    first in operand order) becomes `¬rest ⊔ rhs` added where `P` is. A
+    definition `A ≡ C` whose name is also the left-hand side of another
+    inclusion is demoted to `A ⊑ C` and `C ⊑ A` when `C` has such a
+    conjunct, so that all three absorb: lazy unfolding cannot carry `A`'s
+    other inclusions, since the tableau never adds `A` where only `C`
+    holds. Multiple and cyclic definitions are demoted the same way."""
     candidates: dict[Iri, list[ConceptExpression]] = {}
     raw_gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
     for axiom in ontology.axioms:
@@ -307,7 +331,6 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
                 raw_gcis.append((Named(name), body))
                 raw_gcis.append((body, Named(name)))
 
-    # Cyclic definitions are demoted the same way.
     def _cycle_names() -> set[Iri]:
         state: dict[Iri, int] = {}  # 1 = visiting, 2 = done
         cyclic: set[Iri] = set()
@@ -341,10 +364,20 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
             visit(name, [])
         return cyclic
 
-    for name in sorted(_cycle_names(), key=lambda iri: iri.value):
+    def demote(name: Iri) -> None:
         body = definitions.pop(name)
         raw_gcis.append((Named(name), body))
         raw_gcis.append((body, Named(name)))
+
+    # Cyclic definitions are demoted the same way, and so are definitions
+    # whose name has other inclusions and whose body can be absorbed.
+    lhs_names = {lhs.iri for lhs, _ in raw_gcis if isinstance(lhs, Named)}
+    for name in sorted(_cycle_names(), key=lambda iri: iri.value):
+        demote(name)
+    for name in sorted(definitions, key=lambda iri: iri.value):
+        if name in lhs_names and \
+                _primitive_conjunct(to_nnf(definitions[name]), definitions) is not None:
+            demote(name)
 
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
     role_subsumers, transitive, inv_from_roles = _role_closure(ontology)
@@ -359,6 +392,11 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
             absorbed.setdefault(lhs.iri, []).append(rhs)
         elif isinstance(lhs, Existential) and isinstance(lhs.filler, Top):
             domain_triggers.append((lhs.role, rhs))
+        elif (i := _primitive_conjunct(lhs, definitions)) is not None:
+            rest = lhs.operands[:i] + lhs.operands[i + 1:]
+            rest_expr = rest[0] if len(rest) == 1 else Intersection(rest)
+            absorbed.setdefault(lhs.operands[i].iri, []).append(
+                Union((_nnf_complement(rest_expr), rhs)))
         else:
             node_constraints.append(Union((_nnf_complement(lhs), rhs)))
 
@@ -827,17 +865,23 @@ def instances_of(
     ontology: Ontology,
     limits: ReasonerLimits = DEFAULT_LIMITS,
 ) -> tuple[Iri, ...]:
-    """All individuals whose membership in `concept` is entailed."""
+    """All individuals whose membership in `concept` is entailed. For a
+    named concept, an individual whose node in the consistency check's
+    completion graph refutes it is ruled out without a test (`_refuted`)."""
     tbox = normalize(ontology)
     individuals = _individuals_of(ontology)
-    if _abox_labels(ontology, tbox, individuals, limits) is None:
+    labels = _abox_labels(ontology, tbox, individuals, limits)
+    if labels is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     negated = _nnf_complement(concept)
+    # owl:Thing is in no label, yet every individual is an instance of it.
+    prunable = isinstance(concept, Named) and concept.iri not in BUILTIN_CONCEPTS
     members = [
         individual
         for individual in individuals
-        if _abox_labels(ontology, tbox, individuals, limits,
-                        extra=[(individual, negated)]) is None
+        if not (prunable and _refuted(labels[individual], concept.iri, tbox))
+        and _abox_labels(ontology, tbox, individuals, limits,
+                         extra=[(individual, negated)]) is None
     ]
     return tuple(members)
 
@@ -845,18 +889,22 @@ def instances_of(
 def entailed_types(
     ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS
 ) -> dict[Iri, tuple[Iri, ...]]:
-    """For each individual, every named concept it provably belongs to."""
+    """For each individual, every named concept it provably belongs to. A
+    name the individual's node in the consistency check's completion graph
+    refutes is ruled out without a test (`_refuted`)."""
     tbox = normalize(ontology)
     individuals = _individuals_of(ontology)
-    if _abox_labels(ontology, tbox, individuals, limits) is None:
+    labels = _abox_labels(ontology, tbox, individuals, limits)
+    if labels is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     names = _named_concepts_of(ontology)
     result: dict[Iri, tuple[Iri, ...]] = {}
     for individual in individuals:
         entailed = [
             name for name in names
-            if _abox_labels(ontology, tbox, individuals, limits,
-                            extra=[(individual, Complement(Named(name)))]) is None
+            if not _refuted(labels[individual], name, tbox)
+            and _abox_labels(ontology, tbox, individuals, limits,
+                             extra=[(individual, Complement(Named(name)))]) is None
         ]
         result[individual] = tuple(entailed)
     return result
@@ -970,7 +1018,12 @@ def _refuted(label: Container[ConceptExpression], name: Iri, tbox: NormalizedTBo
     the tableau adds its body when the name is in a label, never the name
     when its body holds. In the model the name holds wherever its body
     does, so its absence proves nothing. The fixture's
-    `OrganismStructure ⊑ Infectious` is such a case."""
+    `OrganismStructure ⊑ Infectious` is such a case. A definition that
+    `normalize` demotes to two inclusions counts as primitive: its
+    right-to-left half is absorbed into a primitive conjunct `P` of the
+    body, so at every node labelled `P` the tableau adds the name or
+    refutes the rest of the body, and the name holds exactly where it is
+    labelled."""
     return name not in tbox.definitions and Named(name) not in label
 
 

@@ -61,6 +61,9 @@ class Interpretation:
         return frozenset(range(self.size))
 
 
+_THING, _NOTHING = OWL_THING.value, OWL_NOTHING.value
+
+
 def eval_role(role: RoleExpression, interp: Interpretation) -> frozenset[tuple[int, int]]:
     pairs = interp.roles.get(role.iri, frozenset())
     if isinstance(role, InverseRole):
@@ -70,39 +73,41 @@ def eval_role(role: RoleExpression, interp: Interpretation) -> frozenset[tuple[i
 
 def eval_concept(expr: ConceptExpression, interp: Interpretation) -> frozenset[int]:
     # Named leaves are the most frequent case in the countermodel search.
-    if isinstance(expr, Named):
-        if expr.iri == OWL_THING:
+    # The expression classes have no subclasses, so dispatch on the exact
+    # type, and compare IRI strings: both are cheaper than the general forms.
+    kind = type(expr)
+    if kind is Named:
+        value = expr.iri.value
+        if value == _THING:
             return interp.domain
-        if expr.iri == OWL_NOTHING:
+        if value == _NOTHING:
             return frozenset()
         return interp.concepts.get(expr.iri, frozenset())
-    if isinstance(expr, Top):
+    if kind is Top:
         return interp.domain
-    if isinstance(expr, Bottom):
+    if kind is Bottom:
         return frozenset()
-    if isinstance(expr, Intersection):
+    if kind is Intersection:
         result = interp.domain
         for op in expr.operands:
             result &= eval_concept(op, interp)
         return result
-    if isinstance(expr, Union):
+    if kind is Union:
         result: frozenset[int] = frozenset()
         for op in expr.operands:
             result |= eval_concept(op, interp)
         return result
-    if isinstance(expr, Complement):
+    if kind is Complement:
         return interp.domain - eval_concept(expr.operand, interp)
-    if isinstance(expr, (Existential, Universal)):
+    if kind is Existential or kind is Universal:
+        # Role pairs lie within the domain, so an element has a successor in
+        # the filler iff it starts such a pair, and every successor in the
+        # filler iff it starts no pair leaving it.
         pairs = eval_role(expr.role, interp)
         filler = eval_concept(expr.filler, interp)
-        successors: dict[int, set[int]] = {}
-        for a, b in pairs:
-            successors.setdefault(a, set()).add(b)
-        if isinstance(expr, Existential):
-            return frozenset(x for x in interp.domain
-                             if successors.get(x, set()) & filler)
-        return frozenset(x for x in interp.domain
-                         if successors.get(x, set()) <= filler)
+        if kind is Existential:
+            return frozenset(a for a, b in pairs if b in filler)
+        return interp.domain - frozenset(a for a, b in pairs if b not in filler)
     raise TypeError(type(expr).__name__)
 
 

@@ -20,6 +20,8 @@ from ontokit.model import (
     Named,
     NamedRole,
     Ontology,
+    OWL_NOTHING,
+    OWL_THING,
     RoleAssertion,
     SubConceptOf,
     SubRoleOf,
@@ -49,7 +51,7 @@ from ontokit.reasoner import (
 )
 from ontokit.disease import DISEASE_NS, GIARDIA
 from ontokit.model import add_axiom
-from modelsearch import Interpretation, check_model, eval_concept
+from modelsearch import Interpretation, check_model, eval_concept, find_countermodel
 
 NS = "http://example.org/t#"
 
@@ -98,6 +100,39 @@ def test_nnf_double_negation_and_constants():
     assert to_nnf(Complement(Complement(a))) == a
     assert to_nnf(Complement(Top())) == Bottom()
     assert to_nnf(Complement(Bottom())) == Top()
+
+
+def test_nnf_complements_builtin_names():
+    assert to_nnf(Complement(Named(OWL_THING))) == Bottom()
+    assert to_nnf(Complement(Named(OWL_NOTHING))) == Top()
+    assert to_nnf(Complement(Complement(Named(OWL_THING)))) == Top()
+
+
+# The oracle's verdicts below come from the empty TBox: a countermodel of a
+# larger TBox is one of the empty TBox, so none there means none anywhere.
+NO_AXIOMS = Ontology(Iri(NS.rstrip("#")))
+
+
+def test_every_concept_is_subsumed_by_owl_thing(disease_tbox):
+    assert find_countermodel(NO_AXIOMS, named("Disease"), Named(OWL_THING)) == (None, True)
+    assert is_subsumed_by(named("Disease"), Named(OWL_THING), disease_tbox)
+
+
+def test_every_individual_is_an_instance_of_owl_thing(disease):
+    assert find_countermodel(NO_AXIOMS, Top(), Named(OWL_THING)) == (None, True)
+    assert instances_of(Named(OWL_THING), disease) == (GIARDIA,)
+
+
+def test_disjointness_with_owl_thing_makes_a_name_unsatisfiable():
+    a, b = Named(t("A")), Named(t("B"))
+    o = tiny_ontology([DisjointConcepts((a, Named(OWL_THING)))],
+                      extra_decls=[(EntityKind.CONCEPT, "A"), (EntityKind.CONCEPT, "B")])
+    assert find_countermodel(o, a, Bottom()) == (None, True)
+    model, _ = find_countermodel(o, b, Bottom())
+    assert model is not None
+    assert not is_satisfiable(a, normalize(o)).satisfiable
+    taxonomy = classify(o)
+    assert taxonomy.groups[Taxonomy.BOTTOM] == (t("A"),)
 
 
 def test_nnf_preserves_structure():

@@ -31,6 +31,7 @@ from ontokit.model import (
 from ontokit.reasoner import (
     classify,
     entailed_types,
+    instances_of,
     is_consistent,
     is_satisfiable,
     is_subsumed_by,
@@ -298,3 +299,53 @@ def test_classify_keeps_no_module_state_across_ontologies():
     for k in range(1, 7):
         classify(chain_tbox(k))
     assert module_state() == before
+
+
+# ---------------------------------------------------------------------------
+# instances_of and entailed_types prune with the consistency check's labels
+# ---------------------------------------------------------------------------
+
+
+def unpruned(function, *args, monkeypatch):
+    """`function` as it answers with every ABox test run."""
+    with monkeypatch.context() as patch:
+        patch.setattr(reasoner, "_refuted", lambda label, name, tbox: False)
+        return function(*args)
+
+
+def test_pruned_abox_retrieval_equals_unpruned(disease, monkeypatch):
+    rng = random.Random(SEED)
+    checked = 0
+    for ontology in [disease] + [random_abox_ontology(rng) for _ in range(120)]:
+        if not is_consistent(ontology):
+            continue
+        checked += 1
+        assert entailed_types(ontology) == unpruned(
+            entailed_types, ontology, monkeypatch=monkeypatch)
+        for name in [OWL_THING] + list(told_subsumers(ontology)):
+            assert instances_of(Named(name), ontology) == unpruned(
+                instances_of, Named(name), ontology, monkeypatch=monkeypatch)
+    assert checked >= 60, checked
+
+
+def test_pruned_abox_retrieval_makes_fewer_abox_tests(disease, monkeypatch):
+    calls = []
+    original = reasoner._abox_labels
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("extra"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reasoner, "_abox_labels", counting)
+    names = len(told_subsumers(disease))
+    entailed_types(disease)
+    # One consistency check, then a test for each name Giardia's label does
+    # not refute: its three primitive types and the defined Infectious.
+    # Without pruning there is one test per name.
+    assert len(calls) == 5 < 1 + names, len(calls)
+    calls.clear()
+    assert instances_of(Named(Iri(DISEASE_NS + "Virus")), disease) == ()
+    assert len(calls) == 1
+    calls.clear()
+    assert instances_of(Named(OWL_THING), disease) == (GIARDIA,)
+    assert len(calls) == 2
