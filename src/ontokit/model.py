@@ -3,13 +3,15 @@
 Entities, concept and role expressions, axioms, and the Ontology value type,
 plus the signature/counting/usage queries everything else is built on. All
 types are plain frozen dataclasses: construction validates invariants, and no
-operation mutates its inputs.
+operation mutates its inputs. The one thing written after construction is an
+Ontology's cached signature, which is never compared or printed.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
@@ -24,6 +26,11 @@ class EntityNotInSignatureError(Exception):
     """Raised when an operation is asked about an entity the ontology never mentions."""
 
 
+# `\s` in a str pattern matches exactly the characters for which
+# str.isspace() is true.
+_WHITESPACE = re.compile(r"\s").search
+
+
 @dataclass(frozen=True, order=True)
 class Iri:
     """An absolute IRI. Equality and ordering are on the full text."""
@@ -31,7 +38,7 @@ class Iri:
     value: str
 
     def __post_init__(self):
-        if not self.value or any(ch.isspace() for ch in self.value):
+        if not self.value or _WHITESPACE(self.value):
             raise ValueError(f"invalid IRI: {self.value!r}")
 
     @property
@@ -354,6 +361,10 @@ class Ontology:
     axioms: tuple[Axiom, ...] = ()
     strict: bool = False
     warnings: tuple[str, ...] = ()
+    # `signature`'s result, kept with the instance it describes; an
+    # operation that changes the axioms builds a new Ontology.
+    _signature: Optional[tuple[Entity, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prefixes", tuple(sorted(dict(self.prefixes).items())))
@@ -461,13 +472,16 @@ def make_ontology(
 
 
 def signature(ontology: Ontology) -> tuple[Entity, ...]:
-    """All entities declared or referenced, ordered by (kind, IRI text)."""
-    entities: set[Entity] = set()
-    for axiom in ontology.axioms:
-        for kind, iri in axiom_references(axiom):
-            if kind is not None:
-                entities.add(Entity(kind, iri))
-    return tuple(sorted(entities, key=Entity.sort_key))
+    """All entities declared or referenced, ordered by (kind, IRI text).
+
+    Computed once per Ontology instance and kept on it.
+    """
+    if ontology._signature is None:
+        entities = {Entity(kind, iri) for axiom in ontology.axioms
+                    for kind, iri in axiom_references(axiom) if kind is not None}
+        object.__setattr__(ontology, "_signature",
+                           tuple(sorted(entities, key=Entity.sort_key)))
+    return ontology._signature
 
 
 def declared_entities(ontology: Ontology) -> tuple[Entity, ...]:

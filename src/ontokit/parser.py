@@ -10,6 +10,7 @@ serialization is canonical and byte-deterministic.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .model import (
@@ -98,9 +99,28 @@ class Token:
     location: SourceLocation
 
 
-_IDENT_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
-_LOCAL_CHARS = _IDENT_CHARS | set(".-")
+# Whitespace and comments. A comment must run to the end of its line, so a
+# failed token match cannot backtrack into one and find a token there.
+_SKIP = re.compile(r"[ \t\r\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\r\n]*)*")
+_STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
+_IRI_BODY = re.compile(r"[^\s<>]*")
+_ESCAPE = re.compile(r'\\(["\\])')
+# One alternative per token kind, after the skipped text. A keyword and a
+# prefixed name share the NAME alternative; the ':' tells them apart.
+_TOKEN = re.compile(_SKIP.pattern + r"""(?:
+      (?P<RPAREN>\))
+    | (?P<LPAREN>\()
+    | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_.\-]*)?|:[A-Za-z0-9_.\-]*)
+    | (?P<IRI_REF><[^\s<>]+>)
+    | (?P<STRING>"(?:""" + _STRING_BODY.pattern + r""")")
+    | (?P<CARETS>\^\^)
+    | (?P<EQUALS>=)
+    | (?P<EOF>\Z))""", re.VERBOSE)
+# The token kind of each group number (None for NAME); matching by number is
+# much cheaper than by group name.
+_KIND_OF_GROUP = tuple(
+    TokenKind.__members__.get(name) for name, _ in
+    sorted(_TOKEN.groupindex.items(), key=lambda item: item[1]))
 
 
 def tokenize(text: str) -> list[Token]:
@@ -109,127 +129,73 @@ def tokenize(text: str) -> list[Token]:
     Whitespace and '#'-to-end-of-line comments (outside IRIs and strings) are
     skipped; string values are stored unescaped.
     """
-    return list(_scan(text))
+    tokens = []
+    line, line_start = 1, 0
+    for kind, value, offset in _scan(text):
+        newlines = text.count("\n", line_start, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", line_start, offset) + 1
+        tokens.append(Token(kind, value, SourceLocation(line, offset - line_start + 1)))
+    return tokens
 
 
 def _scan(text: str):
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def here() -> SourceLocation:
-        return SourceLocation(line, col)
-
-    def advance(ch: str) -> None:
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
+    """Lazily yield (kind, text, offset) for each token, ending with Eof."""
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        if m is None:
+            raise _lex_error(text, pos)
+        group = m.lastindex
+        start, pos = m.span(group)
+        kind = _KIND_OF_GROUP[group - 1]
+        value = text[start:pos]
+        if kind is None:
+            yield (TokenKind.PNAME if ":" in value else TokenKind.KEYWORD), value, start
+        elif kind is TokenKind.IRI_REF:
+            yield kind, value[1:-1], start
+        elif kind is TokenKind.STRING:
+            value = value[1:-1]
+            yield kind, _ESCAPE.sub(r"\1", value) if "\\" in value else value, start
         else:
-            col += 1
+            yield kind, value, start
+            if kind is TokenKind.EOF:
+                return
 
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(text[i])
-                i += 1
-            continue
-        start = here()
-        if ch == "(":
-            yield Token(TokenKind.LPAREN, "(", start)
-            advance(ch)
-            i += 1
-        elif ch == ")":
-            yield Token(TokenKind.RPAREN, ")", start)
-            advance(ch)
-            i += 1
-        elif ch == "=":
-            yield Token(TokenKind.EQUALS, "=", start)
-            advance(ch)
-            i += 1
-        elif ch == "^":
-            if i + 1 < n and text[i + 1] == "^":
-                yield Token(TokenKind.CARETS, "^^", start)
-                advance("^")
-                advance("^")
-                i += 2
-            else:
-                raise ParseError(ParseErrorKind.LEX_ERROR, start, "expected '^^'")
-        elif ch == "<":
-            j = i + 1
-            while j < n and text[j] not in ">\n":
-                if text[j].isspace() or text[j] == "<":
-                    raise ParseError(
-                        ParseErrorKind.LEX_ERROR, start,
-                        "whitespace or '<' inside IRI reference")
-                j += 1
-            if j >= n or text[j] != ">":
-                raise ParseError(ParseErrorKind.LEX_ERROR, start, "unterminated IRI reference")
-            value = text[i + 1:j]
-            if not value:
-                raise ParseError(ParseErrorKind.LEX_ERROR, start, "empty IRI reference")
-            yield Token(TokenKind.IRI_REF, value, start)
-            for c in text[i:j + 1]:
-                advance(c)
-            i = j + 1
-        elif ch == '"':
-            advance(ch)
-            i += 1
-            out: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError(ParseErrorKind.LEX_ERROR, start, "unterminated string literal")
-                c = text[i]
-                if c == '"':
-                    advance(c)
-                    i += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in '\\"':
-                        raise ParseError(
-                            ParseErrorKind.LEX_ERROR, here(),
-                            "invalid escape in string literal (only \\\\ and \\\" allowed)")
-                    out.append(text[i + 1])
-                    advance(c)
-                    advance(text[i + 1])
-                    i += 2
-                    continue
-                out.append(c)
-                advance(c)
-                i += 1
-            yield Token(TokenKind.STRING, "".join(out), start)
-        elif ch in _IDENT_START or ch == ":":
-            prefix = ""
-            if ch in _IDENT_START:
-                j = i
-                while j < n and text[j] in _IDENT_CHARS:
-                    j += 1
-                prefix = text[i:j]
-                for c in text[i:j]:
-                    advance(c)
-                i = j
-            if i < n and text[i] == ":":
-                advance(":")
-                i += 1
-                j = i
-                while j < n and text[j] in _LOCAL_CHARS:
-                    j += 1
-                local = text[i:j]
-                for c in text[i:j]:
-                    advance(c)
-                i = j
-                yield Token(TokenKind.PNAME, f"{prefix}:{local}", start)
-            elif prefix:
-                yield Token(TokenKind.KEYWORD, prefix, start)
-            else:
-                raise ParseError(ParseErrorKind.LEX_ERROR, start, f"unexpected character {ch!r}")
+
+def _lex_error(text: str, pos: int) -> ParseError:
+    """The error for the first token at or after `pos`, which `_TOKEN` does
+    not match; only the failure path comes here."""
+    start = _SKIP.match(text, pos).end()
+    ch = text[start]
+    if ch == "^":
+        message = "expected '^^'"
+    elif ch == "<":
+        end = _IRI_BODY.match(text, start + 1).end()
+        stop = text[end:end + 1]
+        if stop == ">":
+            message = "empty IRI reference"
+        elif stop in ("", "\n"):
+            message = "unterminated IRI reference"
         else:
-            raise ParseError(ParseErrorKind.LEX_ERROR, start, f"unexpected character {ch!r}")
-    yield Token(TokenKind.EOF, "", here())
+            message = "whitespace or '<' inside IRI reference"
+    elif ch == '"':
+        end = _STRING_BODY.match(text, start + 1).end()
+        if end == len(text):
+            message = "unterminated string literal"
+        else:  # a backslash that escapes neither '\\' nor '"'
+            start = end
+            message = "invalid escape in string literal (only \\\\ and \\\" allowed)"
+    else:
+        message = f"unexpected character {ch!r}"
+    return ParseError(ParseErrorKind.LEX_ERROR, _location(text, start), message)
+
+
+def _location(text: str, offset: int) -> SourceLocation:
+    return SourceLocation(text.count("\n", 0, offset) + 1,
+                          offset - text.rfind("\n", 0, offset))
 
 
 _DECLARATION_KINDS = {kind.value: kind for kind in EntityKind}
@@ -247,6 +213,11 @@ _UNSUPPORTED_AXIOMS = {
     "AnnotationPropertyRange", "Import", "ObjectPropertyChain",
 }
 
+_CONSTRUCTORS = {
+    "ObjectIntersectionOf", "ObjectUnionOf", "ObjectComplementOf",
+    "ObjectSomeValuesFrom", "ObjectAllValuesFrom",
+}
+
 _UNSUPPORTED_CONCEPTS = {
     "ObjectOneOf", "ObjectHasValue", "ObjectHasSelf",
     "ObjectMinCardinality", "ObjectMaxCardinality", "ObjectExactCardinality",
@@ -256,69 +227,62 @@ _UNSUPPORTED_CONCEPTS = {
 }
 
 
-class _TokenStream:
-    """Lazy token source: constructs are rejected before later text is
-    scanned, so an unsupported keyword wins over a lex error inside it."""
+class _Parser:
+    """Recursive descent over `_scan`'s (kind, text, offset) tuples.
+
+    Tokens are scanned only as the parser reaches them, so a construct is
+    rejected before later text is scanned: an unsupported keyword wins over
+    a lex error inside it. Locations are computed only for an error.
+    """
 
     def __init__(self, text: str):
-        self._gen = _scan(text)
-        self._lookahead: Token | None = None
-
-    def peek(self) -> Token:
-        if self._lookahead is None:
-            self._lookahead = next(self._gen)
-        return self._lookahead
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok.kind is not TokenKind.EOF:
-            self._lookahead = None
-        return tok
-
-
-class _Parser:
-    def __init__(self, stream: _TokenStream):
-        self.stream = stream
+        self.text = text
+        self.tokens = _scan(text)
+        self.lookahead: tuple | None = None
         self.prefixes: dict[str, str] = {}
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.stream.peek()
+    def peek(self) -> tuple:
+        tok = self.lookahead
+        if tok is None:
+            tok = self.lookahead = next(self.tokens)
+        return tok
 
-    def take(self) -> Token:
-        return self.stream.take()
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
+    def take(self) -> tuple:
         tok = self.peek()
-        if tok.kind is not kind:
-            self.fail_unexpected(tok, what)
-        return self.take()
+        if tok[0] is not TokenKind.EOF:
+            self.lookahead = None
+        return tok
 
-    def fail_unexpected(self, tok: Token, what: str) -> None:
-        shown = tok.text if tok.kind is not TokenKind.EOF else "end of input"
-        raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, tok.location,
+    def error(self, kind: ParseErrorKind, tok: tuple, message: str) -> ParseError:
+        return ParseError(kind, _location(self.text, tok[2]), message)
+
+    # A token taken before an error is raised is harmless: parsing stops.
+    def expect(self, kind: TokenKind, what: str) -> tuple:
+        tok = self.take()
+        if tok[0] is not kind:
+            self.fail_unexpected(tok, what)
+        return tok
+
+    def fail_unexpected(self, tok: tuple, what: str) -> None:
+        shown = tok[1] if tok[0] is not TokenKind.EOF else "end of input"
+        raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, tok,
                          f"expected {what}, found {shown!r}")
 
-    def resolve_pname(self, tok: Token) -> Iri:
-        prefix, _, local = tok.text.partition(":")
+    def resolve_pname(self, tok: tuple) -> Iri:
+        prefix, _, local = tok[1].partition(":")
         if prefix not in self.prefixes:
-            raise ParseError(ParseErrorKind.UNDECLARED_PREFIX, tok.location,
+            raise self.error(ParseErrorKind.UNDECLARED_PREFIX, tok,
                              f"undeclared prefix '{prefix}:'")
-        try:
-            return Iri(self.prefixes[prefix] + local)
-        except ValueError as exc:
-            raise ParseError(ParseErrorKind.LEX_ERROR, tok.location, str(exc))
+        return Iri(self.prefixes[prefix] + local)
 
     def parse_iri(self, what: str = "IRI") -> Iri:
-        tok = self.peek()
-        if tok.kind is TokenKind.IRI_REF:
-            self.take()
-            try:
-                return Iri(tok.text)
-            except ValueError as exc:
-                raise ParseError(ParseErrorKind.LEX_ERROR, tok.location, str(exc))
-        if tok.kind is TokenKind.PNAME:
-            self.take()
+        # The scanner admits no whitespace in an IRI reference or a prefixed
+        # name, and no empty IRI reference, so Iri() cannot fail here.
+        tok = self.take()
+        if tok[0] is TokenKind.IRI_REF:
+            return Iri(tok[1])
+        if tok[0] is TokenKind.PNAME:
             return self.resolve_pname(tok)
         self.fail_unexpected(tok, what)
         raise AssertionError  # unreachable
@@ -326,26 +290,23 @@ class _Parser:
     # -- document -----------------------------------------------------------
 
     def parse_document(self) -> tuple[Iri, dict[str, str], list[Axiom]]:
-        while self.peek().kind is TokenKind.KEYWORD and self.peek().text == "Prefix":
+        while self.peek()[:2] == (TokenKind.KEYWORD, "Prefix"):
             self.parse_prefix()
         tok = self.peek()
-        if not (tok.kind is TokenKind.KEYWORD and tok.text == "Ontology"):
+        if tok[:2] != (TokenKind.KEYWORD, "Ontology"):
             self.fail_unexpected(tok, "'Ontology('")
         self.take()
         self.expect(TokenKind.LPAREN, "'('")
         iri_tok = self.expect(TokenKind.IRI_REF, "ontology IRI")
-        try:
-            ontology_iri = Iri(iri_tok.text)
-        except ValueError as exc:
-            raise ParseError(ParseErrorKind.LEX_ERROR, iri_tok.location, str(exc))
+        ontology_iri = Iri(iri_tok[1])
         axioms: list[Axiom] = []
-        while self.peek().kind is not TokenKind.RPAREN:
+        while self.peek()[0] is not TokenKind.RPAREN:
             axioms.append(self.parse_axiom())
         self.take()  # ')'
         trailing = self.peek()
-        if trailing.kind is not TokenKind.EOF:
-            if trailing.kind is TokenKind.KEYWORD and trailing.text == "Ontology":
-                raise ParseError(ParseErrorKind.DUPLICATE_ONTOLOGY, trailing.location,
+        if trailing[0] is not TokenKind.EOF:
+            if trailing[:2] == (TokenKind.KEYWORD, "Ontology"):
+                raise self.error(ParseErrorKind.DUPLICATE_ONTOLOGY, trailing,
                                  "a document holds exactly one Ontology block")
             self.fail_unexpected(trailing, "end of input")
         return ontology_iri, self.prefixes, axioms
@@ -354,32 +315,32 @@ class _Parser:
         self.take()  # 'Prefix'
         self.expect(TokenKind.LPAREN, "'('")
         name_tok = self.expect(TokenKind.PNAME, "prefix name like 'p:'")
-        prefix, _, local = name_tok.text.partition(":")
+        prefix, _, local = name_tok[1].partition(":")
         if local:
-            raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, name_tok.location,
-                             f"prefix declaration must end in ':', found {name_tok.text!r}")
+            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, name_tok,
+                             f"prefix declaration must end in ':', found {name_tok[1]!r}")
         self.expect(TokenKind.EQUALS, "'='")
-        iri_tok = self.expect(TokenKind.IRI_REF, "IRI")
+        expansion = self.expect(TokenKind.IRI_REF, "IRI")[1]
         self.expect(TokenKind.RPAREN, "')'")
         existing = self.prefixes.get(prefix)
-        if existing is not None and existing != iri_tok.text:
-            raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, name_tok.location,
+        if existing is not None and existing != expansion:
+            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, name_tok,
                              f"conflicting redeclaration of prefix '{prefix}:'")
-        self.prefixes[prefix] = iri_tok.text
+        self.prefixes[prefix] = expansion
 
     # -- axioms --------------------------------------------------------------
 
     def parse_axiom(self) -> Axiom:
         tok = self.peek()
-        if tok.kind is not TokenKind.KEYWORD:
+        kind, name, _ = tok
+        if kind is not TokenKind.KEYWORD:
             self.fail_unexpected(tok, "an axiom keyword")
-        name = tok.text
         if name in _UNSUPPORTED_AXIOMS or name in _UNSUPPORTED_CONCEPTS:
-            raise ParseError(ParseErrorKind.UNKNOWN_CONSTRUCT, tok.location,
+            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
                              f"unsupported construct '{name}'")
         handler = getattr(self, f"_axiom_{name}", None)
         if handler is None:
-            raise ParseError(ParseErrorKind.UNKNOWN_CONSTRUCT, tok.location,
+            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
                              f"unknown construct '{name}'")
         self.take()
         self.expect(TokenKind.LPAREN, "'('")
@@ -389,16 +350,17 @@ class _Parser:
 
     def _axiom_Declaration(self) -> Axiom:
         tok = self.peek()
-        if tok.kind is not TokenKind.KEYWORD or tok.text not in _DECLARATION_KINDS:
-            if tok.kind is TokenKind.KEYWORD:
-                raise ParseError(ParseErrorKind.UNKNOWN_CONSTRUCT, tok.location,
-                                 f"unknown entity kind '{tok.text}'")
+        kind, name, _ = tok
+        if kind is not TokenKind.KEYWORD or name not in _DECLARATION_KINDS:
+            if kind is TokenKind.KEYWORD:
+                raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
+                                 f"unknown entity kind '{name}'")
             self.fail_unexpected(tok, "an entity kind keyword")
         self.take()
         self.expect(TokenKind.LPAREN, "'('")
         iri = self.parse_iri("entity IRI")
         self.expect(TokenKind.RPAREN, "')'")
-        return Declaration(Entity(_DECLARATION_KINDS[tok.text], iri))
+        return Declaration(Entity(_DECLARATION_KINDS[name], iri))
 
     def _axiom_SubClassOf(self) -> Axiom:
         return SubConceptOf(self.parse_concept(), self.parse_concept())
@@ -411,7 +373,7 @@ class _Parser:
 
     def _concept_list(self, minimum: int) -> list[ConceptExpression]:
         items = [self.parse_concept() for _ in range(minimum)]
-        while self.peek().kind is not TokenKind.RPAREN:
+        while self.peek()[0] is not TokenKind.RPAREN:
             items.append(self.parse_concept())
         return items
 
@@ -453,65 +415,45 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_concept(self) -> ConceptExpression:
-        if self.depth >= MAX_NESTING:
-            raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, self.peek().location,
-                             "expression nesting too deep")
         tok = self.peek()
-        if tok.kind in (TokenKind.IRI_REF, TokenKind.PNAME):
+        if self.depth >= MAX_NESTING:
+            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, tok,
+                             "expression nesting too deep")
+        kind, name, _ = tok
+        if kind is TokenKind.IRI_REF or kind is TokenKind.PNAME:
             iri = self.parse_iri("concept IRI")
             if iri == OWL_THING:
                 return Top()
             if iri == OWL_NOTHING:
                 return Bottom()
             return Named(iri)
-        if tok.kind is not TokenKind.KEYWORD:
+        if kind is not TokenKind.KEYWORD:
             self.fail_unexpected(tok, "a concept expression")
-        name = tok.text
         if name in _UNSUPPORTED_CONCEPTS:
-            raise ParseError(ParseErrorKind.UNKNOWN_CONSTRUCT, tok.location,
+            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
                              f"unsupported construct '{name}'")
-        self.depth += 1
-        try:
-            if name == "ObjectIntersectionOf":
-                self.take()
-                self.expect(TokenKind.LPAREN, "'('")
-                ops = self._concept_list(minimum=2)
-                self.expect(TokenKind.RPAREN, "')'")
-                return Intersection(tuple(ops))
-            if name == "ObjectUnionOf":
-                self.take()
-                self.expect(TokenKind.LPAREN, "'('")
-                ops = self._concept_list(minimum=2)
-                self.expect(TokenKind.RPAREN, "')'")
-                return Union(tuple(ops))
-            if name == "ObjectComplementOf":
-                self.take()
-                self.expect(TokenKind.LPAREN, "'('")
-                inner = self.parse_concept()
-                self.expect(TokenKind.RPAREN, "')'")
-                return Complement(inner)
-            if name == "ObjectSomeValuesFrom":
-                self.take()
-                self.expect(TokenKind.LPAREN, "'('")
-                role = self.parse_role()
-                filler = self.parse_concept()
-                self.expect(TokenKind.RPAREN, "')'")
-                return Existential(role, filler)
-            if name == "ObjectAllValuesFrom":
-                self.take()
-                self.expect(TokenKind.LPAREN, "'('")
-                role = self.parse_role()
-                filler = self.parse_concept()
-                self.expect(TokenKind.RPAREN, "')'")
-                return Universal(role, filler)
-            raise ParseError(ParseErrorKind.UNKNOWN_CONSTRUCT, tok.location,
+        if name not in _CONSTRUCTORS:
+            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
                              f"unknown construct '{name}'")
-        finally:
-            self.depth -= 1
+        self.take()
+        self.expect(TokenKind.LPAREN, "'('")
+        self.depth += 1
+        if name == "ObjectIntersectionOf":
+            result = Intersection(tuple(self._concept_list(minimum=2)))
+        elif name == "ObjectUnionOf":
+            result = Union(tuple(self._concept_list(minimum=2)))
+        elif name == "ObjectComplementOf":
+            result = Complement(self.parse_concept())
+        elif name == "ObjectSomeValuesFrom":
+            result = Existential(self.parse_role(), self.parse_concept())
+        else:
+            result = Universal(self.parse_role(), self.parse_concept())
+        self.depth -= 1
+        self.expect(TokenKind.RPAREN, "')'")
+        return result
 
     def parse_role(self) -> RoleExpression:
-        tok = self.peek()
-        if tok.kind is TokenKind.KEYWORD and tok.text == "ObjectInverseOf":
+        if self.peek()[:2] == (TokenKind.KEYWORD, "ObjectInverseOf"):
             self.take()
             self.expect(TokenKind.LPAREN, "'('")
             iri = self.parse_iri("object property IRI")
@@ -520,12 +462,11 @@ class _Parser:
         return NamedRole(self.parse_iri("object property IRI"))
 
     def parse_literal(self) -> Literal:
-        tok = self.expect(TokenKind.STRING, "a string literal")
-        if self.peek().kind is TokenKind.CARETS:
+        lexical = self.expect(TokenKind.STRING, "a string literal")[1]
+        if self.peek()[0] is TokenKind.CARETS:
             self.take()
-            datatype = self.parse_iri("datatype IRI")
-            return Literal(tok.text, datatype)
-        return Literal(tok.text)
+            return Literal(lexical, self.parse_iri("datatype IRI"))
+        return Literal(lexical)
 
 
 def parse(text: str, strict: bool = False) -> Ontology:
@@ -536,8 +477,7 @@ def parse(text: str, strict: bool = False) -> Ontology:
     warnings; strict mode raises UndeclaredEntityError for missing
     declarations.
     """
-    parser = _Parser(_TokenStream(text))
-    ontology_iri, prefixes, axioms = parser.parse_document()
+    ontology_iri, prefixes, axioms = _Parser(text).parse_document()
     return make_ontology(ontology_iri, tuple(sorted(prefixes.items())), axioms,
                          strict=strict)
 
@@ -552,10 +492,7 @@ def parse_file(path, strict: bool = False) -> Ontology:
 # ---------------------------------------------------------------------------
 
 
-def _is_safe_local(local: str) -> bool:
-    if not local or local[0] not in _IDENT_START:
-        return False
-    return all(ch in _IDENT_CHARS or ch in "_-" for ch in local)
+_SAFE_LOCAL = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
 
 
 def render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
@@ -565,7 +502,7 @@ def render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
     for prefix, expansion in prefixes.items():
         if iri.value.startswith(expansion):
             local = iri.value[len(expansion):]
-            if _is_safe_local(local):
+            if _SAFE_LOCAL.fullmatch(local):
                 candidate = (-len(expansion), prefix)
                 if best is None or candidate < best:
                     best = candidate

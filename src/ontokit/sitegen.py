@@ -293,7 +293,7 @@ def generate_site(
     entities = declared_entities(ontology)
     paths = _page_paths(entities)
     links: dict[Iri, str] = {}
-    for entity in sorted(entities, key=Entity.sort_key):
+    for entity in entities:  # declared_entities sorts by Entity.sort_key
         links.setdefault(entity.iri, paths[entity])
     realization = realization or {}
     mentioning: dict[Iri, list[Axiom]] = {}

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 
 from ontokit.model import (
@@ -42,6 +45,25 @@ def test_iri_rejects_whitespace_and_empty():
         Iri("")
     with pytest.raises(ValueError):
         Iri("http://x y")
+
+
+def test_regex_whitespace_class_is_str_isspace():
+    # Iri's check relies on it, for every code point.
+    space = re.compile(r"\s")
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        assert bool(space.match(ch)) == ch.isspace(), hex(code)
+
+
+@pytest.mark.parametrize("ch", ["\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"])
+def test_iri_rejects_unicode_whitespace(ch):
+    with pytest.raises(ValueError):
+        Iri(f"http://x{ch}y")
+
+
+def test_iri_accepts_hash_percent_and_non_ascii_letters():
+    for value in ("http://x#A", "http://x/%41", "http://x/\xe9t\xe9#\u03b1\u4e2d"):
+        assert Iri(value).value == value
 
 
 def test_iri_fragment():
@@ -198,6 +220,22 @@ def test_signature_grows_monotonically(disease):
     before = set(signature(o))
     extended = add_axiom(o, ConceptAssertion(named("Virus"), iri("v1")))
     assert before <= set(signature(extended))
+
+
+def test_signature_is_computed_once_per_ontology():
+    o = make_ontology(Iri("http://x"), (), [ConceptAssertion(named("Virus"), iri("v1"))])
+    assert signature(o) is signature(o)
+
+
+def test_signature_of_an_extended_ontology_has_the_new_entity():
+    o = make_ontology(Iri("http://x"), (), [ConceptAssertion(named("Virus"), iri("v1"))])
+    before = signature(o)
+    new = Entity(EntityKind.OBJECT_ROLE, iri("hasHost"))
+    extended = add_axiom(o, Declaration(new))
+    assert new in signature(extended)
+    assert new not in signature(o)
+    assert signature(o) is before
+    assert set(signature(extended)) == set(before) | {new}
 
 
 def test_literal_defaults_to_plain_text():

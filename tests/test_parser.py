@@ -223,13 +223,11 @@ def test_error_locations_are_inside_input():
         "Ontology(<http://x> Declaration(Class(<http://y>)))extra",
     ]
     for doc in bad_docs:
-        try:
+        with pytest.raises(ParseError) as err:
             parse(doc)
-        except ParseError as err:
-            lines = doc.splitlines() or [""]
-            assert 1 <= err.value if False else True
-            assert 1 <= err.location.line <= len(lines) + 1
-            assert err.location.column >= 1
+        lines = doc.splitlines() or [""]
+        assert 1 <= err.value.location.line <= len(lines) + 1
+        assert err.value.location.column >= 1
 
 
 def test_megabyte_input_parses_or_rejects_quickly():

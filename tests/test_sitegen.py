@@ -385,3 +385,20 @@ def test_generate_site_does_not_rescan_signature_per_page(monkeypatch):
         # declared_entities and compute_counts each read the signature once.
         assert calls["signature"] <= 2, (n_classes, calls)
         assert calls["usages"] == 0, (n_classes, calls)
+
+
+def test_asserted_taxonomy_then_site_sort_the_signature_once(monkeypatch):
+    calls = collections.Counter()
+    original = Entity.sort_key
+
+    def counting(entity):
+        calls["sort_key"] += 1
+        return original(entity)
+
+    ontology = _told_ontology(60)  # lenient: declared_entities is the signature
+    n_entities = len(model.signature(_told_ontology(60)))
+    monkeypatch.setattr(Entity, "sort_key", counting)
+    taxonomy = asserted_taxonomy(ontology)
+    generate_site(ontology, taxonomy, taxonomy)
+    # One sort of the signature, and one of the page names.
+    assert calls["sort_key"] == 2 * n_entities

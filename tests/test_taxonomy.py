@@ -10,7 +10,7 @@ reference that `build_taxonomy`, `classify`, `asserted_taxonomy` and
 
 import random
 
-from ontokit import reasoner, taxonomy
+from ontokit import model, parser, reasoner, taxonomy
 from ontokit.analysis import asserted_taxonomy
 from ontokit.model import (
     ConceptAssertion,
@@ -279,7 +279,7 @@ def test_realize_does_not_enumerate_entailed_types(disease, monkeypatch):
 def test_classify_keeps_no_module_state_across_ontologies():
     def module_state():
         return {(module.__name__, name): len(value)
-                for module in (reasoner, taxonomy)
+                for module in (reasoner, taxonomy, model, parser)
                 for name, value in vars(module).items()
                 if not name.startswith("__") and isinstance(value, (dict, list, set))}
 
@@ -294,10 +294,18 @@ def test_classify_keeps_no_module_state_across_ontologies():
             axioms.append(SubConceptOf(Named(sub), Existential(NamedRole(role), Named(sup))))
         return make_ontology(Iri(ns.rstrip("#")), (("", ns),), axioms)
 
+    def read(ontology):
+        model.signature(ontology)
+        parser.parse(parser.serialize(ontology))
+
     classify(chain_tbox(0))
+    read(chain_tbox(0))
     before = module_state()
     for k in range(1, 7):
         classify(chain_tbox(k))
+        read(chain_tbox(k))
+    for seed in range(40):
+        read(random_full_ontology(random.Random(seed)))
     assert module_state() == before
 
 
