@@ -15,6 +15,7 @@ from .model import (
     Declaration,
     Entity,
     EntityKind,
+    InverseRole,
     Iri,
     Named,
     NamedRole,
@@ -28,11 +29,11 @@ from .reasoner import (
     DEFAULT_LIMITS,
     ReasonerLimits,
     Taxonomy,
+    _role_closure,
     build_taxonomy,
     classify,
     instances_of,
     is_satisfiable,
-    materialize_inverses,
     normalize,
     told_subsumers,
 )
@@ -223,18 +224,25 @@ class CompetencyQuery:
 def _role_fillers(
     ontology: Ontology, subject: Iri, role: Iri
 ) -> tuple[Iri, ...]:
-    """Told-plus-inverse-materialized objects of the role (or a sub-role)
-    from the subject."""
-    materialized = materialize_inverses(ontology)
-    subsumers = normalize(ontology).role_subsumers
+    """Objects of the role (or a sub-role) from the subject once the role
+    assertions are closed under inverses, read off the told assertions: a
+    told `r(subject, b)` with `r ⊑* role`, or a told `r(b, subject)` with
+    `r⁻ ⊑* role`. Exact, because the role hierarchy is closed under
+    inverse: an assertion `materialize_inverses` chains to is already below
+    `role` through the told one it came from."""
+    subsumers, _, _ = _role_closure(ontology)
     target = NamedRole(role)
-    fillers = {
-        axiom.object
-        for axiom in materialized.axioms
-        if isinstance(axiom, RoleAssertion)
-        and axiom.subject == subject
-        and target in subsumers.get(NamedRole(axiom.role), frozenset((NamedRole(axiom.role),)))
-    }
+
+    def implies(expr) -> bool:
+        return expr == target or target in subsumers.get(expr, ())
+
+    fillers = set()
+    for axiom in ontology.axioms:
+        if isinstance(axiom, RoleAssertion):
+            if axiom.subject == subject and implies(NamedRole(axiom.role)):
+                fillers.add(axiom.object)
+            if axiom.object == subject and implies(InverseRole(axiom.role)):
+                fillers.add(axiom.subject)
     return tuple(sorted(fillers, key=lambda iri: iri.value))
 
 

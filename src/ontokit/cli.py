@@ -314,9 +314,11 @@ def _cmd_site(args) -> int:
     ontology = _load(args)
     limits = _limits(args)
     inferred = classify(ontology, limits)
-    asserted = asserted_taxonomy(ontology)
-    realization = entailed_types(ontology, limits) if is_consistent(ontology, limits) else {}
-    documents = generate_site(ontology, inferred, asserted, realization)
+    try:
+        realization = entailed_types(ontology, limits)
+    except InconsistentOntologyError:
+        realization = {}
+    documents = generate_site(ontology, inferred, inferred, realization)
     os.makedirs(args.out, exist_ok=True)
     for doc in documents:
         with open(os.path.join(args.out, doc.relative_path), "w",

@@ -510,8 +510,12 @@ class EntityCounts:
 
 def compute_counts(ontology: Ontology) -> EntityCounts:
     """Counts over declared entities; built-in top/bottom concepts excluded."""
+    return _counts_of(declared_entities(ontology))
+
+
+def _counts_of(entities: Iterable[Entity]) -> EntityCounts:
     tally = {kind: 0 for kind in EntityKind}
-    for entity in declared_entities(ontology):
+    for entity in entities:
         if entity.kind is EntityKind.CONCEPT and entity.iri in BUILTIN_CONCEPTS:
             continue
         tally[entity.kind] += 1

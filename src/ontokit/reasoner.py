@@ -173,16 +173,6 @@ class NormalizedTBox:
         return key
 
 
-def _expr_uses_inverse(expr: ConceptExpression) -> bool:
-    if isinstance(expr, (Existential, Universal)):
-        return isinstance(expr.role, InverseRole) or _expr_uses_inverse(expr.filler)
-    if isinstance(expr, (Intersection, Union)):
-        return any(_expr_uses_inverse(op) for op in expr.operands)
-    if isinstance(expr, Complement):
-        return _expr_uses_inverse(expr.operand)
-    return False
-
-
 def _role_expressions_in(expr: ConceptExpression) -> set[RoleExpression]:
     out: set[RoleExpression] = set()
     if isinstance(expr, (Existential, Universal)):
@@ -380,7 +370,9 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
             demote(name)
 
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
-    role_subsumers, transitive, inv_from_roles = _role_closure(ontology)
+    # The closure's scan of every concept axiom also finds any inverse role
+    # in the inclusions and definitions.
+    role_subsumers, transitive, uses_inverse = _role_closure(ontology)
 
     absorbed: dict[Iri, list[ConceptExpression]] = {}
     domain_triggers: list[tuple[RoleExpression, ConceptExpression]] = []
@@ -399,10 +391,6 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
                 Union((_nnf_complement(rest_expr), rhs)))
         else:
             node_constraints.append(Union((_nnf_complement(lhs), rhs)))
-
-    uses_inverse = inv_from_roles or any(
-        _expr_uses_inverse(lhs) or _expr_uses_inverse(rhs) for lhs, rhs in general
-    ) or any(_expr_uses_inverse(body) for body in definitions.values())
 
     return NormalizedTBox(
         definitions={name: to_nnf(body) for name, body in definitions.items()},
@@ -556,39 +544,32 @@ class _Tableau:
                 out.append(source)
         return out
 
-    def _has_neighbour(self, g: _Graph, node: int, role: RoleExpression) -> bool:
-        return bool(self._neighbours(g, node, role))
-
     # -- blocking --------------------------------------------------------------
 
-    def _directly_blocked(self, g: _Graph, node: int) -> bool:
+    def _blocker(self, g: _Graph, node: int) -> Optional[int]:
+        """The nearest ancestor that directly blocks `node`: its label equals
+        the node's under equality blocking, contains it otherwise."""
         label = frozenset(g.labels[node])
         ancestor = g.parents[node]
         while ancestor is not None:
             other = frozenset(g.labels[ancestor])
-            if self.equality_blocking:
-                if label == other:
-                    return True
-            elif label <= other:
-                return True
+            if (label == other) if self.equality_blocking else (label <= other):
+                return ancestor
             ancestor = g.parents[ancestor]
-        return False
+        return None
 
     def _blocked(self, g: _Graph, node: int) -> bool:
-        ancestor = g.parents[node]
-        while ancestor is not None:
-            if self._directly_blocked(g, ancestor):
+        """Whether the node or one of its ancestors is directly blocked."""
+        while node is not None:
+            if self._blocker(g, node) is not None:
                 return True
-            ancestor = g.parents[ancestor]
-        return self._directly_blocked(g, node)
+            node = g.parents[node]
+        return False
 
     # -- saturation -------------------------------------------------------------
 
-    def _sorted_label(self, g: _Graph, node: int) -> list[ConceptExpression]:
-        return g.sorted_label(node)
-
     def _apply_conjunctions(self, g: _Graph, node: int) -> bool:
-        for expr in self._sorted_label(g, node):
+        for expr in g.sorted_label(node):
             if isinstance(expr, Intersection):
                 added = False
                 for op in expr.operands:
@@ -599,7 +580,7 @@ class _Tableau:
 
     def _apply_unfolding(self, g: _Graph, node: int) -> bool:
         tbox = self.tbox
-        for expr in self._sorted_label(g, node):
+        for expr in g.sorted_label(node):
             if isinstance(expr, Named):
                 defn = tbox.definitions.get(expr.iri)
                 if defn is not None and g.add(node, defn):
@@ -612,20 +593,20 @@ class _Tableau:
                 if neg is not None and g.add(node, neg):
                     return True
         for role, concept in tbox.domain_triggers:
-            if concept not in g.labels[node] and self._has_neighbour(g, node, role):
+            if concept not in g.labels[node] and self._neighbours(g, node, role):
                 g.add(node, concept)
                 return True
         return False
 
     def _find_disjunction(self, g: _Graph, node: int) -> Optional[Union]:
-        for expr in self._sorted_label(g, node):
+        for expr in g.sorted_label(node):
             if isinstance(expr, Union) and not any(op in g.labels[node] for op in expr.operands):
                 return expr
         return None
 
     def _apply_universals(self, g: _Graph, node: int) -> bool:
         tbox = self.tbox
-        for expr in self._sorted_label(g, node):
+        for expr in g.sorted_label(node):
             if not isinstance(expr, Universal):
                 continue
             role, filler = expr.role, expr.filler
@@ -643,7 +624,7 @@ class _Tableau:
     def _apply_existential(self, g: _Graph, node: int) -> bool:
         if self._blocked(g, node):
             return False
-        for expr in self._sorted_label(g, node):
+        for expr in g.sorted_label(node):
             if not isinstance(expr, Existential):
                 continue
             role, filler = expr.role, expr.filler
@@ -738,26 +719,10 @@ class _Tableau:
         for source, targets in enumerate(g.out_edges):
             for role, target in targets:
                 edges.append(GraphEdge(source, target, role))
-        blocking = []
-        for i in range(len(g.labels)):
-            if g.parents[i] is None:
-                continue
-            if self._directly_blocked(g, i):
-                ancestor = g.parents[i]
-                while ancestor is not None:
-                    cond = (frozenset(g.labels[i]) == frozenset(g.labels[ancestor])
-                            if self.equality_blocking
-                            else frozenset(g.labels[i]) <= frozenset(g.labels[ancestor]))
-                    if cond:
-                        blocking.append((i, ancestor))
-                        break
-                    ancestor = g.parents[ancestor]
+        blocking = [(i, ancestor) for i in range(len(g.labels))
+                    if (ancestor := self._blocker(g, i)) is not None]
         return CompletionGraph(nodes=nodes, edges=tuple(edges),
                                blocking=tuple(blocking), clash=False)
-
-
-def _fresh_graph(tbox: NormalizedTBox) -> _Graph:
-    return _Graph(counter=[0], sort_key=tbox.sort_key)
 
 
 def is_satisfiable(
@@ -768,9 +733,9 @@ def is_satisfiable(
     """Decide concept satisfiability w.r.t. the TBox; a Satisfiable verdict
     carries the final completion graph as a witness."""
     nnf_concept = to_nnf(concept)
-    tableau = _Tableau(tbox, limits,
-                       equality_blocking=_expr_uses_inverse(nnf_concept))
-    g = _fresh_graph(tbox)
+    tableau = _Tableau(tbox, limits, equality_blocking=any(
+        isinstance(r, InverseRole) for r in _role_expressions_in(nnf_concept)))
+    g = _Graph(counter=[0], sort_key=tbox.sort_key)
     root = g.new_node(parent=None, max_nodes=limits.max_nodes)
     try:
         tableau._init_node(g, root)
@@ -821,9 +786,9 @@ def _abox_labels(
     there is none. With no named individuals the initial graph is empty and
     trivially clash-free."""
     extra = list(extra)
-    force_equality = any(_expr_uses_inverse(to_nnf(c)) for _, c in extra)
-    tableau = _Tableau(tbox, limits, equality_blocking=force_equality)
-    g = _fresh_graph(tbox)
+    tableau = _Tableau(tbox, limits, equality_blocking=any(
+        isinstance(r, InverseRole) for _, c in extra for r in _role_expressions_in(c)))
+    g = _Graph(counter=[0], sort_key=tbox.sort_key)
     node_of: dict[Iri, int] = {}
     try:
         for individual in individuals:
@@ -843,6 +808,20 @@ def _abox_labels(
     if final is None:
         return None
     return {individual: final.labels[node] for individual, node in node_of.items()}
+
+
+def _consistent_abox(
+    ontology: Ontology, limits: ReasonerLimits
+) -> tuple[NormalizedTBox, list[Iri], dict[Iri, dict[ConceptExpression, None]]]:
+    """The compiled TBox, the individuals and their labels in the
+    consistency check's completion graph, which every ABox query starts
+    from. Raises InconsistentOntologyError when there is no such graph."""
+    tbox = normalize(ontology)
+    individuals = _individuals_of(ontology)
+    labels = _abox_labels(ontology, tbox, individuals, limits)
+    if labels is None:
+        raise InconsistentOntologyError("ontology is inconsistent")
+    return tbox, individuals, labels
 
 
 def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> bool:
@@ -868,11 +847,7 @@ def instances_of(
     """All individuals whose membership in `concept` is entailed. For a
     named concept, an individual whose node in the consistency check's
     completion graph refutes it is ruled out without a test (`_refuted`)."""
-    tbox = normalize(ontology)
-    individuals = _individuals_of(ontology)
-    labels = _abox_labels(ontology, tbox, individuals, limits)
-    if labels is None:
-        raise InconsistentOntologyError("ontology is inconsistent")
+    tbox, individuals, labels = _consistent_abox(ontology, limits)
     negated = _nnf_complement(concept)
     # owl:Thing is in no label, yet every individual is an instance of it.
     prunable = isinstance(concept, Named) and concept.iri not in BUILTIN_CONCEPTS
@@ -892,11 +867,7 @@ def entailed_types(
     """For each individual, every named concept it provably belongs to. A
     name the individual's node in the consistency check's completion graph
     refutes is ruled out without a test (`_refuted`)."""
-    tbox = normalize(ontology)
-    individuals = _individuals_of(ontology)
-    labels = _abox_labels(ontology, tbox, individuals, limits)
-    if labels is None:
-        raise InconsistentOntologyError("ontology is inconsistent")
+    tbox, individuals, labels = _consistent_abox(ontology, limits)
     names = _named_concepts_of(ontology)
     result: dict[Iri, tuple[Iri, ...]] = {}
     for individual in individuals:
@@ -917,18 +888,14 @@ def realize(
     inferred taxonomy). An individual with no entailed named concept maps to
     the built-in top concept.
 
-    Each individual descends `classify`'s taxonomy by the same top search
+    Each individual descends the inferred taxonomy by the same top search
     the taxonomy builder runs, with an ABox entailment test in place of the
     subsumption test: a group is tested only once the individual belongs to
     all of its parents. The consistency check's completion graph is a model
     of the ontology, so a group with a primitive member missing from the
     individual's node is ruled out without a test (see `_refuted`)."""
-    tbox = normalize(ontology)
-    individuals = _individuals_of(ontology)
-    labels = _abox_labels(ontology, tbox, individuals, limits)
-    if labels is None:
-        raise InconsistentOntologyError("ontology is inconsistent")
-    taxonomy = classify(ontology, limits)
+    tbox, individuals, labels = _consistent_abox(ontology, limits)
+    taxonomy = _classify(ontology, tbox, limits)
 
     def below(group: int) -> list[int]:
         return [c for c in taxonomy.children_of(group) if c != Taxonomy.BOTTOM]
@@ -952,7 +919,8 @@ def realize(
 def materialize_inverses(ontology: Ontology) -> Ontology:
     """Close role assertions under declared or sub-role-implied inverses:
     whenever r(a,b) holds and inv(r) ⊑* s for a named s, add s(b,a).
-    Idempotent by construction (least fixpoint)."""
+    Idempotent by construction (least fixpoint). Role-filler queries read
+    the same closure off the told assertions without building it."""
     role_subsumers, _, _ = _role_closure(ontology)
     asserted = {a for a in ontology.axioms if isinstance(a, RoleAssertion)}
     closure = set(asserted)
@@ -1038,7 +1006,10 @@ def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Tax
     test where the answer is known: yes when d is a told subsumer of c, no
     when the root of c's witness refutes d (`_refuted`). ⊤'s witness
     refutes "⊤ ⊑ d" the same way. Only the other questions cost a test."""
-    tbox = normalize(ontology)
+    return _classify(ontology, normalize(ontology), limits)
+
+
+def _classify(ontology: Ontology, tbox: NormalizedTBox, limits: ReasonerLimits) -> Taxonomy:
     told = told_subsumers(ontology)
     witness = {name: is_satisfiable(Named(name), tbox, limits).witness for name in told}
     bottom = [name for name in told if witness[name] is None]

@@ -46,9 +46,9 @@ from .model import (
     TransitiveRole,
     Union,
     Universal,
+    _counts_of,
     _mentions,
     axiom_references,
-    compute_counts,
     declared_entities,
 )
 from .reasoner import Taxonomy
@@ -288,7 +288,8 @@ def generate_site(
 
     `realization` optionally supplies entailed named types per individual
     (feeding concept Members sections and individual inferred-type sections).
-    Output is byte-identical across runs for equal inputs.
+    Output is byte-identical across runs for equal inputs. `asserted` is
+    ignored; it stays only while `perfbench/workloads.py` passes it.
     """
     entities = declared_entities(ontology)
     paths = _page_paths(entities)
@@ -333,7 +334,7 @@ def _compared_iris(axiom: Axiom) -> set[Iri]:
 
 
 def _index_document(ontology, inferred, entities, paths, links) -> SiteDocument:
-    counts = compute_counts(ontology)
+    counts = _counts_of(entities)
     rows = [
         ("Classes", counts.concepts),
         ("Object Properties", counts.object_roles),

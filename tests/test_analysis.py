@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from ontokit import analysis, reasoner
 from ontokit.analysis import (
     CompetencyQuery,
     ProbeNameCollisionError,
@@ -20,12 +23,15 @@ from ontokit.model import (
     EntityKind,
     Iri,
     Named,
+    NamedRole,
     RoleAssertion,
     add_axiom,
+    signature,
 )
 from ontokit.parser import serialize
-from ontokit.reasoner import Taxonomy, classify
+from ontokit.reasoner import Taxonomy, classify, materialize_inverses, normalize
 from ontokit.disease import DISEASE_NS, GIARDIA
+from genontology import random_full_ontology
 
 
 def iri(fragment):
@@ -247,6 +253,21 @@ def test_query_fillers_of_uses_materialized_inverse(disease):
     assert fillers == expected == (iri("d1"),)
 
 
+def test_role_filler_queries_compile_nothing(disease, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a role-filler query compiled or materialized")
+
+    for module in (analysis, reasoner):
+        monkeypatch.setattr(module, "normalize", forbidden, raising=False)
+        monkeypatch.setattr(module, "materialize_inverses", forbidden, raising=False)
+    o = _with_symptom_assertion(disease)
+    assert answer_competency_query(
+        CompetencyQuery(QueryKind.SYMPTOMS_OF, iri("d1")), o) == (iri("s1"),)
+    assert answer_competency_query(
+        CompetencyQuery(QueryKind.FILLERS_OF, iri("s1"), role=iri("isSymptomsOf")),
+        o) == (iri("d1"),)
+
+
 def test_query_structures_of_includes_sub_roles(disease):
     o = add_axiom(disease, Declaration(Entity(EntityKind.INDIVIDUAL, iri("d1"))))
     o = add_axiom(o, Declaration(Entity(EntityKind.INDIVIDUAL, iri("o1"))))
@@ -287,3 +308,28 @@ def test_query_kinds_without_data_return_empty(disease):
                  QueryKind.STRUCTURES_OF):
         assert answer_competency_query(
             CompetencyQuery(kind, GIARDIA), disease) == ()
+
+
+def test_role_fillers_agree_with_materialized_inverses():
+    # Oracle: fillers read off the materialized assertion set through the
+    # compiled role hierarchy. The query reads the told assertions instead.
+    implied = 0
+    for seed in range(40):
+        o = random_full_ontology(random.Random(seed))
+        materialized = [a for a in materialize_inverses(o).axioms
+                        if isinstance(a, RoleAssertion)]
+        tbox = normalize(o)
+        of_kind = lambda kind: [e.iri for e in signature(o) if e.kind is kind]
+        for subject in of_kind(EntityKind.INDIVIDUAL):
+            for role in of_kind(EntityKind.OBJECT_ROLE):
+                expected = {a.object for a in materialized if a.subject == subject
+                            and NamedRole(role) in tbox.subsumers_of(NamedRole(a.role))}
+                answer = answer_competency_query(
+                    CompetencyQuery(QueryKind.FILLERS_OF, subject, role=role), o)
+                assert answer == tuple(sorted(expected, key=lambda i: i.value)), \
+                    (seed, subject, role)
+                told = {a.object for a in o.axioms if isinstance(a, RoleAssertion)
+                        and a.subject == subject and a.role == role}
+                implied += len(expected - told)
+    # Some answers come only through inverses or sub-roles.
+    assert implied > 0

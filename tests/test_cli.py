@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from ontokit import analysis, cli, reasoner
 from ontokit.cli import run
+from ontokit.model import declared_entities
+from ontokit.parser import parse
 
 
 @pytest.fixture()
@@ -188,6 +191,56 @@ def test_site_writes_documents_and_verifies(capsys, ofn, tmp_path):
     assert (out_dir / "Giardia_lambliia.html").exists()
     page = (out_dir / "Giardia_lambliia.html").read_text(encoding="utf-8")
     assert "locomotion: Flagellates" in page
+
+
+def test_site_checks_consistency_once(capsys, ofn, tmp_path, monkeypatch):
+    calls = []
+    original = reasoner._abox_labels
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("extra"))
+        return original(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("site built the asserted taxonomy")
+
+    monkeypatch.setattr(reasoner, "_abox_labels", counting)
+    monkeypatch.setattr(analysis, "asserted_taxonomy", forbidden)
+    monkeypatch.setattr(cli, "asserted_taxonomy", forbidden)
+    code, _, _ = invoke(capsys, "site", ofn, "--out", str(tmp_path / "site"))
+    assert code == 0
+    # entailed_types' own check is the only one; the rest are entailment tests.
+    assert calls.count(None) == 1 < len(calls)
+
+
+def test_site_on_inconsistent_ontology_has_no_inferred_types(capsys, ofn, tmp_path):
+    with open(ofn, encoding="utf-8") as handle:
+        text = handle.read()
+    told = "ClassAssertion(:OrganismStructure :Giardia_lambliia)\n"
+    assert told in text
+    bad = tmp_path / "inconsistent.ofn"
+    bad.write_text(text.replace(told, told + "ClassAssertion(ObjectComplementOf("
+                                ":OrganismStructure) :Giardia_lambliia)\n"),
+                   encoding="utf-8")
+    assert invoke(capsys, "check", str(bad))[0] == 1
+    pages = {}
+    for name, source in (("consistent", ofn), ("inconsistent", str(bad))):
+        out_dir = tmp_path / name
+        code, out, _ = invoke(capsys, "site", source, "--out", str(out_dir))
+        assert code == 0
+        with open(source, encoding="utf-8") as handle:
+            entities = declared_entities(parse(handle.read()))
+        files = sorted(out_dir.iterdir())
+        assert len(files) == 1 + len(entities)
+        assert f"wrote {len(files)} documents" in out
+        pages[name] = {path.name: path.read_text(encoding="utf-8") for path in files}
+    # Only the consistent ontology has entailed types: Giardia is inferred
+    # Infectious, which no axiom states.
+    for name, has_types in (("consistent", True), ("inconsistent", False)):
+        giardia = pages[name]["Giardia_lambliia.html"]
+        assert ("<h2>Types (inferred)</h2>" in giardia) is has_types
+        assert ("<h2>Members</h2>" in pages[name]["Infectious.html"]) is has_types
+    assert not any("Types (inferred)" in page for page in pages["inconsistent"].values())
 
 
 def test_site_runs_are_byte_identical(capsys, ofn, tmp_path):

@@ -34,6 +34,7 @@ from ontokit.model import (
 from ontokit.reasoner import classify, entailed_types, is_consistent, realize
 from ontokit.sitegen import generate_site, render_expression, verify_links, SiteDocument
 from ontokit.disease import DISEASE_NS
+from ontokit.parser import parse
 from genontology import random_full_ontology
 
 
@@ -261,7 +262,6 @@ def test_awkward_fragments_stay_flat():
 
 
 def test_lenient_ontology_site_covers_auto_declared_entities():
-    from ontokit.parser import parse
     doc = """Prefix(:=<http://x#>)
 Ontology(<http://x>
 SubClassOf(:A ObjectSomeValuesFrom(:r :B))
@@ -401,4 +401,22 @@ def test_asserted_taxonomy_then_site_sort_the_signature_once(monkeypatch):
     taxonomy = asserted_taxonomy(ontology)
     generate_site(ontology, taxonomy, taxonomy)
     # One sort of the signature, and one of the page names.
+    assert calls["sort_key"] == 2 * n_entities
+
+
+def test_strict_site_sorts_the_declared_entities_once(fixture_dir, monkeypatch):
+    with open(fixture_dir / "disease.ofn", encoding="utf-8") as handle:
+        ontology = parse(handle.read(), strict=True)
+    taxonomy = asserted_taxonomy(ontology)  # computes the signature too
+    n_entities = len(declared_entities(ontology))
+    calls = collections.Counter()
+    original = Entity.sort_key
+
+    def counting(entity):
+        calls["sort_key"] += 1
+        return original(entity)
+
+    monkeypatch.setattr(Entity, "sort_key", counting)
+    generate_site(ontology, taxonomy, taxonomy)
+    # One sort of the declared entities, and one of the page names.
     assert calls["sort_key"] == 2 * n_entities

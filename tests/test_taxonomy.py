@@ -357,3 +357,17 @@ def test_pruned_abox_retrieval_makes_fewer_abox_tests(disease, monkeypatch):
     calls.clear()
     assert instances_of(Named(OWL_THING), disease) == (GIARDIA,)
     assert len(calls) == 2
+
+
+def test_realize_compiles_the_tbox_once(disease, monkeypatch):
+    calls = []
+    original = reasoner.normalize
+
+    def counting(ontology):
+        calls.append(ontology)
+        return original(ontology)
+
+    monkeypatch.setattr(reasoner, "normalize", counting)
+    assert realize(disease)[GIARDIA] == (Iri(DISEASE_NS + "OrganismStructure"),)
+    # The consistency check and the taxonomy share one compiled TBox.
+    assert len(calls) == 1
