@@ -37,6 +37,7 @@ from .model import (
 )
 from .parser import ParseError, parse
 from .reasoner import (
+    DEFAULT_LIMITS,
     InconsistentOntologyError,
     ReasonerLimits,
     ResourceLimitExceeded,
@@ -70,8 +71,12 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("input", help="ontology file (.ofn)")
         p.add_argument("--strict", action="store_true",
                        help="require explicit declarations for every entity")
-        p.add_argument("--max-nodes", type=int, default=100_000)
-        p.add_argument("--max-branch-depth", type=int, default=10_000)
+        p.add_argument("--max-nodes", type=int, default=DEFAULT_LIMITS.max_nodes)
+        p.add_argument("--max-branch-depth", type=int,
+                       default=DEFAULT_LIMITS.max_branch_depth)
+        p.add_argument("--max-steps", type=int, default=DEFAULT_LIMITS.max_steps,
+                       help="bound on each tableau run's work: concepts added "
+                            "to labels, nodes created and graph copies")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     common(sub.add_parser("check", help="parse and check consistency"))
@@ -105,7 +110,8 @@ def _load(args) -> Ontology:
 
 def _limits(args) -> ReasonerLimits:
     return ReasonerLimits(max_nodes=args.max_nodes,
-                          max_branch_depth=args.max_branch_depth)
+                          max_branch_depth=args.max_branch_depth,
+                          max_steps=args.max_steps)
 
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:

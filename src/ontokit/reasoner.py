@@ -5,16 +5,25 @@ concept satisfiability, subsumption, classification, ABox consistency,
 realization, and instance retrieval. The tableau uses lazy unfolding for
 definitional equivalences, absorption for inclusions whose left-hand side
 is or has as a conjunct a primitive name, and internalized disjunctions for
-everything else; expansion order and tie-breaks are fixed so results are
-deterministic.
+everything else.
+
+The tableau itself lives in `tableau.py`. Each compiled TBox carries a
+`ConceptTable` that interns every concept and role it meets as an int id,
+so node labels are int sets. Expansion is driven by an agenda: a concept
+added to a label is queued once, and a new edge wakes only the universals
+at its two ends, instead of every rule rescanning every node. The order is
+fixed: conjunctions and unfolding to a fixpoint, then the first open
+disjunction, then one universal, then one existential, each picked by
+(node, rank) with an id's rank the repr of its expression. The branches,
+witnesses and verdicts therefore do not depend on hash seeds or id order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .model import (
     AnnotationAssertion,
@@ -51,11 +60,20 @@ from .model import (
     inverse_of,
     signature,
 )
+from .tableau import (  # the witness types, limits and graph are also reached from here
+    DEFAULT_LIMITS,
+    CompletionGraph,
+    ConceptTable,
+    GraphEdge,
+    GraphNode,
+    ReasonerLimits,
+    ResourceLimitExceeded,
+    SatResult,
+    _Graph,
+    abox_labels,
+    satisfiable,
+)
 from .taxonomy import Taxonomy, build_taxonomy, most_specific
-
-
-class ResourceLimitExceeded(Exception):
-    """Node count or branch depth went past the configured limits."""
 
 
 class InconsistentOntologyError(Exception):
@@ -64,19 +82,6 @@ class InconsistentOntologyError(Exception):
 
 class UnsupportedAxiomError(Exception):
     """Raised by normalize on an axiom kind outside the supported fragment."""
-
-
-@dataclass(frozen=True)
-class ReasonerLimits:
-    max_nodes: int = 100_000
-    max_branch_depth: int = 10_000
-
-    def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_branch_depth <= 0:
-            raise ValueError("reasoner limits must be strictly positive")
-
-
-DEFAULT_LIMITS = ReasonerLimits()
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +163,15 @@ class NormalizedTBox:
     domain_triggers: tuple[tuple[RoleExpression, ConceptExpression], ...]
     node_constraints: tuple[ConceptExpression, ...]
     uses_inverse: bool
-    # Memo for sort_key; it lives and dies with the TBox the tableau runs on.
-    sort_keys: dict = field(default_factory=dict, repr=False, compare=False)
 
     def subsumers_of(self, role: RoleExpression) -> frozenset[RoleExpression]:
         return self.role_subsumers.get(role, frozenset((role,)))
 
-    def sort_key(self, expr) -> str:
-        """Canonical text for lexicographic tie-breaks, memoized: expression
-        reprs are deterministic and total but expensive to recompute."""
-        key = self.sort_keys.get(expr)
-        if key is None:
-            key = self.sort_keys[expr] = repr(expr)
-        return key
+    @cached_property
+    def table(self) -> ConceptTable:
+        """The int-coded form the tableau runs on; it lives and dies with
+        this TBox."""
+        return ConceptTable(self)
 
 
 def _role_expressions_in(expr: ConceptExpression) -> set[RoleExpression]:
@@ -408,321 +409,8 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
 
 
 # ---------------------------------------------------------------------------
-# Completion graph
+# Satisfiability
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    id: int
-    label: frozenset[ConceptExpression]
-    parent: Optional[int]
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    source: int
-    target: int
-    role: Iri
-
-
-@dataclass(frozen=True)
-class CompletionGraph:
-    """Frozen snapshot of the tableau working state returned as a witness."""
-
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
-    blocking: tuple[tuple[int, int], ...]  # (blocked node, blocking ancestor)
-    clash: bool
-
-    @cached_property
-    def node_by_id(self) -> dict[int, GraphNode]:
-        return {node.id: node for node in self.nodes}
-
-
-@dataclass(frozen=True)
-class SatResult:
-    satisfiable: bool
-    witness: Optional[CompletionGraph]
-
-    def __bool__(self) -> bool:
-        return self.satisfiable
-
-
-class _Clash(Exception):
-    pass
-
-
-class _Graph:
-    """Mutable working graph: labels are insertion-ordered concept sets with
-    a lexicographically sorted view cached per node."""
-
-    __slots__ = ("labels", "sorted_cache", "parents", "out_edges", "in_edges",
-                 "next_id", "counter", "sort_key")
-
-    def __init__(self, counter: list[int], sort_key: Callable[[object], str]):
-        self.labels: list[dict[ConceptExpression, None]] = []
-        self.sorted_cache: list[Optional[list[ConceptExpression]]] = []
-        self.parents: list[Optional[int]] = []
-        self.out_edges: list[list[tuple[Iri, int]]] = []
-        self.in_edges: list[list[tuple[Iri, int]]] = []
-        self.next_id = 0
-        self.counter = counter  # shared created-node count for the limit check
-        self.sort_key = sort_key
-
-    def copy(self) -> "_Graph":
-        g = _Graph(self.counter, self.sort_key)
-        g.labels = [dict(lbl) for lbl in self.labels]
-        g.sorted_cache = list(self.sorted_cache)
-        g.parents = list(self.parents)
-        g.out_edges = [list(e) for e in self.out_edges]
-        g.in_edges = [list(e) for e in self.in_edges]
-        g.next_id = self.next_id
-        return g
-
-    def new_node(self, parent: Optional[int], max_nodes: int) -> int:
-        self.counter[0] += 1
-        if self.counter[0] > max_nodes:
-            raise ResourceLimitExceeded(f"node limit exceeded ({max_nodes})")
-        node = self.next_id
-        self.next_id += 1
-        self.labels.append({})
-        self.sorted_cache.append(None)
-        self.parents.append(parent)
-        self.out_edges.append([])
-        self.in_edges.append([])
-        return node
-
-    def add_edge(self, source: int, target: int, role: Iri) -> None:
-        self.out_edges[source].append((role, target))
-        self.in_edges[target].append((role, source))
-
-    def add(self, node: int, expr: ConceptExpression) -> bool:
-        label = self.labels[node]
-        if expr in label:
-            return False
-        if isinstance(expr, Bottom):
-            raise _Clash()
-        if isinstance(expr, Named) and Complement(expr) in label:
-            raise _Clash()
-        if isinstance(expr, Complement) and expr.operand in label:
-            raise _Clash()
-        label[expr] = None
-        self.sorted_cache[node] = None
-        return True
-
-    def sorted_label(self, node: int) -> list[ConceptExpression]:
-        cached = self.sorted_cache[node]
-        if cached is None:
-            cached = sorted(self.labels[node], key=self.sort_key)
-            self.sorted_cache[node] = cached
-        return cached
-
-
-class _Tableau:
-    def __init__(self, tbox: NormalizedTBox, limits: ReasonerLimits,
-                 equality_blocking: Optional[bool] = None):
-        self.tbox = tbox
-        self.limits = limits
-        # Subset blocking is only sound without inverse flows; a query can
-        # introduce inverses the TBox does not have, so callers may force
-        # the stricter condition.
-        self.equality_blocking = (tbox.uses_inverse if equality_blocking is None
-                                  else equality_blocking or tbox.uses_inverse)
-
-    # -- neighbour access -----------------------------------------------------
-
-    def _neighbours(self, g: _Graph, node: int, role: RoleExpression) -> list[int]:
-        """Targets reachable from `node` via an edge whose role is subsumed by
-        `role`, considering both edge directions for inverses."""
-        out: list[int] = []
-        for edge_role, target in g.out_edges[node]:
-            if role in self.tbox.subsumers_of(NamedRole(edge_role)):
-                out.append(target)
-        for edge_role, source in g.in_edges[node]:
-            if role in self.tbox.subsumers_of(InverseRole(edge_role)):
-                out.append(source)
-        return out
-
-    # -- blocking --------------------------------------------------------------
-
-    def _blocker(self, g: _Graph, node: int) -> Optional[int]:
-        """The nearest ancestor that directly blocks `node`: its label equals
-        the node's under equality blocking, contains it otherwise."""
-        label = frozenset(g.labels[node])
-        ancestor = g.parents[node]
-        while ancestor is not None:
-            other = frozenset(g.labels[ancestor])
-            if (label == other) if self.equality_blocking else (label <= other):
-                return ancestor
-            ancestor = g.parents[ancestor]
-        return None
-
-    def _blocked(self, g: _Graph, node: int) -> bool:
-        """Whether the node or one of its ancestors is directly blocked."""
-        while node is not None:
-            if self._blocker(g, node) is not None:
-                return True
-            node = g.parents[node]
-        return False
-
-    # -- saturation -------------------------------------------------------------
-
-    def _apply_conjunctions(self, g: _Graph, node: int) -> bool:
-        for expr in g.sorted_label(node):
-            if isinstance(expr, Intersection):
-                added = False
-                for op in expr.operands:
-                    added |= g.add(node, op)
-                if added:
-                    return True
-        return False
-
-    def _apply_unfolding(self, g: _Graph, node: int) -> bool:
-        tbox = self.tbox
-        for expr in g.sorted_label(node):
-            if isinstance(expr, Named):
-                defn = tbox.definitions.get(expr.iri)
-                if defn is not None and g.add(node, defn):
-                    return True
-                for extra in tbox.absorbed.get(expr.iri, ()):
-                    if g.add(node, extra):
-                        return True
-            elif isinstance(expr, Complement) and isinstance(expr.operand, Named):
-                neg = tbox.negated_definitions.get(expr.operand.iri)
-                if neg is not None and g.add(node, neg):
-                    return True
-        for role, concept in tbox.domain_triggers:
-            if concept not in g.labels[node] and self._neighbours(g, node, role):
-                g.add(node, concept)
-                return True
-        return False
-
-    def _find_disjunction(self, g: _Graph, node: int) -> Optional[Union]:
-        for expr in g.sorted_label(node):
-            if isinstance(expr, Union) and not any(op in g.labels[node] for op in expr.operands):
-                return expr
-        return None
-
-    def _apply_universals(self, g: _Graph, node: int) -> bool:
-        tbox = self.tbox
-        for expr in g.sorted_label(node):
-            if not isinstance(expr, Universal):
-                continue
-            role, filler = expr.role, expr.filler
-            for target in self._neighbours(g, node, role):
-                if g.add(target, filler):
-                    return True
-            for trans in sorted(tbox.transitive_roles, key=tbox.sort_key):
-                if role in tbox.subsumers_of(trans):
-                    propagated = Universal(trans, filler)
-                    for target in self._neighbours(g, node, trans):
-                        if g.add(target, propagated):
-                            return True
-        return False
-
-    def _apply_existential(self, g: _Graph, node: int) -> bool:
-        if self._blocked(g, node):
-            return False
-        for expr in g.sorted_label(node):
-            if not isinstance(expr, Existential):
-                continue
-            role, filler = expr.role, expr.filler
-            if any(filler in g.labels[t] for t in self._neighbours(g, node, role)):
-                continue
-            fresh = g.new_node(parent=node, max_nodes=self.limits.max_nodes)
-            if isinstance(role, NamedRole):
-                g.add_edge(node, fresh, role.iri)
-            else:
-                g.add_edge(fresh, node, role.iri)
-            self._init_node(g, fresh)
-            g.add(fresh, filler)
-            return True
-        return False
-
-    def _init_node(self, g: _Graph, node: int) -> None:
-        for constraint in self.tbox.node_constraints:
-            g.add(node, constraint)
-
-    def _saturate(self, g: _Graph):
-        """Run non-branching rules to a fixpoint in priority order.
-
-        Returns "complete", or ("choice", node, union) for the first open
-        disjunction once conjunctions and unfolding are quiet. Raises _Clash.
-        """
-        while True:
-            nodes = range(len(g.labels))
-            if any(self._apply_conjunctions(g, n) for n in nodes):
-                continue
-            if any(self._apply_unfolding(g, n) for n in nodes):
-                continue
-            for n in nodes:
-                disj = self._find_disjunction(g, n)
-                if disj is not None:
-                    return ("choice", n, disj)
-            if any(self._apply_universals(g, n) for n in nodes):
-                continue
-            if any(self._apply_existential(g, n) for n in nodes):
-                continue
-            return ("complete",)
-
-    def search(self, initial: _Graph) -> Optional[_Graph]:
-        """Chronological backtracking over disjunction choices (left to right)."""
-        frames: list[list] = []  # [base graph, node, operands, next index]
-        current: Optional[_Graph] = initial
-
-        def advance() -> Optional[_Graph]:
-            # Resume from the most recent choice point with operands left.
-            while frames:
-                base, node, operands, index = frames[-1]
-                if index >= len(operands):
-                    frames.pop()
-                    continue
-                frames[-1][3] = index + 1
-                candidate = base.copy()
-                try:
-                    candidate.add(node, operands[index])
-                except _Clash:
-                    continue
-                return candidate
-            return None
-
-        while True:
-            try:
-                outcome = self._saturate(current)
-            except _Clash:
-                outcome = None
-            if outcome is None:
-                current = advance()
-                if current is None:
-                    return None
-                continue
-            if outcome[0] == "complete":
-                return current
-            _, node, disj = outcome
-            if len(frames) >= self.limits.max_branch_depth:
-                raise ResourceLimitExceeded(
-                    f"branch depth limit exceeded ({self.limits.max_branch_depth})")
-            frames.append([current, node, disj.operands, 0])
-            current = advance()
-            if current is None:
-                return None
-
-    # -- entry points -----------------------------------------------------------
-
-    def freeze(self, g: _Graph) -> CompletionGraph:
-        nodes = tuple(
-            GraphNode(i, frozenset(g.labels[i]), g.parents[i])
-            for i in range(len(g.labels))
-        )
-        edges = []
-        for source, targets in enumerate(g.out_edges):
-            for role, target in targets:
-                edges.append(GraphEdge(source, target, role))
-        blocking = [(i, ancestor) for i in range(len(g.labels))
-                    if (ancestor := self._blocker(g, i)) is not None]
-        return CompletionGraph(nodes=nodes, edges=tuple(edges),
-                               blocking=tuple(blocking), clash=False)
 
 
 def is_satisfiable(
@@ -733,19 +421,14 @@ def is_satisfiable(
     """Decide concept satisfiability w.r.t. the TBox; a Satisfiable verdict
     carries the final completion graph as a witness."""
     nnf_concept = to_nnf(concept)
-    tableau = _Tableau(tbox, limits, equality_blocking=any(
-        isinstance(r, InverseRole) for r in _role_expressions_in(nnf_concept)))
-    g = _Graph(counter=[0], sort_key=tbox.sort_key)
-    root = g.new_node(parent=None, max_nodes=limits.max_nodes)
-    try:
-        tableau._init_node(g, root)
-        g.add(root, nnf_concept)
-    except _Clash:
-        return SatResult(False, None)
-    final = tableau.search(g)
-    if final is None:
-        return SatResult(False, None)
-    return SatResult(True, tableau.freeze(final))
+    return satisfiable(tbox.table, nnf_concept, limits, _equality_blocking(tbox, [nnf_concept]))
+
+
+def _equality_blocking(tbox: NormalizedTBox, queries: list[ConceptExpression]) -> bool:
+    """Subset blocking is only sound without inverse flows; a query can
+    introduce inverses the TBox does not have."""
+    return tbox.uses_inverse or any(isinstance(r, InverseRole)
+                                    for c in queries for r in _role_expressions_in(c))
 
 
 def is_subsumed_by(
@@ -778,41 +461,27 @@ def _abox_labels(
     individuals: list[Iri],
     limits: ReasonerLimits,
     extra: Iterable[tuple[Iri, ConceptExpression]] = (),
-) -> Optional[dict[Iri, dict[ConceptExpression, None]]]:
+) -> Optional[dict[Iri, dict[int, None]]]:
     """Tableau consistency of the ABox (one root per individual in
     `individuals`, which is `_individuals_of(ontology)`; no unique name
-    assumption) with optional extra concept constraints. Returns the label of
-    each individual's node in a clash-free completion graph, or None when
-    there is none. With no named individuals the initial graph is empty and
-    trivially clash-free."""
-    extra = list(extra)
-    tableau = _Tableau(tbox, limits, equality_blocking=any(
-        isinstance(r, InverseRole) for _, c in extra for r in _role_expressions_in(c)))
-    g = _Graph(counter=[0], sort_key=tbox.sort_key)
-    node_of: dict[Iri, int] = {}
-    try:
-        for individual in individuals:
-            node = g.new_node(parent=None, max_nodes=limits.max_nodes)
-            node_of[individual] = node
-            tableau._init_node(g, node)
-        for axiom in ontology.axioms:
-            if isinstance(axiom, ConceptAssertion):
-                g.add(node_of[axiom.individual], to_nnf(axiom.concept))
-            elif isinstance(axiom, RoleAssertion):
-                g.add_edge(node_of[axiom.subject], node_of[axiom.object], axiom.role)
-        for individual, concept in extra:
-            g.add(node_of[individual], to_nnf(concept))
-    except _Clash:
-        return None
-    final = tableau.search(g)
-    if final is None:
-        return None
-    return {individual: final.labels[node] for individual, node in node_of.items()}
+    assumption) with optional extra concept constraints. Returns the label
+    of concept ids of each individual's node in a clash-free completion
+    graph, or None when there is none. With no named individuals the initial
+    graph is empty and trivially clash-free."""
+    root = {individual: i for i, individual in enumerate(individuals)}
+    extra = [(root[individual], to_nnf(concept)) for individual, concept in extra]
+    concepts = [(root[axiom.individual], to_nnf(axiom.concept))
+                for axiom in ontology.axioms if isinstance(axiom, ConceptAssertion)]
+    edges = [(root[axiom.subject], root[axiom.object], axiom.role)
+             for axiom in ontology.axioms if isinstance(axiom, RoleAssertion)]
+    labels = abox_labels(tbox.table, len(individuals), concepts + extra, edges, limits,
+                         _equality_blocking(tbox, [c for _, c in extra]))
+    return None if labels is None else dict(zip(individuals, labels))
 
 
 def _consistent_abox(
     ontology: Ontology, limits: ReasonerLimits
-) -> tuple[NormalizedTBox, list[Iri], dict[Iri, dict[ConceptExpression, None]]]:
+) -> tuple[NormalizedTBox, list[Iri], dict[Iri, frozenset[ConceptExpression]]]:
     """The compiled TBox, the individuals and their labels in the
     consistency check's completion graph, which every ABox query starts
     from. Raises InconsistentOntologyError when there is no such graph."""
@@ -821,7 +490,8 @@ def _consistent_abox(
     labels = _abox_labels(ontology, tbox, individuals, limits)
     if labels is None:
         raise InconsistentOntologyError("ontology is inconsistent")
-    return tbox, individuals, labels
+    return tbox, individuals, {individual: tbox.table.expressions(label)
+                               for individual, label in labels.items()}
 
 
 def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> bool:

@@ -1,0 +1,602 @@
+"""Completion graph and tableau expansion on interned concept ids.
+
+A `ConceptTable` gives every concept and role expression the tableau meets
+a small int id (Horrocks & Patel-Schneider, J. Logic Comput. 1999), once
+per compiled TBox, so labels are int sets and every membership, clash and
+blocking test is an int lookup instead of a rehash of an expression tree.
+Expansion runs from an agenda (Tsarkov & Horrocks, IJCAR 2006): `add`
+queues each new (node, id), and new edges queue the universals at their
+ends, so no rule rescans the graph.
+
+The search is fixed. Conjunctions, unfolding and domain constraints run to
+a fixpoint first; then the first open disjunction branches; then one
+universal fires, then one existential, each picked by (node, rank), where
+an id's rank is the repr of its expression. After each firing the
+fixpoint is reached again before the next choice.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
+from typing import Optional
+
+from .model import (
+    Bottom,
+    Complement,
+    ConceptExpression,
+    Existential,
+    Intersection,
+    Iri,
+    Named,
+    NamedRole,
+    RoleExpression,
+    Top,
+    Union,
+    Universal,
+    inverse_of,
+)
+
+
+class ResourceLimitExceeded(Exception):
+    """Node count, branch depth or total work went past the configured limits."""
+
+
+@dataclass(frozen=True)
+class ReasonerLimits:
+    max_nodes: int = 100_000
+    max_branch_depth: int = 10_000
+    # Steps of one tableau run: concepts added to labels, nodes created and
+    # graph copies made.
+    max_steps: int = 1_000_000
+
+    def __post_init__(self):
+        if self.max_nodes <= 0 or self.max_branch_depth <= 0 or self.max_steps <= 0:
+            raise ValueError("reasoner limits must be strictly positive")
+
+
+DEFAULT_LIMITS = ReasonerLimits()
+
+
+@dataclass(frozen=True)
+class GraphNode:
+    id: int
+    label: frozenset[ConceptExpression]
+    parent: Optional[int]
+
+
+@dataclass(frozen=True)
+class GraphEdge:
+    source: int
+    target: int
+    role: Iri
+
+
+@dataclass(frozen=True)
+class CompletionGraph:
+    """Frozen snapshot of the tableau working state returned as a witness."""
+
+    nodes: tuple[GraphNode, ...]
+    edges: tuple[GraphEdge, ...]
+    blocking: tuple[tuple[int, int], ...]  # (blocked node, blocking ancestor)
+    clash: bool
+
+    @cached_property
+    def node_by_id(self) -> dict[int, GraphNode]:
+        return {node.id: node for node in self.nodes}
+
+
+@dataclass(frozen=True)
+class SatResult:
+    satisfiable: bool
+    witness: Optional[CompletionGraph]
+
+    def __bool__(self) -> bool:
+        return self.satisfiable
+
+
+# Concept kinds.
+TOP, BOTTOM, NAMED, NOT, AND, OR, SOME, ALL = range(8)
+
+_KIND_OF = {Named: NAMED, Intersection: AND, Union: OR, Existential: SOME,
+            Universal: ALL, Complement: NOT, Top: TOP, Bottom: BOTTOM}
+
+
+class ConceptTable:
+    """Int ids for the concepts and roles of one compiled TBox.
+
+    For each concept id: its kind, its operand ids (the filler for ∃ and
+    ∀), its role id, the id it clashes with (a name and its complement) and
+    its rank. Ids, ranks and the rules read off the TBox (unfoldings,
+    transitive propagations, domain constraints) are made on first use, so
+    compiling a TBox costs nothing until the tableau runs on it. For each
+    role id: the ids of its subsumers and of its inverse."""
+
+    def __init__(self, tbox):
+        self.tbox = tbox
+        self.ids: dict[ConceptExpression, int] = {}
+        self.exprs: list[ConceptExpression] = []
+        self.kinds: list[int] = []
+        self.args: list[tuple[int, ...]] = []
+        self.roles: list[int] = []
+        self.partner: list[int] = []  # -1: clashes with nothing
+        self.ranks: list[Optional[str]] = []
+        self.unfoldings: list[Optional[tuple[int, ...]]] = []
+        self.propagations: list[Optional[tuple[tuple[int, int], ...]]] = []
+        self.role_ids: dict[RoleExpression, int] = {}
+        self.role_exprs: list[RoleExpression] = []
+        self.role_sups: list[frozenset[int]] = []
+        self.role_inverse: list[int] = []
+        self.domain: list[Optional[tuple[int, ...]]] = []
+        # Transitive roles in repr order, as the ∀-rule tries them.
+        self.transitive = [self.role(t) for t in sorted(tbox.transitive_roles, key=repr)]
+        self.node_constraints = tuple(self.concept(c) for c in tbox.node_constraints)
+
+    # -- interning --------------------------------------------------------------
+
+    def concept(self, expr: ConceptExpression) -> int:
+        found = self.ids.get(expr)
+        if found is not None:
+            return found
+        kind = _KIND_OF[type(expr)]
+        role = -1
+        if kind in (AND, OR):
+            args = tuple(self.concept(op) for op in expr.operands)
+        elif kind in (SOME, ALL):
+            role = self.role(expr.role)
+            args = (self.concept(expr.filler),)
+        elif kind == NOT:
+            args = (self.concept(expr.operand),)
+        else:
+            args = ()
+        i = len(self.exprs)
+        self.ids[expr] = i
+        self.exprs.append(expr)
+        self.kinds.append(kind)
+        self.args.append(args)
+        self.roles.append(role)
+        self.partner.append(-1)
+        self.ranks.append(None)
+        self.unfoldings.append(None)
+        self.propagations.append(None)
+        if kind == NOT:
+            self.partner[i] = args[0]
+            if self.kinds[args[0]] == NAMED:
+                self.partner[args[0]] = i
+        return i
+
+    def role(self, expr: RoleExpression) -> int:
+        found = self.role_ids.get(expr)
+        if found is not None:
+            return found
+        r = len(self.role_exprs)
+        self.role_ids[expr] = r
+        self.role_exprs.append(expr)
+        self.role_sups.append(frozenset())
+        self.role_inverse.append(-1)
+        self.domain.append(None)
+        self.role_sups[r] = frozenset(self.role(s) for s in self.tbox.subsumers_of(expr))
+        self.role_inverse[r] = self.role(inverse_of(expr))
+        return r
+
+    # -- rules read off the TBox ------------------------------------------------
+
+    def rank(self, i: int) -> str:
+        """The tie-break key: deterministic and total, made on first use."""
+        key = self.ranks[i]
+        if key is None:
+            key = self.ranks[i] = repr(self.exprs[i])
+        return key
+
+    def unfolding(self, i: int) -> tuple[int, ...]:
+        """What a name (its definition, then its absorbed inclusions) or a
+        negated name (its negated definition) adds to a label."""
+        found = self.unfoldings[i]
+        if found is None:
+            tbox = self.tbox
+            if self.kinds[i] == NAMED:
+                iri = self.exprs[i].iri
+                defn = tbox.definitions.get(iri)
+                found = tuple(self.concept(e) for e in
+                              ((defn,) if defn is not None else ()) + tbox.absorbed.get(iri, ()))
+            else:
+                operand = self.exprs[i].operand
+                neg = (tbox.negated_definitions.get(operand.iri)
+                       if isinstance(operand, Named) else None)
+                found = (self.concept(neg),) if neg is not None else ()
+            self.unfoldings[i] = found
+        return found
+
+    def propagation(self, i: int) -> tuple[tuple[int, int], ...]:
+        """For a universal ∀R.C: (T, ∀T.C) for each transitive T ⊒ R."""
+        found = self.propagations[i]
+        if found is None:
+            role, filler = self.roles[i], self.exprs[i].filler
+            found = self.propagations[i] = tuple(
+                (t, self.concept(Universal(self.role_exprs[t], filler)))
+                for t in self.transitive if role in self.role_sups[t])
+        return found
+
+    def domain_constraints(self, r: int) -> tuple[int, ...]:
+        """What an edge adds to a node it links by role `r`, read from that
+        node's side: each domain constraint whose role subsumes `r`."""
+        found = self.domain[r]
+        if found is None:
+            sups = self.role_sups[r]
+            found = self.domain[r] = tuple(
+                self.concept(concept) for role, concept in self.tbox.domain_triggers
+                if self.role(role) in sups)
+        return found
+
+    def expressions(self, label) -> frozenset[ConceptExpression]:
+        """The expressions of a label of ids."""
+        exprs = self.exprs
+        return frozenset([exprs[i] for i in label])
+
+
+class _Clash(Exception):
+    pass
+
+
+class _Work:
+    """Work done by one tableau run, over every copy of its graph."""
+
+    __slots__ = ("steps", "nodes", "copies", "max_steps", "max_nodes")
+
+    def __init__(self, limits: ReasonerLimits):
+        self.steps = self.nodes = self.copies = 0
+        self.max_steps = limits.max_steps
+        self.max_nodes = limits.max_nodes
+
+    def exceeded(self) -> ResourceLimitExceeded:
+        return ResourceLimitExceeded(
+            f"step limit exceeded (max_steps {self.max_steps}) after {self.steps} "
+            f"steps: {self.nodes} nodes created, {self.copies} graph copies")
+
+
+class _Graph:
+    """Mutable working graph over concept ids.
+
+    Labels are dicts from id to None: the value slot is reserved for the
+    set of branch points an entry depends on, which dependency-directed
+    backjumping needs. Besides the graph itself it holds the agenda: `todo`
+    for the fixpoint rules, and heaps of (node, rank, id) for the
+    disjunctions, universals and existentials that may still fire."""
+
+    __slots__ = ("table", "work", "labels", "frozen", "parents", "out_edges",
+                 "in_edges", "alls", "todo", "choices", "universals", "existentials")
+
+    def __init__(self, table: ConceptTable, work: _Work):
+        self.table = table
+        self.work = work
+        self.labels: list[dict[int, None]] = []
+        self.frozen: list[Optional[frozenset[int]]] = []  # label sets, for blocking
+        self.parents: list[Optional[int]] = []
+        self.out_edges: list[list[tuple[int, int]]] = []  # (role, target)
+        self.in_edges: list[list[tuple[int, int]]] = []  # (inverse role, source)
+        self.alls: list[list[int]] = []  # each node's universals
+        self.todo: list[tuple[int, int]] = []
+        self.choices: list[tuple[int, str, int]] = []
+        self.universals: list[tuple[int, str, int]] = []
+        self.existentials: list[tuple[int, str, int]] = []
+
+    def copy(self) -> "_Graph":
+        work = self.work
+        work.copies += 1
+        work.steps += 1
+        if work.steps > work.max_steps:
+            raise work.exceeded()
+        g = _Graph(self.table, work)
+        g.labels = [dict(lbl) for lbl in self.labels]
+        g.frozen = list(self.frozen)
+        g.parents = list(self.parents)
+        g.out_edges = [list(e) for e in self.out_edges]
+        g.in_edges = [list(e) for e in self.in_edges]
+        g.alls = [list(a) for a in self.alls]
+        g.todo = list(self.todo)
+        g.choices = list(self.choices)
+        g.universals = list(self.universals)
+        g.existentials = list(self.existentials)
+        return g
+
+    def new_node(self, parent: Optional[int]) -> int:
+        work = self.work
+        work.nodes += 1
+        if work.nodes > work.max_nodes:
+            raise ResourceLimitExceeded(f"node limit exceeded ({work.max_nodes})")
+        work.steps += 1
+        if work.steps > work.max_steps:
+            raise work.exceeded()
+        node = len(self.labels)
+        self.labels.append({})
+        self.frozen.append(None)
+        self.parents.append(parent)
+        self.out_edges.append([])
+        self.in_edges.append([])
+        self.alls.append([])
+        return node
+
+    def add_edge(self, source: int, target: int, role: int) -> None:
+        """Link `source` to `target` by the named role `role`. The new
+        neighbours wake the universals at both ends, and the source and
+        target take the domain constraints of the role and its inverse."""
+        table = self.table
+        inverse = table.role_inverse[role]
+        self.out_edges[source].append((role, target))
+        self.in_edges[target].append((inverse, source))
+        for node, r in ((source, role), (target, inverse)):
+            for universal in self.alls[node]:
+                heappush(self.universals, (node, table.ranks[universal], universal))
+            for concept in table.domain_constraints(r):
+                self.add(node, concept)
+
+    def add(self, node: int, concept: int) -> bool:
+        label = self.labels[node]
+        if concept in label:
+            return False
+        table = self.table
+        if table.kinds[concept] == BOTTOM or table.partner[concept] in label:
+            raise _Clash()
+        work = self.work
+        work.steps += 1
+        if work.steps > work.max_steps:
+            raise work.exceeded()
+        label[concept] = None
+        self.frozen[node] = None
+        self.todo.append((node, concept))
+        return True
+
+
+class _Tableau:
+    def __init__(self, table: ConceptTable, limits: ReasonerLimits, equality_blocking: bool):
+        self.table = table
+        self.limits = limits
+        # Subset blocking is only sound without inverse flows.
+        self.equality_blocking = equality_blocking
+
+    def graph(self) -> _Graph:
+        return _Graph(self.table, _Work(self.limits))
+
+    def init_node(self, g: _Graph, parent: Optional[int]) -> int:
+        node = g.new_node(parent)
+        for constraint in self.table.node_constraints:
+            g.add(node, constraint)
+        return node
+
+    # -- neighbour access -----------------------------------------------------
+
+    def _neighbours(self, g: _Graph, node: int, role: int) -> list[int]:
+        """Nodes linked to `node` by an edge whose role, read from `node`'s
+        side, is subsumed by `role`."""
+        sups = self.table.role_sups
+        out = [target for r, target in g.out_edges[node] if role in sups[r]]
+        out += [source for r, source in g.in_edges[node] if role in sups[r]]
+        return out
+
+    # -- blocking --------------------------------------------------------------
+
+    def _label_set(self, g: _Graph, node: int) -> frozenset[int]:
+        found = g.frozen[node]
+        if found is None:
+            found = g.frozen[node] = frozenset(g.labels[node])
+        return found
+
+    def _blocker(self, g: _Graph, node: int) -> Optional[int]:
+        """The nearest ancestor that directly blocks `node`: its label equals
+        the node's under equality blocking, contains it otherwise."""
+        label = self._label_set(g, node)
+        ancestor = g.parents[node]
+        while ancestor is not None:
+            other = self._label_set(g, ancestor)
+            if (label == other) if self.equality_blocking else (label <= other):
+                return ancestor
+            ancestor = g.parents[ancestor]
+        return None
+
+    def _blocked(self, g: _Graph, node: int) -> bool:
+        """Whether the node or one of its ancestors is directly blocked."""
+        while node is not None:
+            if self._blocker(g, node) is not None:
+                return True
+            node = g.parents[node]
+        return False
+
+    # -- saturation -------------------------------------------------------------
+
+    def _expand(self, g: _Graph) -> None:
+        """Run conjunctions and unfolding to a fixpoint off the agenda, and
+        file each new disjunction, universal and existential."""
+        table = self.table
+        kinds, args, todo = table.kinds, table.args, g.todo
+        while todo:
+            node, concept = todo.pop()
+            kind = kinds[concept]
+            if kind == AND:
+                for op in args[concept]:
+                    g.add(node, op)
+            elif kind == NAMED or kind == NOT:
+                for extra in table.unfolding(concept):
+                    g.add(node, extra)
+            elif kind == OR:
+                heappush(g.choices, (node, table.rank(concept), concept))
+            elif kind == ALL:
+                g.alls[node].append(concept)
+                heappush(g.universals, (node, table.rank(concept), concept))
+            elif kind == SOME:
+                heappush(g.existentials, (node, table.rank(concept), concept))
+
+    def _open_choice(self, g: _Graph) -> Optional[tuple[int, int]]:
+        """The first (node, disjunction) with no operand in the label; a
+        disjunction that has one leaves the heap for good."""
+        args, heap = self.table.args, g.choices
+        while heap:
+            node, _, concept = heap[0]
+            label = g.labels[node]
+            if not any(op in label for op in args[concept]):
+                return node, concept
+            heappop(heap)
+        return None
+
+    def _apply_universal(self, g: _Graph, node: int, concept: int) -> bool:
+        table = self.table
+        filler = table.args[concept][0]
+        for target in self._neighbours(g, node, table.roles[concept]):
+            if g.add(target, filler):
+                return True
+        for trans, propagated in table.propagation(concept):
+            for target in self._neighbours(g, node, trans):
+                if g.add(target, propagated):
+                    return True
+        return False
+
+    def _fire_universal(self, g: _Graph) -> bool:
+        """Make one addition for the first universal that has one left; a
+        universal with none leaves the heap until its node gets an edge."""
+        heap = g.universals
+        while heap:
+            node, _, concept = heap[0]
+            if self._apply_universal(g, node, concept):
+                return True
+            heappop(heap)
+        return False
+
+    def _fire_existential(self, g: _Graph) -> bool:
+        """Make a successor for the first unwitnessed existential on a node
+        that is not blocked. A witnessed one leaves the heap for good; one on
+        a blocked node stays, since blocking can end."""
+        table = self.table
+        labels, heap = g.labels, g.existentials
+        held = []
+        blocked: dict[int, bool] = {}
+        try:
+            while heap:
+                node, _, concept = heap[0]
+                role, filler = table.roles[concept], table.args[concept][0]
+                if any(filler in labels[t] for t in self._neighbours(g, node, role)):
+                    heappop(heap)
+                    continue
+                if node not in blocked:
+                    blocked[node] = self._blocked(g, node)
+                if blocked[node]:
+                    held.append(heappop(heap))
+                    continue
+                fresh = g.new_node(parent=node)
+                inverse = table.role_inverse[role]
+                if isinstance(table.role_exprs[role], NamedRole):
+                    g.add_edge(node, fresh, role)
+                else:
+                    g.add_edge(fresh, node, inverse)
+                for constraint in table.node_constraints:
+                    g.add(fresh, constraint)
+                g.add(fresh, filler)
+                return True
+            return False
+        finally:
+            for entry in held:
+                heappush(heap, entry)
+
+    def _saturate(self, g: _Graph) -> Optional[tuple[int, int]]:
+        """Run the deterministic rules in priority order. Returns the first
+        open (node, disjunction) once the fixpoint rules are quiet, or None
+        when the graph is complete. Raises _Clash."""
+        while True:
+            self._expand(g)
+            choice = self._open_choice(g)
+            if choice is not None:
+                return choice
+            if self._fire_universal(g) or self._fire_existential(g):
+                continue
+            return None
+
+    def search(self, initial: _Graph) -> Optional[_Graph]:
+        """Chronological backtracking over disjunction choices (left to right)."""
+        frames: list[list] = []  # [base graph, node, operands, next index]
+        current: Optional[_Graph] = initial
+
+        def advance() -> Optional[_Graph]:
+            # Resume from the most recent choice point with operands left.
+            while frames:
+                base, node, operands, index = frames[-1]
+                if index >= len(operands):
+                    frames.pop()
+                    continue
+                frames[-1][3] = index + 1
+                candidate = base.copy()
+                try:
+                    candidate.add(node, operands[index])
+                except _Clash:
+                    continue
+                return candidate
+            return None
+
+        while True:
+            try:
+                choice = self._saturate(current)
+            except _Clash:
+                current = advance()
+                if current is None:
+                    return None
+                continue
+            if choice is None:
+                return current
+            node, disjunction = choice
+            if len(frames) >= self.limits.max_branch_depth:
+                raise ResourceLimitExceeded(
+                    f"branch depth limit exceeded ({self.limits.max_branch_depth})")
+            frames.append([current, node, self.table.args[disjunction], 0])
+            current = advance()
+            if current is None:
+                return None
+
+    def freeze(self, g: _Graph) -> CompletionGraph:
+        table = self.table
+        nodes = tuple(GraphNode(i, table.expressions(g.labels[i]), g.parents[i])
+                      for i in range(len(g.labels)))
+        edges = tuple(GraphEdge(source, target, table.role_exprs[role].iri)
+                      for source, targets in enumerate(g.out_edges)
+                      for role, target in targets)
+        blocking = tuple((i, ancestor) for i in range(len(g.labels))
+                         if (ancestor := self._blocker(g, i)) is not None)
+        return CompletionGraph(nodes=nodes, edges=edges, blocking=blocking, clash=False)
+
+
+def satisfiable(table: ConceptTable, concept: ConceptExpression, limits: ReasonerLimits,
+                equality_blocking: bool) -> SatResult:
+    """Satisfiability of an NNF concept; a Satisfiable verdict carries the
+    final completion graph as a witness."""
+    tableau = _Tableau(table, limits, equality_blocking)
+    g = tableau.graph()
+    try:
+        root = tableau.init_node(g, parent=None)
+        g.add(root, table.concept(concept))
+    except _Clash:
+        return SatResult(False, None)
+    final = tableau.search(g)
+    if final is None:
+        return SatResult(False, None)
+    return SatResult(True, tableau.freeze(final))
+
+
+def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
+                edges: list[tuple[int, int, Iri]], limits: ReasonerLimits,
+                equality_blocking: bool) -> Optional[list[dict[int, None]]]:
+    """Consistency of `roots` root nodes with the NNF `concepts` (root,
+    concept) and the `edges` (source root, target root, named role). Returns
+    each root's label of ids in a clash-free completion graph, or None when
+    there is none."""
+    tableau = _Tableau(table, limits, equality_blocking)
+    g = tableau.graph()
+    try:
+        for _ in range(roots):
+            tableau.init_node(g, parent=None)
+        for root, concept in concepts:
+            g.add(root, table.concept(concept))
+        for source, target, role in edges:
+            g.add_edge(source, target, table.role(NamedRole(role)))
+    except _Clash:
+        return None
+    final = tableau.search(g)
+    if final is None:
+        return None
+    return final.labels[:roots]

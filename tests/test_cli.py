@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -284,6 +288,45 @@ SubClassOf(:D ObjectSomeValuesFrom(:r :E))
     code, _, err = invoke(capsys, "classify", str(path), "--max-nodes", "2")
     assert code == 3
     assert "limit" in err
+
+
+def test_step_limit_exit_three(capsys, tmp_path):
+    # `C ⊑ Ai ⊔ Bi` for i < 20 and an unsatisfiable successor: about 2^20
+    # branches, all meeting the same clash.
+    lines = ["Prefix(:=<http://x#>)", "Prefix(owl:=<http://www.w3.org/2002/07/owl#>)",
+             "Ontology(<http://x>",
+             "SubClassOf(:C ObjectSomeValuesFrom(:r :D))", "SubClassOf(:D owl:Nothing)"]
+    lines += [f"SubClassOf(:C ObjectUnionOf(:A{i} :B{i}))" for i in range(20)]
+    path = tmp_path / "thrash.ofn"
+    path.write_text("\n".join(lines + [")"]) + "\n")
+    code, out, err = invoke(capsys, "classify", str(path), "--max-steps", "5000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("ontokit: resource limit: step limit exceeded "
+                          "(max_steps 5000) after 5001 steps: ")
+    assert "nodes created" in err and "graph copies" in err
+
+
+def test_stdout_does_not_depend_on_hash_seed(fixture_dir):
+    # Labels are int sets and expression sets iterate in hash order, so the
+    # bytes must come from the fixed tie-breaks, never from set order.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    ofn = str(fixture_dir / "disease.ofn")
+    commands = [
+        ["classify", ofn], ["diff", ofn],
+        ["query", ofn, "--kind", "InstancesOf", "--subject", "Infectious"],
+        ["probe", ofn, "--probes", str(fixture_dir / "table1.probes")],
+    ]
+    for argv in commands:
+        runs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+            done = subprocess.run([sys.executable, "-m", "ontokit.cli", *argv,
+                                   "--format", "json"],
+                                  env=env, capture_output=True, timeout=120)
+            runs.append((done.returncode, done.stdout))
+        assert runs[0] == runs[1], argv
+        assert runs[0][1], argv
 
 
 def test_strict_flag_rejects_undeclared(capsys, tmp_path):

@@ -51,6 +51,7 @@ from ontokit.reasoner import (
 )
 from ontokit.disease import DISEASE_NS, GIARDIA
 from ontokit.model import add_axiom
+from genontology import random_full_ontology
 from modelsearch import Interpretation, check_model, eval_concept, find_countermodel
 
 NS = "http://example.org/t#"
@@ -611,6 +612,47 @@ def test_branch_depth_limit_raises():
                        ReasonerLimits(max_branch_depth=2))
 
 
+def thrash_tbox(k):
+    """`C ⊑ Ai ⊔ Bi` for i < k and `C ⊑ ∃r.D` with D unsatisfiable: every
+    one of the 2^k combinations of choices meets the same clash in C's
+    successor, which chronological backtracking cannot see."""
+    c = Named(t("C"))
+    axioms = [SubConceptOf(c, Union((Named(t(f"A{i}")), Named(t(f"B{i}")))))
+              for i in range(k)]
+    axioms += [SubConceptOf(c, Existential(NamedRole(t("r")), Named(t("D")))),
+               SubConceptOf(Named(t("D")), Bottom())]
+    return normalize(tiny_ontology(axioms))
+
+
+def test_step_limit_stops_backtracking_thrash():
+    with pytest.raises(ResourceLimitExceeded,
+                       match=r"^step limit exceeded \(max_steps 20000\) after 20001 "
+                             r"steps: \d+ nodes created, \d+ graph copies$"):
+        is_satisfiable(Named(t("C")), thrash_tbox(20), ReasonerLimits(max_steps=20_000))
+
+
+def test_step_limit_counts_labels_nodes_and_copies():
+    # k = 8 takes 1,543 steps. 257 nodes: the root and a successor for each
+    # of the 256 leaves. 510 copies: two per choice point, 2 + 4 + ... + 256.
+    # 776 concepts added: 10 on the root (C, eight disjunctions, ∃r.D), one
+    # disjunct per copy and D on each successor, whose ⊥ clashes.
+    tbox = thrash_tbox(8)
+    assert not is_satisfiable(Named(t("C")), tbox, ReasonerLimits(max_steps=1543))
+    with pytest.raises(ResourceLimitExceeded, match=r"after 1543 steps: 257 nodes "
+                                                    r"created, 510 graph copies$"):
+        is_satisfiable(Named(t("C")), tbox, ReasonerLimits(max_steps=1542))
+
+
+def test_seed_7_full_ontology_finishes_or_trips_the_step_limit():
+    # Its branches are copied hundreds of thousands of times while the node
+    # limit is far off, so only the step limit can end it.
+    try:
+        is_consistent(random_full_ontology(random.Random(7)))
+    except ResourceLimitExceeded as exc:
+        assert str(exc).startswith(
+            f"step limit exceeded (max_steps {ReasonerLimits().max_steps})")
+
+
 def test_individual_free_ontology_with_unsatisfiable_top():
     # By construction the ABox graph has no roots, so the verdict is True.
     o = tiny_ontology([SubConceptOf(Top(), Bottom())])
@@ -623,6 +665,9 @@ def test_reasoner_limits_must_be_positive():
         ReasonerLimits(max_nodes=0)
     with pytest.raises(ValueError):
         ReasonerLimits(max_branch_depth=-1)
+    with pytest.raises(ValueError):
+        ReasonerLimits(max_steps=0)
     defaults = ReasonerLimits()
     assert defaults.max_nodes == 100_000
     assert defaults.max_branch_depth == 10_000
+    assert defaults.max_steps == 1_000_000

@@ -10,7 +10,7 @@ reference that `build_taxonomy`, `classify`, `asserted_taxonomy` and
 
 import random
 
-from ontokit import model, parser, reasoner, taxonomy
+from ontokit import model, parser, reasoner, tableau, taxonomy
 from ontokit.analysis import asserted_taxonomy
 from ontokit.model import (
     ConceptAssertion,
@@ -279,7 +279,7 @@ def test_realize_does_not_enumerate_entailed_types(disease, monkeypatch):
 def test_classify_keeps_no_module_state_across_ontologies():
     def module_state():
         return {(module.__name__, name): len(value)
-                for module in (reasoner, taxonomy, model, parser)
+                for module in (reasoner, tableau, taxonomy, model, parser)
                 for name, value in vars(module).items()
                 if not name.startswith("__") and isinstance(value, (dict, list, set))}
 
