@@ -29,7 +29,7 @@ from .reasoner import (
     DEFAULT_LIMITS,
     ReasonerLimits,
     Taxonomy,
-    _role_closure,
+    _role_closure_of,
     build_taxonomy,
     classify,
     instances_of,
@@ -230,7 +230,7 @@ def _role_fillers(
     `r⁻ ⊑* role`. Exact, because the role hierarchy is closed under
     inverse: an assertion `materialize_inverses` chains to is already below
     `role` through the told one it came from."""
-    subsumers, _, _ = _role_closure(ontology)
+    subsumers, _, _ = _role_closure_of(ontology)
     target = NamedRole(role)
 
     def implies(expr) -> bool:

@@ -3,8 +3,9 @@
 Entities, concept and role expressions, axioms, and the Ontology value type,
 plus the signature/counting/usage queries everything else is built on. All
 types are plain frozen dataclasses: construction validates invariants, and no
-operation mutates its inputs. The one thing written after construction is an
-Ontology's cached signature, which is never compared or printed.
+operation mutates its inputs. The only things written after construction are
+an Ontology's cached signature and the reasoner's compiled context, which are
+never compared or printed.
 """
 
 from __future__ import annotations
@@ -365,6 +366,10 @@ class Ontology:
     # operation that changes the axioms builds a new Ontology.
     _signature: Optional[tuple[Entity, ...]] = field(
         default=None, init=False, repr=False, compare=False)
+    # What the reasoner compiles from this instance (`reasoner._context`),
+    # typed loosely so that this module imports nothing from the reasoner.
+    _reasoning: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prefixes", tuple(sorted(dict(self.prefixes).items())))
@@ -384,6 +389,13 @@ class Ontology:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self):
+        # A copy or an unpickled instance compiles afresh: the reasoning
+        # context is a cache kept with this instance, not part of its value.
+        state = dict(self.__dict__)
+        state["_reasoning"] = None
+        return state
 
 
 def _declared_set(axioms: Iterable[Axiom]) -> set[Entity]:

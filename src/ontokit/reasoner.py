@@ -16,6 +16,17 @@ fixed: conjunctions and unfolding to a fixpoint, then the first open
 disjunction, then one universal, then one existential, each picked by
 (node, rank) with an id's rank the repr of its expression. The branches,
 witnesses and verdicts therefore do not depend on hash seeds or id order.
+
+Each Ontology instance keeps a reasoning context (`_Context`), filled on
+first use: the closure of its role hierarchy, which role-filler queries
+read without compiling a TBox, and then the compiled TBox with its
+`ConceptTable`, the sorted individuals, the NNF assertions on root indices
+and the consistency check's labels of ids per `ReasonerLimits`. So
+`is_consistent`, `classify`, `realize`, `entailed_types` and `instances_of`
+compile the TBox and check consistency once per instance and limits, not
+once per call. Public `normalize` still returns a fresh `NormalizedTBox`.
+The context lives and dies with its instance: `add_axiom` returns a new
+instance with none, and a copy or an unpickled instance starts without one.
 """
 
 from __future__ import annotations
@@ -373,7 +384,7 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
     # The closure's scan of every concept axiom also finds any inverse role
     # in the inclusions and definitions.
-    role_subsumers, transitive, uses_inverse = _role_closure(ontology)
+    role_subsumers, transitive, uses_inverse = _role_closure_of(ontology)
 
     absorbed: dict[Iri, list[ConceptExpression]] = {}
     domain_triggers: list[tuple[RoleExpression, ConceptExpression]] = []
@@ -398,7 +409,7 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
         negated_definitions={name: _nnf_complement(body)
                              for name, body in definitions.items()},
         general_inclusions=general,
-        role_subsumers=role_subsumers,
+        role_subsumers=dict(role_subsumers),  # the caller's own, like the rest
         transitive_roles=transitive,
         absorbed={name: tuple(sorted(exprs, key=repr))
                   for name, exprs in absorbed.items()},
@@ -455,50 +466,112 @@ def _individuals_of(ontology: Ontology) -> list[Iri]:
     return sorted(found, key=lambda iri: iri.value)
 
 
+@dataclass
+class _Context:
+    """What reasoning compiles from one Ontology instance, kept on it
+    (`Ontology._reasoning`) and filled part by part on first use: the role
+    closure, then the compiled ABox. Two threads that fill the same part at
+    once each make it and one is kept; a part is complete before it is
+    stored, so a call that reads it once sees a whole part."""
+
+    role_closure: Optional[tuple[dict, frozenset, bool]] = None
+    abox: Optional[_CompiledABox] = None
+
+
+@dataclass
+class _CompiledABox:
+    """The compiled TBox and its `ConceptTable`, made together so that
+    every label kept here reads the same ids; the sorted individuals; the
+    NNF concept assertions and the role assertions on root indices; and the
+    consistency check's labels of ids per `ReasonerLimits`, None where
+    there is no clash-free graph."""
+
+    tbox: NormalizedTBox
+    table: ConceptTable
+    individuals: list[Iri]
+    root: dict[Iri, int]
+    concepts: list[tuple[int, ConceptExpression]]
+    edges: list[tuple[int, int, Iri]]
+    labels: dict[ReasonerLimits, Optional[list[dict[int, None]]]]
+
+
+def _context(ontology: Ontology) -> _Context:
+    context = ontology._reasoning
+    if context is None:
+        context = _Context()
+        object.__setattr__(ontology, "_reasoning", context)
+    return context
+
+
+def _role_closure_of(ontology: Ontology) -> tuple[dict, frozenset, bool]:
+    """`_role_closure(ontology)`, made once per instance."""
+    context = _context(ontology)
+    if context.role_closure is None:
+        context.role_closure = _role_closure(ontology)
+    return context.role_closure
+
+
+def _compiled(ontology: Ontology) -> _CompiledABox:
+    context = _context(ontology)
+    abox = context.abox
+    if abox is None:
+        tbox = normalize(ontology)
+        individuals = _individuals_of(ontology)
+        root = {individual: i for i, individual in enumerate(individuals)}
+        abox = context.abox = _CompiledABox(
+            tbox, tbox.table, individuals, root,
+            concepts=[(root[axiom.individual], to_nnf(axiom.concept))
+                      for axiom in ontology.axioms if isinstance(axiom, ConceptAssertion)],
+            edges=[(root[axiom.subject], root[axiom.object], axiom.role)
+                   for axiom in ontology.axioms if isinstance(axiom, RoleAssertion)],
+            labels={})
+    return abox
+
+
 def _abox_labels(
-    ontology: Ontology,
-    tbox: NormalizedTBox,
-    individuals: list[Iri],
+    abox: _CompiledABox,
     limits: ReasonerLimits,
     extra: Iterable[tuple[Iri, ConceptExpression]] = (),
-) -> Optional[dict[Iri, dict[int, None]]]:
-    """Tableau consistency of the ABox (one root per individual in
-    `individuals`, which is `_individuals_of(ontology)`; no unique name
-    assumption) with optional extra concept constraints. Returns the label
-    of concept ids of each individual's node in a clash-free completion
-    graph, or None when there is none. With no named individuals the initial
-    graph is empty and trivially clash-free."""
-    root = {individual: i for i, individual in enumerate(individuals)}
-    extra = [(root[individual], to_nnf(concept)) for individual, concept in extra]
-    concepts = [(root[axiom.individual], to_nnf(axiom.concept))
-                for axiom in ontology.axioms if isinstance(axiom, ConceptAssertion)]
-    edges = [(root[axiom.subject], root[axiom.object], axiom.role)
-             for axiom in ontology.axioms if isinstance(axiom, RoleAssertion)]
-    labels = abox_labels(tbox.table, len(individuals), concepts + extra, edges, limits,
-                         _equality_blocking(tbox, [c for _, c in extra]))
-    return None if labels is None else dict(zip(individuals, labels))
+) -> Optional[list[dict[int, None]]]:
+    """Tableau consistency of the ABox (one root per individual; no unique
+    name assumption) with optional extra concept constraints. Returns the
+    label of concept ids of each individual's node in a clash-free
+    completion graph, in `abox.individuals` order, or None when there is
+    none. With no named individuals the initial graph is empty and trivially
+    clash-free."""
+    extra = [(abox.root[individual], to_nnf(concept)) for individual, concept in extra]
+    return abox_labels(abox.table, len(abox.individuals), abox.concepts + extra,
+                       abox.edges, limits,
+                       _equality_blocking(abox.tbox, [c for _, c in extra]))
+
+
+def _consistency_labels(abox: _CompiledABox,
+                        limits: ReasonerLimits) -> Optional[list[dict[int, None]]]:
+    """The consistency check's labels, checked once per instance and limits."""
+    if limits not in abox.labels:
+        abox.labels[limits] = _abox_labels(abox, limits)
+    return abox.labels[limits]
 
 
 def _consistent_abox(
     ontology: Ontology, limits: ReasonerLimits
-) -> tuple[NormalizedTBox, list[Iri], dict[Iri, frozenset[ConceptExpression]]]:
-    """The compiled TBox, the individuals and their labels in the
-    consistency check's completion graph, which every ABox query starts
-    from. Raises InconsistentOntologyError when there is no such graph."""
-    tbox = normalize(ontology)
-    individuals = _individuals_of(ontology)
-    labels = _abox_labels(ontology, tbox, individuals, limits)
+) -> tuple[_CompiledABox, dict[Iri, frozenset[ConceptExpression]]]:
+    """The compiled ABox and the individuals' labels in the consistency
+    check's completion graph, which every ABox query starts from. Raises
+    InconsistentOntologyError when there is no such graph."""
+    abox = _compiled(ontology)
+    labels = _consistency_labels(abox, limits)
     if labels is None:
         raise InconsistentOntologyError("ontology is inconsistent")
-    return tbox, individuals, {individual: tbox.table.expressions(label)
-                               for individual, label in labels.items()}
+    expressions = abox.table.expressions
+    return abox, {individual: expressions(label)
+                  for individual, label in zip(abox.individuals, labels)}
 
 
 def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> bool:
     """ABox consistency. With no named individuals the verdict is True by
     construction."""
-    return _abox_labels(ontology, normalize(ontology), _individuals_of(ontology),
-                        limits) is not None
+    return _consistency_labels(_compiled(ontology), limits) is not None
 
 
 def _named_concepts_of(ontology: Ontology) -> list[Iri]:
@@ -517,16 +590,15 @@ def instances_of(
     """All individuals whose membership in `concept` is entailed. For a
     named concept, an individual whose node in the consistency check's
     completion graph refutes it is ruled out without a test (`_refuted`)."""
-    tbox, individuals, labels = _consistent_abox(ontology, limits)
+    abox, labels = _consistent_abox(ontology, limits)
     negated = _nnf_complement(concept)
     # owl:Thing is in no label, yet every individual is an instance of it.
     prunable = isinstance(concept, Named) and concept.iri not in BUILTIN_CONCEPTS
     members = [
         individual
-        for individual in individuals
-        if not (prunable and _refuted(labels[individual], concept.iri, tbox))
-        and _abox_labels(ontology, tbox, individuals, limits,
-                         extra=[(individual, negated)]) is None
+        for individual in abox.individuals
+        if not (prunable and _refuted(labels[individual], concept.iri, abox.tbox))
+        and _abox_labels(abox, limits, extra=[(individual, negated)]) is None
     ]
     return tuple(members)
 
@@ -537,14 +609,14 @@ def entailed_types(
     """For each individual, every named concept it provably belongs to. A
     name the individual's node in the consistency check's completion graph
     refutes is ruled out without a test (`_refuted`)."""
-    tbox, individuals, labels = _consistent_abox(ontology, limits)
+    abox, labels = _consistent_abox(ontology, limits)
     names = _named_concepts_of(ontology)
     result: dict[Iri, tuple[Iri, ...]] = {}
-    for individual in individuals:
+    for individual in abox.individuals:
         entailed = [
             name for name in names
-            if not _refuted(labels[individual], name, tbox)
-            and _abox_labels(ontology, tbox, individuals, limits,
+            if not _refuted(labels[individual], name, abox.tbox)
+            and _abox_labels(abox, limits,
                              extra=[(individual, Complement(Named(name)))]) is None
         ]
         result[individual] = tuple(entailed)
@@ -564,7 +636,8 @@ def realize(
     all of its parents. The consistency check's completion graph is a model
     of the ontology, so a group with a primitive member missing from the
     individual's node is ruled out without a test (see `_refuted`)."""
-    tbox, individuals, labels = _consistent_abox(ontology, limits)
+    abox, labels = _consistent_abox(ontology, limits)
+    tbox = abox.tbox
     taxonomy = _classify(ontology, tbox, limits)
 
     def below(group: int) -> list[int]:
@@ -577,7 +650,7 @@ def realize(
             if any(_refuted(label, name, tbox) for name in members):
                 return False
             probe = [(individual, Complement(Named(members[0])))]
-            return _abox_labels(ontology, tbox, individuals, limits, extra=probe) is None
+            return _abox_labels(abox, limits, extra=probe) is None
 
         found = most_specific(Taxonomy.TOP, entailed, taxonomy.parents_of, below)
         names = sorted({name for group in found for name in taxonomy.members(group)},
@@ -591,7 +664,7 @@ def materialize_inverses(ontology: Ontology) -> Ontology:
     whenever r(a,b) holds and inv(r) ⊑* s for a named s, add s(b,a).
     Idempotent by construction (least fixpoint). Role-filler queries read
     the same closure off the told assertions without building it."""
-    role_subsumers, _, _ = _role_closure(ontology)
+    role_subsumers, _, _ = _role_closure_of(ontology)
     asserted = {a for a in ontology.axioms if isinstance(a, RoleAssertion)}
     closure = set(asserted)
     frontier = list(asserted)
@@ -676,7 +749,7 @@ def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Tax
     test where the answer is known: yes when d is a told subsumer of c, no
     when the root of c's witness refutes d (`_refuted`). ⊤'s witness
     refutes "⊤ ⊑ d" the same way. Only the other questions cost a test."""
-    return _classify(ontology, normalize(ontology), limits)
+    return _classify(ontology, _compiled(ontology).tbox, limits)
 
 
 def _classify(ontology: Ontology, tbox: NormalizedTBox, limits: ReasonerLimits) -> Taxonomy:

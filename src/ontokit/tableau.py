@@ -17,6 +17,7 @@ fixpoint is reached again before the next choice.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -111,10 +112,21 @@ class ConceptTable:
     its rank. Ids, ranks and the rules read off the TBox (unfoldings,
     transitive propagations, domain constraints) are made on first use, so
     compiling a TBox costs nothing until the tableau runs on it. For each
-    role id: the ids of its subsumers and of its inverse."""
+    role id: the ids of its subsumers and of its inverse.
+
+    Interning writes to the table, so a tableau run holds `lock` from start
+    to end: threads that share a TBox run on it one at a time."""
 
     def __init__(self, tbox):
-        self.tbox = tbox
+        # The parts of the TBox that rules are read from, not the TBox: it
+        # keeps this table, and a reference back would be a cycle, which
+        # only the cyclic collector frees.
+        self.definitions = tbox.definitions
+        self.negated_definitions = tbox.negated_definitions
+        self.absorbed = tbox.absorbed
+        self.role_subsumers = tbox.role_subsumers
+        self.domain_triggers = tbox.domain_triggers
+        self.lock = threading.Lock()
         self.ids: dict[ConceptExpression, int] = {}
         self.exprs: list[ConceptExpression] = []
         self.kinds: list[int] = []
@@ -132,6 +144,15 @@ class ConceptTable:
         # Transitive roles in repr order, as the ∀-rule tries them.
         self.transitive = [self.role(t) for t in sorted(tbox.transitive_roles, key=repr)]
         self.node_constraints = tuple(self.concept(c) for c in tbox.node_constraints)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.lock = threading.Lock()
 
     # -- interning --------------------------------------------------------------
 
@@ -176,7 +197,8 @@ class ConceptTable:
         self.role_sups.append(frozenset())
         self.role_inverse.append(-1)
         self.domain.append(None)
-        self.role_sups[r] = frozenset(self.role(s) for s in self.tbox.subsumers_of(expr))
+        sups = self.role_subsumers.get(expr, (expr,))
+        self.role_sups[r] = frozenset(self.role(s) for s in sups)
         self.role_inverse[r] = self.role(inverse_of(expr))
         return r
 
@@ -194,15 +216,14 @@ class ConceptTable:
         negated name (its negated definition) adds to a label."""
         found = self.unfoldings[i]
         if found is None:
-            tbox = self.tbox
             if self.kinds[i] == NAMED:
                 iri = self.exprs[i].iri
-                defn = tbox.definitions.get(iri)
+                defn = self.definitions.get(iri)
                 found = tuple(self.concept(e) for e in
-                              ((defn,) if defn is not None else ()) + tbox.absorbed.get(iri, ()))
+                              ((defn,) if defn is not None else ()) + self.absorbed.get(iri, ()))
             else:
                 operand = self.exprs[i].operand
-                neg = (tbox.negated_definitions.get(operand.iri)
+                neg = (self.negated_definitions.get(operand.iri)
                        if isinstance(operand, Named) else None)
                 found = (self.concept(neg),) if neg is not None else ()
             self.unfoldings[i] = found
@@ -225,7 +246,7 @@ class ConceptTable:
         if found is None:
             sups = self.role_sups[r]
             found = self.domain[r] = tuple(
-                self.concept(concept) for role, concept in self.tbox.domain_triggers
+                self.concept(concept) for role, concept in self.domain_triggers
                 if self.role(role) in sups)
         return found
 
@@ -566,16 +587,17 @@ def satisfiable(table: ConceptTable, concept: ConceptExpression, limits: Reasone
     """Satisfiability of an NNF concept; a Satisfiable verdict carries the
     final completion graph as a witness."""
     tableau = _Tableau(table, limits, equality_blocking)
-    g = tableau.graph()
-    try:
-        root = tableau.init_node(g, parent=None)
-        g.add(root, table.concept(concept))
-    except _Clash:
-        return SatResult(False, None)
-    final = tableau.search(g)
-    if final is None:
-        return SatResult(False, None)
-    return SatResult(True, tableau.freeze(final))
+    with table.lock:
+        g = tableau.graph()
+        try:
+            root = tableau.init_node(g, parent=None)
+            g.add(root, table.concept(concept))
+        except _Clash:
+            return SatResult(False, None)
+        final = tableau.search(g)
+        if final is None:
+            return SatResult(False, None)
+        return SatResult(True, tableau.freeze(final))
 
 
 def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
@@ -586,17 +608,18 @@ def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, Conce
     each root's label of ids in a clash-free completion graph, or None when
     there is none."""
     tableau = _Tableau(table, limits, equality_blocking)
-    g = tableau.graph()
-    try:
-        for _ in range(roots):
-            tableau.init_node(g, parent=None)
-        for root, concept in concepts:
-            g.add(root, table.concept(concept))
-        for source, target, role in edges:
-            g.add_edge(source, target, table.role(NamedRole(role)))
-    except _Clash:
-        return None
-    final = tableau.search(g)
-    if final is None:
-        return None
-    return final.labels[:roots]
+    with table.lock:
+        g = tableau.graph()
+        try:
+            for _ in range(roots):
+                tableau.init_node(g, parent=None)
+            for root, concept in concepts:
+                g.add(root, table.concept(concept))
+            for source, target, role in edges:
+                g.add_edge(source, target, table.role(NamedRole(role)))
+        except _Clash:
+            return None
+        final = tableau.search(g)
+        if final is None:
+            return None
+        return final.labels[:roots]

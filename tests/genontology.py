@@ -34,6 +34,7 @@ from ontokit.model import (
     Union,
     Universal,
     XSD_STRING,
+    add_axiom,
     make_ontology,
 )
 
@@ -120,6 +121,23 @@ def random_alc_ontology(rng: random.Random, max_concepts: int = 8,
                 axioms.append(DisjointConcepts((Named(first), Named(second))))
     ontology = make_ontology(Iri(NS.rstrip("#")), (("", NS),), axioms, strict=True)
     return ontology, concepts, roles
+
+
+def random_abox_ontology(rng: random.Random):
+    """A random ALC TBox with one to three individuals, typed by random
+    concepts (inverse roles allowed) and linked by random role assertions."""
+    ontology, concepts, roles = random_alc_ontology(rng)
+    individuals = [Iri(f"{NS}i{k}") for k in range(rng.randint(1, 3))]
+    for individual in individuals:
+        ontology = add_axiom(
+            ontology, Declaration(Entity(EntityKind.INDIVIDUAL, individual)))
+        for _ in range(rng.randint(0, 2)):
+            concept = random_expression(rng, concepts, roles, 1, allow_inverse=True)
+            ontology = add_axiom(ontology, ConceptAssertion(concept, individual))
+    for _ in range(rng.randint(0, 2)):
+        ontology = add_axiom(ontology, RoleAssertion(
+            rng.choice(roles), rng.choice(individuals), rng.choice(individuals)))
+    return ontology
 
 
 def random_full_ontology(rng: random.Random):

@@ -13,7 +13,6 @@ import random
 from ontokit import model, parser, reasoner, tableau, taxonomy
 from ontokit.analysis import asserted_taxonomy
 from ontokit.model import (
-    ConceptAssertion,
     Declaration,
     Entity,
     EntityKind,
@@ -22,10 +21,8 @@ from ontokit.model import (
     Named,
     NamedRole,
     OWL_THING,
-    RoleAssertion,
     SubConceptOf,
     Top,
-    add_axiom,
     make_ontology,
 )
 from ontokit.reasoner import (
@@ -40,8 +37,13 @@ from ontokit.reasoner import (
     told_subsumers,
 )
 from ontokit.taxonomy import Taxonomy, build_taxonomy
-from ontokit.disease import DISEASE_NS, GIARDIA
-from genontology import NS, random_alc_ontology, random_expression, random_full_ontology
+from ontokit.disease import DISEASE_NS, GIARDIA, build_disease_ontology
+from genontology import (
+    NS,
+    random_abox_ontology,
+    random_alc_ontology,
+    random_full_ontology,
+)
 
 SEED = 20261018
 
@@ -115,23 +117,6 @@ def oracle_realize(ontology):
                          if not any(d != c and leq(d, c) and not leq(c, d) for d in types)]
         result[individual] = tuple(most_specific) or (OWL_THING,)
     return result
-
-
-def random_abox_ontology(rng):
-    """A random ALC TBox with one to three individuals, typed by random
-    concepts (inverse roles allowed) and linked by random role assertions."""
-    ontology, concepts, roles = random_alc_ontology(rng)
-    individuals = [Iri(f"{NS}i{k}") for k in range(rng.randint(1, 3))]
-    for individual in individuals:
-        ontology = add_axiom(
-            ontology, Declaration(Entity(EntityKind.INDIVIDUAL, individual)))
-        for _ in range(rng.randint(0, 2)):
-            concept = random_expression(rng, concepts, roles, 1, allow_inverse=True)
-            ontology = add_axiom(ontology, ConceptAssertion(concept, individual))
-    for _ in range(rng.randint(0, 2)):
-        ontology = add_axiom(ontology, RoleAssertion(
-            rng.choice(roles), rng.choice(individuals), rng.choice(individuals)))
-    return ontology
 
 
 def told_tree(size, fan_out, ns="http://example.org/tree#"):
@@ -336,30 +321,35 @@ def test_pruned_abox_retrieval_equals_unpruned(disease, monkeypatch):
     assert checked >= 60, checked
 
 
-def test_pruned_abox_retrieval_makes_fewer_abox_tests(disease, monkeypatch):
-    calls = []
+def test_pruned_abox_retrieval_makes_fewer_abox_tests(monkeypatch):
+    # Its own instance: one the session has reasoned over has its
+    # consistency check kept already.
+    disease = build_disease_ontology()
+    checks, tests = [], []
     original = reasoner._abox_labels
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("extra"))
+        (tests if kwargs.get("extra") is not None else checks).append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(reasoner, "_abox_labels", counting)
     names = len(told_subsumers(disease))
     entailed_types(disease)
-    # One consistency check, then a test for each name Giardia's label does
-    # not refute: its three primitive types and the defined Infectious.
-    # Without pruning there is one test per name.
-    assert len(calls) == 5 < 1 + names, len(calls)
-    calls.clear()
+    # A test for each name Giardia's label does not refute: its three
+    # primitive types and the defined Infectious. Without pruning there is
+    # one test per name.
+    assert len(tests) == 4 < names, len(tests)
+    tests.clear()
     assert instances_of(Named(Iri(DISEASE_NS + "Virus")), disease) == ()
-    assert len(calls) == 1
-    calls.clear()
+    assert len(tests) == 0
     assert instances_of(Named(OWL_THING), disease) == (GIARDIA,)
-    assert len(calls) == 2
+    assert len(tests) == 1
+    # The three calls share one consistency check.
+    assert len(checks) == 1
 
 
-def test_realize_compiles_the_tbox_once(disease, monkeypatch):
+def test_realize_compiles_the_tbox_once(monkeypatch):
+    disease = build_disease_ontology()
     calls = []
     original = reasoner.normalize
 
