@@ -335,13 +335,6 @@ def axiom_references(axiom: Axiom) -> Iterator[tuple[Optional[EntityKind], Iri]]
         raise TypeError(f"unknown axiom type: {type(axiom).__name__}")
 
 
-def _mentions(axiom: Axiom, entity: Entity) -> bool:
-    for kind, iri in axiom_references(axiom):
-        if iri == entity.iri and (kind is None or kind == entity.kind):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Ontology
 # ---------------------------------------------------------------------------

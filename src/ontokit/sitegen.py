@@ -1,11 +1,12 @@
 """Deterministic static website generation.
 
 One hyperlinked page per declared entity plus an index with entity counts and
-the inferred concept tree. Generation takes one pass over the axioms, which
-indexes each axiom under the IRIs it mentions, plus one render per page that
-reads only its own entity's axioms. Markup is hand-emitted minimal HTML with no
-scripts or external assets, so equal inputs produce byte-identical output and
-structural tests stay trivial.
+the inferred concept tree. Generation takes one pass over the axioms. It
+finds each axiom's references once, renders its Usage entry at most once, and
+adds each section entry straight to the pages that show it; each IRI's anchor
+is rendered once per site. A page then only sorts and joins its own entries.
+Markup is hand-emitted minimal HTML with no scripts or external assets, so
+equal inputs produce byte-identical output and structural tests stay trivial.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import enum
 import html
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -47,7 +49,6 @@ from .model import (
     Union,
     Universal,
     _counts_of,
-    _mentions,
     axiom_references,
     declared_entities,
 )
@@ -61,25 +62,22 @@ class SiteDocument:
     body: str
 
 
-class SectionHeading(enum.Enum):
-    ASSERTED_SUPERCLASSES = "AssertedSuperclasses"
-    INFERRED_SUPERCLASSES = "InferredSuperclasses"
-    EQUIVALENT_TO = "EquivalentTo"
-    DISJOINT_WITH = "DisjointWith"
-    SUB_PROPERTIES = "SubProperties"
-    INVERSE_OF = "InverseOf"
-    DOMAIN_OF = "DomainOf"
-    RANGE_OF = "RangeOf"
-    MEMBERS = "Members"
-    PROPERTY_ASSERTIONS = "PropertyAssertions"
-    ANNOTATIONS = "Annotations"
-    USAGE = "Usage"
+class SectionHeading(enum.IntEnum):
+    """A page's sections, numbered in the order the page shows them. As ints
+    they hash and sort without a Python-level call."""
 
-
-@dataclass(frozen=True)
-class RenderedSection:
-    heading: SectionHeading
-    entries: tuple[str, ...]
+    ASSERTED_SUPERCLASSES = enum.auto()
+    INFERRED_SUPERCLASSES = enum.auto()
+    EQUIVALENT_TO = enum.auto()
+    DISJOINT_WITH = enum.auto()
+    SUB_PROPERTIES = enum.auto()
+    INVERSE_OF = enum.auto()
+    DOMAIN_OF = enum.auto()
+    RANGE_OF = enum.auto()
+    MEMBERS = enum.auto()
+    PROPERTY_ASSERTIONS = enum.auto()
+    ANNOTATIONS = enum.auto()
+    USAGE = enum.auto()
 
 
 @dataclass(frozen=True)
@@ -105,6 +103,7 @@ _SECTION_LABELS = {
 }
 
 _INDIVIDUAL_LABELS = {
+    **_SECTION_LABELS,
     SectionHeading.ASSERTED_SUPERCLASSES: "Types (asserted)",
     SectionHeading.INFERRED_SUPERCLASSES: "Types (inferred)",
 }
@@ -125,56 +124,64 @@ def _entity_html(iri: Iri, links: Optional[LinkMap]) -> str:
     return text
 
 
-def _role_html(role: RoleExpression, links: Optional[LinkMap]) -> str:
-    base = _entity_html(role.iri, links)
-    if isinstance(role, InverseRole):
-        return base + "⁻"
-    return base
+class _Anchors(dict):
+    """Each IRI's anchor, rendered on its first lookup: a link when `links`
+    gives the IRI a page, else the escaped bare fragment."""
+
+    def __init__(self, links: Optional[LinkMap]):
+        super().__init__()
+        self.links = links
+
+    def __missing__(self, iri: Iri) -> str:
+        anchor = self[iri] = _entity_html(iri, self.links)
+        return anchor
 
 
 def render_expression(expr: ConceptExpression, links: Optional[LinkMap] = None) -> str:
     """DL notation with embedded entity links: ⊓ ⊔ ¬ ∃ ∀ ⊤ ⊥, parenthesized
     only where the reading would otherwise be ambiguous (¬/∃/∀ bind tighter
     than ⊓, which binds tighter than ⊔)."""
-
-    def needs_parens(child: ConceptExpression, tight: bool) -> bool:
-        # Prefix operators and restriction fillers wrap any infix child;
-        # intersections wrap union children.
-        if isinstance(child, Union):
-            return True
-        return tight and isinstance(child, Intersection)
-
-    def wrap(child: ConceptExpression, tight: bool) -> str:
-        rendered = render(child)
-        if needs_parens(child, tight):
-            return f"({rendered})"
-        return rendered
-
-    def render(e: ConceptExpression) -> str:
-        if isinstance(e, Top):
-            return "⊤"
-        if isinstance(e, Bottom):
-            return "⊥"
-        if isinstance(e, Named):
-            return _entity_html(e.iri, links)
-        if isinstance(e, Complement):
-            return "¬" + wrap(e.operand, tight=True)
-        if isinstance(e, Existential):
-            return f"∃{_role_html(e.role, links)}.{wrap(e.filler, tight=True)}"
-        if isinstance(e, Universal):
-            return f"∀{_role_html(e.role, links)}.{wrap(e.filler, tight=True)}"
-        if isinstance(e, Intersection):
-            return " ⊓ ".join(wrap(op, tight=True) for op in e.operands)
-        if isinstance(e, Union):
-            return " ⊔ ".join(wrap(op, tight=False) for op in e.operands)
-        raise TypeError(f"unknown concept expression: {type(e).__name__}")
-
-    return render(expr)
+    return _expression_html(expr, _Anchors(links))
 
 
-def _axiom_html(axiom: Axiom, links: Optional[LinkMap]) -> str:
-    ent = lambda iri: _entity_html(iri, links)
-    con = lambda expr: render_expression(expr, links)
+def _expression_html(expr: ConceptExpression, anchors: _Anchors) -> str:
+    if isinstance(expr, Named):
+        return anchors[expr.iri]
+    if isinstance(expr, Top):
+        return "⊤"
+    if isinstance(expr, Bottom):
+        return "⊥"
+    if isinstance(expr, Complement):
+        return "¬" + _operand_html(expr.operand, anchors, tight=True)
+    if isinstance(expr, (Existential, Universal)):
+        quantifier = "∃" if isinstance(expr, Existential) else "∀"
+        return (f"{quantifier}{_role_html(expr.role, anchors)}."
+                f"{_operand_html(expr.filler, anchors, tight=True)}")
+    if isinstance(expr, Intersection):
+        return " ⊓ ".join(_operand_html(op, anchors, tight=True) for op in expr.operands)
+    if isinstance(expr, Union):
+        return " ⊔ ".join(_operand_html(op, anchors, tight=False) for op in expr.operands)
+    raise TypeError(f"unknown concept expression: {type(expr).__name__}")
+
+
+def _operand_html(child: ConceptExpression, anchors: _Anchors, tight: bool) -> str:
+    # Prefix operators and restriction fillers wrap any infix child;
+    # intersections wrap union children.
+    rendered = _expression_html(child, anchors)
+    if isinstance(child, Union) or (tight and isinstance(child, Intersection)):
+        return f"({rendered})"
+    return rendered
+
+
+def _role_html(role: RoleExpression, anchors: _Anchors) -> str:
+    if isinstance(role, InverseRole):
+        return anchors[role.iri] + "⁻"
+    return anchors[role.iri]
+
+
+def _axiom_html(axiom: Axiom, anchors: _Anchors) -> str:
+    ent = anchors.__getitem__
+    con = lambda expr: _expression_html(expr, anchors)
     if isinstance(axiom, Declaration):
         return f"declared {axiom.entity.kind.value}: {ent(axiom.entity.iri)}"
     if isinstance(axiom, SubConceptOf):
@@ -197,10 +204,7 @@ def _axiom_html(axiom: Axiom, links: Optional[LinkMap]) -> str:
         return f"{con(axiom.concept)}({ent(axiom.individual)})"
     if isinstance(axiom, RoleAssertion):
         return f"{ent(axiom.role)}({ent(axiom.subject)}, {ent(axiom.object)})"
-    if isinstance(axiom, DataAssertion):
-        return (f"{html.escape(axiom.role.fragment)}: "
-                f"{html.escape(axiom.value.lexical)} ({ent(axiom.subject)})")
-    if isinstance(axiom, AnnotationAssertion):
+    if isinstance(axiom, (DataAssertion, AnnotationAssertion)):
         return (f"{html.escape(axiom.role.fragment)}: "
                 f"{html.escape(axiom.value.lexical)} ({ent(axiom.subject)})")
     raise TypeError(f"unknown axiom type: {type(axiom).__name__}")
@@ -238,25 +242,9 @@ def _html_page(title: str, body: str) -> str:
     )
 
 
-def _render_sections(sections: list[RenderedSection], kind: EntityKind) -> str:
-    parts: list[str] = []
-    order = list(SectionHeading)
-    for section in sorted(sections, key=lambda s: order.index(s.heading)):
-        if not section.entries:
-            continue
-        label = _SECTION_LABELS[section.heading]
-        if kind is EntityKind.INDIVIDUAL:
-            label = _INDIVIDUAL_LABELS.get(section.heading, label)
-        parts.append(f"<h2>{html.escape(label)}</h2>\n<ul>\n")
-        parts.extend(f"<li>{entry}</li>\n" for entry in section.entries)
-        parts.append("</ul>\n")
-    return "".join(parts)
-
-
-def _tree_html(taxonomy: Taxonomy, links: LinkMap) -> str:
+def _tree_html(taxonomy: Taxonomy, anchors: _Anchors) -> str:
     def group_label(group: int) -> str:
-        members = taxonomy.members(group)
-        return " ≡ ".join(_entity_html(iri, links) for iri in members)
+        return " ≡ ".join(anchors[iri] for iri in taxonomy.members(group))
 
     def subtree(group: int) -> str:
         children = [
@@ -272,10 +260,6 @@ def _tree_html(taxonomy: Taxonomy, links: LinkMap) -> str:
         return "<ul>\n" + "".join(rows) + "</ul>\n"
 
     return "<ul>\n<li>⊤" + subtree(Taxonomy.TOP) + "</li>\n</ul>\n"
-
-
-def _sorted_entries(entries: set[str] | list[str]) -> tuple[str, ...]:
-    return tuple(sorted(set(entries)))
 
 
 def generate_site(
@@ -294,46 +278,120 @@ def generate_site(
     entities = declared_entities(ontology)
     paths = _page_paths(entities)
     links: dict[Iri, str] = {}
+    pages: dict[Iri, list[_Page]] = {}
     for entity in entities:  # declared_entities sorts by Entity.sort_key
         links.setdefault(entity.iri, paths[entity])
-    realization = realization or {}
-    mentioning: dict[Iri, list[Axiom]] = {}
-    for axiom in ontology.axioms:
-        for iri in _compared_iris(axiom):
-            mentioning.setdefault(iri, []).append(axiom)
-    members: dict[Iri, list[Iri]] = {}
-    for individual, types in realization.items():
-        for concept in types:
-            members.setdefault(concept, []).append(individual)
-    inferred_parents = {iri: inferred.parent_concepts_of(iri)
-                        for iri in inferred.concepts()}
+        pages.setdefault(entity.iri, []).append(_Page(entity))
+    anchors = _Anchors(links)
+    _fill_pages(pages, ontology, inferred, realization or {}, anchors)
 
-    documents = [_index_document(ontology, inferred, entities, paths, links)]
-    for entity in entities:
-        documents.append(
-            _entity_document(entity, mentioning.get(entity.iri, ()), realization,
-                             members, inferred_parents, paths, links))
+    documents = [_index_document(ontology, inferred, entities, paths, anchors)]
+    for entity_pages in pages.values():
+        documents.extend(page.document(paths[page.entity]) for page in entity_pages)
     return tuple(sorted(documents, key=lambda doc: doc.relative_path))
 
 
-def _compared_iris(axiom: Axiom) -> set[Iri]:
-    """Every IRI a page section may compare against `axiom`: its references,
-    plus a built-in concept named outright in a concept position, which
-    `axiom_references` skips but a declared owl:Thing's page still lists."""
-    iris = {iri for _, iri in axiom_references(axiom)}
-    if isinstance(axiom, SubConceptOf):
-        concepts = (axiom.sub, axiom.sup)
-    elif isinstance(axiom, (EquivalentConcepts, DisjointConcepts)):
-        concepts = axiom.operands
-    elif isinstance(axiom, (ConceptAssertion, RoleDomain, RoleRange)):
-        concepts = (axiom.concept,)
-    else:
-        concepts = ()
-    iris.update(c.iri for c in concepts if isinstance(c, Named))
-    return iris
+class _Page:
+    """One declared entity's page: its sections' entries, added by
+    `_fill_pages` in any order and sorted when the page is rendered."""
+
+    __slots__ = ("entity", "sections")
+
+    def __init__(self, entity: Entity):
+        self.entity = entity
+        self.sections: defaultdict[SectionHeading, list[str]] = defaultdict(list)
+
+    def document(self, path: str) -> SiteDocument:
+        """Render the page, handing over its entries: they are freed as the
+        site's pages are made, not held until the last one."""
+        iri, kind = self.entity.iri, self.entity.kind
+        parts = [f"<h1>{html.escape(iri.fragment)}</h1>\n"
+                 f"<p><code>{html.escape(iri.value)}</code> "
+                 f"({html.escape(kind.value)})</p>\n"
+                 '<p><a href="index.html">index</a></p>\n']
+        labels = _INDIVIDUAL_LABELS if kind is EntityKind.INDIVIDUAL else _SECTION_LABELS
+        for heading in sorted(self.sections):
+            entries = self.sections.pop(heading)
+            parts.append(f"<h2>{html.escape(labels[heading])}</h2>\n<ul>\n<li>"
+                         + "</li>\n<li>".join(sorted(set(entries))) + "</li>\n</ul>\n")
+        return SiteDocument(path, iri.fragment, _html_page(iri.fragment, "".join(parts)))
 
 
-def _index_document(ontology, inferred, entities, paths, links) -> SiteDocument:
+def _fill_pages(pages: dict[Iri, list[_Page]], ontology: Ontology, inferred: Taxonomy,
+                realization: Mapping[Iri, tuple[Iri, ...]], anchors: _Anchors) -> None:
+    """One pass over the axioms adds every section entry to the pages that
+    show it. An axiom's Usage entry goes to each page whose entity it
+    references in a kind-compatible position (an annotation subject suits
+    any kind); the other sections read an axiom's top-level positions, where
+    a declared owl:Thing's page may be named too."""
+
+    def add(kind: Optional[EntityKind], iri: Iri, heading: SectionHeading,
+            entry: str) -> None:
+        for page in pages.get(iri, ()):
+            if kind is None or page.entity.kind is kind:
+                page.sections[heading].append(entry)
+
+    concept, role, individual = EntityKind.CONCEPT, EntityKind.OBJECT_ROLE, EntityKind.INDIVIDUAL
+    for axiom in ontology.axioms:
+        if isinstance(axiom, Declaration):
+            continue
+        usage = _axiom_html(axiom, anchors)
+        for kind, iri in axiom_references(axiom):
+            add(kind, iri, SectionHeading.USAGE, usage)
+        if isinstance(axiom, SubConceptOf):
+            if isinstance(axiom.sub, Named):
+                add(concept, axiom.sub.iri, SectionHeading.ASSERTED_SUPERCLASSES,
+                    _expression_html(axiom.sup, anchors))
+        elif isinstance(axiom, (EquivalentConcepts, DisjointConcepts)):
+            heading = (SectionHeading.EQUIVALENT_TO if isinstance(axiom, EquivalentConcepts)
+                       else SectionHeading.DISJOINT_WITH)
+            rendered = [(op, _expression_html(op, anchors)) for op in axiom.operands]
+            for named in axiom.operands:
+                if isinstance(named, Named):
+                    for op, text in rendered:
+                        if op != named:
+                            add(concept, named.iri, heading, text)
+        elif isinstance(axiom, (RoleDomain, RoleRange)):
+            heading = (SectionHeading.DOMAIN_OF if isinstance(axiom, RoleDomain)
+                       else SectionHeading.RANGE_OF)
+            add(role, axiom.role, heading, _expression_html(axiom.concept, anchors))
+            if isinstance(axiom.concept, Named):
+                add(concept, axiom.concept.iri, heading, anchors[axiom.role])
+        elif isinstance(axiom, ConceptAssertion):
+            add(individual, axiom.individual, SectionHeading.ASSERTED_SUPERCLASSES,
+                _expression_html(axiom.concept, anchors))
+            if isinstance(axiom.concept, Named):
+                add(concept, axiom.concept.iri, SectionHeading.MEMBERS,
+                    anchors[axiom.individual])
+        elif isinstance(axiom, SubRoleOf):
+            add(role, axiom.sup, SectionHeading.SUB_PROPERTIES, anchors[axiom.sub])
+        elif isinstance(axiom, InverseRoles):
+            add(role, axiom.first, SectionHeading.INVERSE_OF, anchors[axiom.second])
+            add(role, axiom.second, SectionHeading.INVERSE_OF, anchors[axiom.first])
+        elif isinstance(axiom, RoleAssertion):
+            pair = f"{anchors[axiom.subject]} → {anchors[axiom.object]}"
+            add(role, axiom.role, SectionHeading.PROPERTY_ASSERTIONS, pair)
+            entry = f"{anchors[axiom.role]}: {pair}"
+            add(individual, axiom.subject, SectionHeading.PROPERTY_ASSERTIONS, entry)
+            add(individual, axiom.object, SectionHeading.PROPERTY_ASSERTIONS, entry)
+        elif isinstance(axiom, DataAssertion):
+            # Plain text so the value row reads exactly "role: value".
+            add(individual, axiom.subject, SectionHeading.PROPERTY_ASSERTIONS,
+                html.escape(f"{axiom.role.fragment}: {axiom.value.lexical}"))
+        elif isinstance(axiom, AnnotationAssertion):
+            add(None, axiom.subject, SectionHeading.ANNOTATIONS,
+                html.escape(f"{axiom.role.fragment}: {axiom.value.lexical}"))
+
+    for iri in inferred.concepts():
+        for parent in inferred.parent_concepts_of(iri):
+            add(concept, iri, SectionHeading.INFERRED_SUPERCLASSES, anchors[parent])
+    for member, types in realization.items():
+        for type_ in types:
+            add(concept, type_, SectionHeading.MEMBERS, anchors[member])
+            add(individual, member, SectionHeading.INFERRED_SUPERCLASSES, anchors[type_])
+
+
+def _index_document(ontology, inferred, entities, paths, anchors) -> SiteDocument:
     counts = _counts_of(entities)
     rows = [
         ("Classes", counts.concepts),
@@ -348,7 +406,7 @@ def _index_document(ontology, inferred, entities, paths, links) -> SiteDocument:
     body.extend(f"<tr><td>{label}</td><td>{value}</td></tr>\n" for label, value in rows)
     body.append("</table>\n")
     body.append("<h2>Class hierarchy (inferred)</h2>\n")
-    body.append(_tree_html(inferred, links))
+    body.append(_tree_html(inferred, anchors))
     kind_labels = [
         (EntityKind.CONCEPT, "Classes"),
         (EntityKind.OBJECT_ROLE, "Object properties"),
@@ -369,136 +427,6 @@ def _index_document(ontology, inferred, entities, paths, links) -> SiteDocument:
         body.append("</ul>\n")
     return SiteDocument("index.html", ontology.iri.value,
                         _html_page(ontology.iri.value, "".join(body)))
-
-
-def _entity_document(entity, axioms, realization, members, inferred_parents,
-                     paths, links) -> SiteDocument:
-    """`axioms` are those that mention the entity's IRI, in ontology order;
-    `members` maps each concept to the individuals realized under it, and
-    `inferred_parents` each concept of the inferred tree to its parents."""
-    sections: list[RenderedSection] = []
-    iri = entity.iri
-    if entity.kind is EntityKind.CONCEPT:
-        sections.extend(_concept_sections(iri, axioms, inferred_parents.get(iri, ()),
-                                          members.get(iri, ()), links))
-    elif entity.kind is EntityKind.OBJECT_ROLE:
-        sections.extend(_role_sections(iri, axioms, links))
-    elif entity.kind is EntityKind.INDIVIDUAL:
-        sections.extend(_individual_sections(iri, axioms, realization, links))
-    sections.append(_annotation_section(iri, axioms))
-    sections.append(_usage_section(entity, axioms, links))
-
-    header = (f"<h1>{html.escape(iri.fragment)}</h1>\n"
-              f"<p><code>{html.escape(iri.value)}</code> "
-              f"({html.escape(entity.kind.value)})</p>\n"
-              '<p><a href="index.html">index</a></p>\n')
-    body = header + _render_sections(sections, entity.kind)
-    return SiteDocument(paths[entity], iri.fragment, _html_page(iri.fragment, body))
-
-
-def _concept_sections(iri, axioms, parents, realized, links):
-    told_supers: list[str] = []
-    equivalents: list[str] = []
-    disjoints: list[str] = []
-    members: list[str] = [_entity_html(individual, links) for individual in realized]
-    for axiom in axioms:
-        if isinstance(axiom, SubConceptOf) and axiom.sub == Named(iri):
-            told_supers.append(render_expression(axiom.sup, links))
-        elif isinstance(axiom, EquivalentConcepts) and Named(iri) in axiom.operands:
-            equivalents.extend(render_expression(op, links)
-                               for op in axiom.operands if op != Named(iri))
-        elif isinstance(axiom, DisjointConcepts) and Named(iri) in axiom.operands:
-            disjoints.extend(render_expression(op, links)
-                             for op in axiom.operands if op != Named(iri))
-        elif isinstance(axiom, ConceptAssertion) and axiom.concept == Named(iri):
-            members.append(_entity_html(axiom.individual, links))
-    inferred_supers = [_entity_html(parent, links) for parent in parents]
-    domain_of = [
-        _entity_html(a.role, links) for a in axioms
-        if isinstance(a, RoleDomain) and a.concept == Named(iri)
-    ]
-    range_of = [
-        _entity_html(a.role, links) for a in axioms
-        if isinstance(a, RoleRange) and a.concept == Named(iri)
-    ]
-    return [
-        RenderedSection(SectionHeading.ASSERTED_SUPERCLASSES, _sorted_entries(told_supers)),
-        RenderedSection(SectionHeading.INFERRED_SUPERCLASSES, _sorted_entries(inferred_supers)),
-        RenderedSection(SectionHeading.EQUIVALENT_TO, _sorted_entries(equivalents)),
-        RenderedSection(SectionHeading.DISJOINT_WITH, _sorted_entries(disjoints)),
-        RenderedSection(SectionHeading.DOMAIN_OF, _sorted_entries(domain_of)),
-        RenderedSection(SectionHeading.RANGE_OF, _sorted_entries(range_of)),
-        RenderedSection(SectionHeading.MEMBERS, _sorted_entries(members)),
-    ]
-
-
-def _role_sections(iri, axioms, links):
-    subs: list[str] = []
-    inverses: list[str] = []
-    domains: list[str] = []
-    ranges: list[str] = []
-    assertions: list[str] = []
-    for axiom in axioms:
-        if isinstance(axiom, SubRoleOf) and axiom.sup == iri:
-            subs.append(_entity_html(axiom.sub, links))
-        elif isinstance(axiom, InverseRoles) and iri in (axiom.first, axiom.second):
-            other = axiom.second if axiom.first == iri else axiom.first
-            inverses.append(_entity_html(other, links))
-        elif isinstance(axiom, RoleDomain) and axiom.role == iri:
-            domains.append(render_expression(axiom.concept, links))
-        elif isinstance(axiom, RoleRange) and axiom.role == iri:
-            ranges.append(render_expression(axiom.concept, links))
-        elif isinstance(axiom, RoleAssertion) and axiom.role == iri:
-            assertions.append(f"{_entity_html(axiom.subject, links)} → "
-                              f"{_entity_html(axiom.object, links)}")
-    return [
-        RenderedSection(SectionHeading.SUB_PROPERTIES, _sorted_entries(subs)),
-        RenderedSection(SectionHeading.INVERSE_OF, _sorted_entries(inverses)),
-        RenderedSection(SectionHeading.DOMAIN_OF, _sorted_entries(domains)),
-        RenderedSection(SectionHeading.RANGE_OF, _sorted_entries(ranges)),
-        RenderedSection(SectionHeading.PROPERTY_ASSERTIONS, _sorted_entries(assertions)),
-    ]
-
-
-def _individual_sections(iri, axioms, realization, links):
-    told_types: list[str] = []
-    assertions: list[str] = []
-    for axiom in axioms:
-        if isinstance(axiom, ConceptAssertion) and axiom.individual == iri:
-            told_types.append(render_expression(axiom.concept, links))
-        elif isinstance(axiom, RoleAssertion) and iri in (axiom.subject, axiom.object):
-            assertions.append(f"{_entity_html(axiom.role, links)}: "
-                              f"{_entity_html(axiom.subject, links)} → "
-                              f"{_entity_html(axiom.object, links)}")
-        elif isinstance(axiom, DataAssertion) and axiom.subject == iri:
-            # Plain text so the value row reads exactly "role: value".
-            assertions.append(html.escape(f"{axiom.role.fragment}: {axiom.value.lexical}"))
-    inferred_types = [
-        _entity_html(concept, links) for concept in realization.get(iri, ())
-    ]
-    return [
-        RenderedSection(SectionHeading.ASSERTED_SUPERCLASSES, _sorted_entries(told_types)),
-        RenderedSection(SectionHeading.INFERRED_SUPERCLASSES, _sorted_entries(inferred_types)),
-        RenderedSection(SectionHeading.PROPERTY_ASSERTIONS, _sorted_entries(assertions)),
-    ]
-
-
-def _annotation_section(iri, axioms) -> RenderedSection:
-    notes = [
-        html.escape(f"{axiom.role.fragment}: {axiom.value.lexical}")
-        for axiom in axioms
-        if isinstance(axiom, AnnotationAssertion) and axiom.subject == iri
-    ]
-    return RenderedSection(SectionHeading.ANNOTATIONS, _sorted_entries(notes))
-
-
-def _usage_section(entity, axioms, links) -> RenderedSection:
-    entries = [
-        _axiom_html(axiom, links)
-        for axiom in axioms
-        if not isinstance(axiom, Declaration) and _mentions(axiom, entity)
-    ]
-    return RenderedSection(SectionHeading.USAGE, _sorted_entries(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,18 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_run_in_a_process(capsys, ofn, monkeypatch):
+    argvs = [["frobnicate", "x.ofn"], ["--help"],
+             ["classify", ofn, "--format", "json"], ["stats", ofn]]
+    shared = [invoke(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
+    # Each call below builds its own parser, as every run did before.
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [invoke(capsys, *argv) for argv in argvs]
+    assert shared == fresh
+
+
 def test_query_fillers_of_roundtrip(capsys, ofn, tmp_path):
     # Extend the bundled ontology with an assertion, then query through the CLI.
     from ontokit.disease import build_disease_ontology, DISEASE_NS

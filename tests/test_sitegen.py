@@ -10,11 +10,14 @@ from ontokit.model import (
     ConceptAssertion,
     DataAssertion,
     Declaration,
+    DisjointConcepts,
     Entity,
     EntityKind,
+    EquivalentConcepts,
     Existential,
     Intersection,
     InverseRole,
+    InverseRoles,
     Iri,
     Literal,
     Named,
@@ -22,6 +25,8 @@ from ontokit.model import (
     OWL_THING,
     Ontology,
     RoleAssertion,
+    RoleDomain,
+    RoleRange,
     SubConceptOf,
     Top,
     Bottom,
@@ -353,6 +358,68 @@ def test_sites_keep_recorded_bytes(disease, disease_taxonomy):
     } == SITE_DIGESTS
 
 
+def _told_realization(n_classes):
+    """Each individual of `_told_ontology(n_classes)` under its told class and
+    every ancestor of it, as realizing a told tree gives: many pages share
+    axioms, and the upper classes list many members."""
+    ns = "http://x#"
+    realization = {}
+    for i in range(n_classes // 4):
+        types, j = [], n_classes - 1 - i
+        while True:
+            types.append(Iri(f"{ns}C{j}"))
+            if j == 0:
+                break
+            j = (j - 1) // 2
+        realization[Iri(f"{ns}i{i}")] = tuple(types)
+    return realization
+
+
+def _punned_ontology():
+    """One IRI as class, role and individual at once, with the positions a
+    page must match by kind: annotation subjects (any kind, or no page), a
+    self-inverse role, a repeated equivalent and owl:Thing named outright."""
+    ns = "http://x#"
+    p, q, a, note = Iri(ns + "P"), Iri(ns + "Q"), Iri(ns + "A"), Iri(ns + "note")
+    return make_ontology(Iri("http://x"), (), [
+        SubConceptOf(Named(p), Existential(NamedRole(p), Named(q))),
+        SubConceptOf(Named(OWL_THING), Named(p)),
+        EquivalentConcepts((Named(p), Named(p), Named(a))),
+        DisjointConcepts((Named(q), Named(OWL_THING))),
+        ConceptAssertion(Named(p), p),
+        RoleAssertion(p, p, q),
+        InverseRoles(p, p),
+        RoleDomain(p, Named(p)),
+        RoleRange(p, Named(OWL_THING)),
+        DataAssertion(Iri(ns + "d"), p, Literal("v<1> & 2")),
+        AnnotationAssertion(note, p, Literal("about P")),
+        AnnotationAssertion(note, Iri(ns + "stray"), Literal("no page")),
+    ])
+
+
+# Recorded from the generator that rendered each page's sections from that
+# page's own axioms, before one pass over the axioms filled every page.
+ONE_PASS_DIGESTS = {
+    "told-members": "b60448d0cfd8c306e7e5d86ecb40d0174fc25ee0fe10f89bb5f671a200460694",
+    "punned": "b5352e860086ae79585afbbc68b0cab96fffda3ce602597d2958f320d250fe2b",
+}
+
+
+def test_sites_sharing_axioms_keep_recorded_bytes():
+    told = _told_ontology(120)
+    told_taxonomy = asserted_taxonomy(told)
+    punned = _punned_ontology()
+    punned_taxonomy = asserted_taxonomy(punned)
+    p, q, a = (Iri("http://x#" + name) for name in "PQA")
+    assert {
+        "told-members": _site_digest([generate_site(
+            told, told_taxonomy, told_taxonomy, _told_realization(120))]),
+        "punned": _site_digest([generate_site(
+            punned, punned_taxonomy, punned_taxonomy,
+            {p: (p, a, OWL_THING), q: (p,)})]),
+    } == ONE_PASS_DIGESTS
+
+
 def test_declared_thing_page_keeps_asserted_superclass():
     ontology = _declared_thing_ontology()
     docs = generate_site(ontology, classify(ontology), asserted_taxonomy(ontology))
@@ -385,6 +452,34 @@ def test_generate_site_does_not_rescan_signature_per_page(monkeypatch):
         # declared_entities and compute_counts each read the signature once.
         assert calls["signature"] <= 2, (n_classes, calls)
         assert calls["usages"] == 0, (n_classes, calls)
+
+
+def test_generate_site_renders_each_axiom_and_anchor_once(monkeypatch):
+    calls = {name: collections.Counter()
+             for name in ("axiom_references", "_axiom_html", "_entity_html")}
+
+    def counting(name, key):
+        original = getattr(sitegen, name)
+
+        def wrapper(*args):
+            calls[name][key(*args)] += 1
+            return original(*args)
+        monkeypatch.setattr(sitegen, name, wrapper)
+
+    # Axioms are counted by identity, anchors by IRI.
+    counting("axiom_references", lambda axiom: id(axiom))
+    counting("_axiom_html", lambda axiom, anchors: id(axiom))
+    counting("_entity_html", lambda iri, links: iri)
+    ontology = _told_ontology(120)
+    taxonomy = asserted_taxonomy(ontology)
+    docs = generate_site(ontology, taxonomy, taxonomy, _told_realization(120))
+    assert len(docs) > 120
+    n_axioms = len(ontology.axioms)  # no declarations: all show in Usage
+    assert sum(calls["axiom_references"].values()) == n_axioms
+    assert sum(calls["_axiom_html"].values()) == n_axioms
+    assert len(calls["_entity_html"]) > 120
+    for name, counts in calls.items():
+        assert max(counts.values()) == 1, (name, counts.most_common(3))
 
 
 def test_asserted_taxonomy_then_site_sort_the_signature_once(monkeypatch):
