@@ -12,29 +12,26 @@ from typing import Iterable, Optional, Union as TypingUnion
 
 from .model import (
     ConceptExpression,
-    Declaration,
-    Entity,
     EntityKind,
+    Intersection,
     InverseRole,
     Iri,
     Named,
     NamedRole,
     Ontology,
     RoleAssertion,
-    SubConceptOf,
-    add_axiom,
     signature,
 )
 from .reasoner import (
     DEFAULT_LIMITS,
     ReasonerLimits,
     Taxonomy,
+    _compiled,
     _role_closure_of,
     build_taxonomy,
     classify,
     instances_of,
     is_satisfiable,
-    normalize,
     told_subsumers,
 )
 
@@ -147,37 +144,27 @@ def _fragment_index(ontology: Ontology, kind: EntityKind) -> dict[str, Iri]:
     return index
 
 
-def _probe_namespace(ontology: Ontology) -> str:
-    for prefix, expansion in ontology.prefixes:
-        if prefix == "":
-            return expansion
-    return ontology.iri.value + "#"
-
-
 def run_probes(
     ontology: Ontology,
     probes: Iterable[ProbeSpec],
     limits: ReasonerLimits = DEFAULT_LIMITS,
 ) -> list[ProbeResult]:
-    """Satisfiability of each probe beneath its superclasses. The extension is
-    built on a copy and discarded; the input ontology is left untouched."""
+    """Satisfiability of each probe beneath its superclasses. A fresh
+    primitive `P ⊑ S1 ⊓ … ⊓ Sk` is satisfiable iff `S1 ⊓ … ⊓ Sk` is, so
+    each probe tests that intersection on the ontology's own compiled TBox;
+    the input ontology is left untouched."""
     concepts = _fragment_index(ontology, EntityKind.CONCEPT)
     taken = {entity.iri.fragment for entity in signature(ontology)}
-    namespace = _probe_namespace(ontology)
     results: list[ProbeResult] = []
     for probe in probes:
         if probe.name in taken:
             raise ProbeNameCollisionError(
                 f"probe name collides with a declared entity: {probe.name}")
-        probe_iri = Iri(namespace + probe.name)
-        extended = add_axiom(
-            ontology, Declaration(Entity(EntityKind.CONCEPT, probe_iri)))
         for super_name in probe.supers:
             if super_name not in concepts:
                 raise UnknownEntityError(f"unknown superclass: {super_name}")
-            extended = add_axiom(
-                extended, SubConceptOf(Named(probe_iri), Named(concepts[super_name])))
-        verdict = is_satisfiable(Named(probe_iri), normalize(extended), limits)
+        supers = Intersection(tuple(Named(concepts[name]) for name in probe.supers))
+        verdict = is_satisfiable(supers, _compiled(ontology).tbox, limits)
         results.append(ProbeResult(probe, verdict.satisfiable))
     return results
 

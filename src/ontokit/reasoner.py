@@ -16,6 +16,10 @@ fixed: conjunctions and unfolding to a fixpoint, then the first open
 disjunction, then one universal, then one existential, each picked by
 (node, rank) with an id's rank the repr of its expression. The branches,
 witnesses and verdicts therefore do not depend on hash seeds or id order.
+Each label entry carries the set of choices it depends on: the search
+backjumps past choices a clash does not depend on, and an entry that
+depends on none is an entailment, which classification and the ABox
+queries read off instead of testing it (`_entailed`).
 
 Each Ontology instance keeps a reasoning context (`_Context`), filled on
 first use: the closure of its role hierarchy, which role-filler queries
@@ -285,11 +289,12 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     primitive named left-hand side is added where that name is; one whose
     left-hand side is an intersection with a primitive conjunct `P` (the
     first in operand order) becomes `¬rest ⊔ rhs` added where `P` is. A
-    definition `A ≡ C` whose name is also the left-hand side of another
-    inclusion is demoted to `A ⊑ C` and `C ⊑ A` when `C` has such a
-    conjunct, so that all three absorb: lazy unfolding cannot carry `A`'s
-    other inclusions, since the tableau never adds `A` where only `C`
-    holds. Multiple and cyclic definitions are demoted the same way."""
+    definition `A ≡ C` is demoted to `A ⊑ C` and `C ⊑ A` when `C` has such
+    a conjunct, so that both halves absorb and the tableau adds `A` wherever
+    `C` holds. Lazy unfolding never does that, so it could carry none of
+    `A`'s other inclusions, and the absence of `A` from a label would prove
+    nothing (see `_refuted`). Multiple and cyclic definitions are demoted
+    the same way."""
     candidates: dict[Iri, list[ConceptExpression]] = {}
     raw_gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
     for axiom in ontology.axioms:
@@ -371,14 +376,12 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
         raw_gcis.append((Named(name), body))
         raw_gcis.append((body, Named(name)))
 
-    # Cyclic definitions are demoted the same way, and so are definitions
-    # whose name has other inclusions and whose body can be absorbed.
-    lhs_names = {lhs.iri for lhs, _ in raw_gcis if isinstance(lhs, Named)}
+    # Cyclic definitions are demoted the same way, and so is every
+    # definition whose body can be absorbed.
     for name in sorted(_cycle_names(), key=lambda iri: iri.value):
         demote(name)
     for name in sorted(definitions, key=lambda iri: iri.value):
-        if name in lhs_names and \
-                _primitive_conjunct(to_nnf(definitions[name]), definitions) is not None:
+        if _primitive_conjunct(to_nnf(definitions[name]), definitions) is not None:
             demote(name)
 
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
@@ -483,8 +486,8 @@ class _CompiledABox:
     """The compiled TBox and its `ConceptTable`, made together so that
     every label kept here reads the same ids; the sorted individuals; the
     NNF concept assertions and the role assertions on root indices; and the
-    consistency check's labels of ids per `ReasonerLimits`, None where
-    there is no clash-free graph."""
+    consistency check's labels of ids, with their dependency sets, per
+    `ReasonerLimits`, None where there is no clash-free graph."""
 
     tbox: NormalizedTBox
     table: ConceptTable
@@ -492,7 +495,7 @@ class _CompiledABox:
     root: dict[Iri, int]
     concepts: list[tuple[int, ConceptExpression]]
     edges: list[tuple[int, int, Iri]]
-    labels: dict[ReasonerLimits, Optional[list[dict[int, None]]]]
+    labels: dict[ReasonerLimits, Optional[list[dict[int, int]]]]
 
 
 def _context(ontology: Ontology) -> _Context:
@@ -532,7 +535,7 @@ def _abox_labels(
     abox: _CompiledABox,
     limits: ReasonerLimits,
     extra: Iterable[tuple[Iri, ConceptExpression]] = (),
-) -> Optional[list[dict[int, None]]]:
+) -> Optional[list[dict[int, int]]]:
     """Tableau consistency of the ABox (one root per individual; no unique
     name assumption) with optional extra concept constraints. Returns the
     label of concept ids of each individual's node in a clash-free
@@ -546,7 +549,7 @@ def _abox_labels(
 
 
 def _consistency_labels(abox: _CompiledABox,
-                        limits: ReasonerLimits) -> Optional[list[dict[int, None]]]:
+                        limits: ReasonerLimits) -> Optional[list[dict[int, int]]]:
     """The consistency check's labels, checked once per instance and limits."""
     if limits not in abox.labels:
         abox.labels[limits] = _abox_labels(abox, limits)
@@ -555,17 +558,15 @@ def _consistency_labels(abox: _CompiledABox,
 
 def _consistent_abox(
     ontology: Ontology, limits: ReasonerLimits
-) -> tuple[_CompiledABox, dict[Iri, frozenset[ConceptExpression]]]:
-    """The compiled ABox and the individuals' labels in the consistency
-    check's completion graph, which every ABox query starts from. Raises
-    InconsistentOntologyError when there is no such graph."""
+) -> tuple[_CompiledABox, dict[Iri, dict[int, int]]]:
+    """The compiled ABox and the individuals' labels of ids in the
+    consistency check's completion graph, which every ABox query starts
+    from. Raises InconsistentOntologyError when there is no such graph."""
     abox = _compiled(ontology)
     labels = _consistency_labels(abox, limits)
     if labels is None:
         raise InconsistentOntologyError("ontology is inconsistent")
-    expressions = abox.table.expressions
-    return abox, {individual: expressions(label)
-                  for individual, label in zip(abox.individuals, labels)}
+    return abox, dict(zip(abox.individuals, labels))
 
 
 def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> bool:
@@ -588,39 +589,42 @@ def instances_of(
     limits: ReasonerLimits = DEFAULT_LIMITS,
 ) -> tuple[Iri, ...]:
     """All individuals whose membership in `concept` is entailed. For a
-    named concept, an individual whose node in the consistency check's
-    completion graph refutes it is ruled out without a test (`_refuted`)."""
+    named concept, the individual's node in the consistency check's
+    completion graph answers without a test where it can: no when the node
+    refutes it (`_refuted`), yes when the name is there with no
+    dependencies (`_entailed`)."""
     abox, labels = _consistent_abox(ontology, limits)
     negated = _nnf_complement(concept)
     # owl:Thing is in no label, yet every individual is an instance of it.
-    prunable = isinstance(concept, Named) and concept.iri not in BUILTIN_CONCEPTS
-    members = [
-        individual
-        for individual in abox.individuals
-        if not (prunable and _refuted(labels[individual], concept.iri, abox.tbox))
-        and _abox_labels(abox, limits, extra=[(individual, negated)]) is None
-    ]
-    return tuple(members)
+    if not isinstance(concept, Named) or concept.iri in BUILTIN_CONCEPTS:
+        return tuple(individual for individual in abox.individuals
+                     if _abox_labels(abox, limits, extra=[(individual, negated)]) is None)
+    return tuple(individual for individual in abox.individuals
+                 if _abox_entails(abox, limits, individual, labels[individual], concept.iri))
+
+
+def _abox_entails(abox: _CompiledABox, limits: ReasonerLimits, individual: Iri,
+                  label: dict[int, int], name: Iri) -> bool:
+    """Whether the ABox entails that `individual`, whose node in the
+    consistency check's graph has `label`, belongs to the named concept."""
+    if _refuted(label, name, abox.tbox):
+        return False
+    if _entailed(label, name, abox.tbox):
+        return True
+    return _abox_labels(abox, limits, extra=[(individual, Complement(Named(name)))]) is None
 
 
 def entailed_types(
     ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS
 ) -> dict[Iri, tuple[Iri, ...]]:
-    """For each individual, every named concept it provably belongs to. A
-    name the individual's node in the consistency check's completion graph
-    refutes is ruled out without a test (`_refuted`)."""
+    """For each individual, every named concept it provably belongs to,
+    read off the individual's node in the consistency check's completion
+    graph where it can be (see `instances_of`)."""
     abox, labels = _consistent_abox(ontology, limits)
     names = _named_concepts_of(ontology)
-    result: dict[Iri, tuple[Iri, ...]] = {}
-    for individual in abox.individuals:
-        entailed = [
-            name for name in names
-            if not _refuted(labels[individual], name, abox.tbox)
-            and _abox_labels(abox, limits,
-                             extra=[(individual, Complement(Named(name)))]) is None
-        ]
-        result[individual] = tuple(entailed)
-    return result
+    return {individual: tuple(name for name in names
+                              if _abox_entails(abox, limits, individual, label, name))
+            for individual, label in labels.items()}
 
 
 def realize(
@@ -633,9 +637,10 @@ def realize(
     Each individual descends the inferred taxonomy by the same top search
     the taxonomy builder runs, with an ABox entailment test in place of the
     subsumption test: a group is tested only once the individual belongs to
-    all of its parents. The consistency check's completion graph is a model
-    of the ontology, so a group with a primitive member missing from the
-    individual's node is ruled out without a test (see `_refuted`)."""
+    all of its parents. The individual's node in the consistency check's
+    completion graph answers without a test where it can: no when it
+    refutes a member (`_refuted`), yes when a member is there with no
+    dependencies (`_entailed`)."""
     abox, labels = _consistent_abox(ontology, limits)
     tbox = abox.tbox
     taxonomy = _classify(ontology, tbox, limits)
@@ -649,6 +654,8 @@ def realize(
             members = taxonomy.members(group)
             if any(_refuted(label, name, tbox) for name in members):
                 return False
+            if any(_entailed(label, name, tbox) for name in members):
+                return True
             probe = [(individual, Complement(Named(members[0])))]
             return _abox_labels(abox, limits, extra=probe) is None
 
@@ -718,9 +725,9 @@ def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
     return {name: frozenset(told[name]) for name in order}
 
 
-def _refuted(label: Container[ConceptExpression], name: Iri, tbox: NormalizedTBox) -> bool:
-    """Whether the node with this label, in a clash-free completion graph,
-    shows an element outside the named concept.
+def _refuted(label: Container[int], name: Iri, tbox: NormalizedTBox) -> bool:
+    """Whether the node with this label of ids, in a clash-free completion
+    graph over `tbox`'s table, shows an element outside the named concept.
 
     Sound for primitive names only. A complete, clash-free graph reads as a
     model in which a primitive name holds exactly at the nodes whose label
@@ -729,13 +736,22 @@ def _refuted(label: Container[ConceptExpression], name: Iri, tbox: NormalizedTBo
     the tableau adds its body when the name is in a label, never the name
     when its body holds. In the model the name holds wherever its body
     does, so its absence proves nothing. The fixture's
-    `OrganismStructure ⊑ Infectious` is such a case. A definition that
-    `normalize` demotes to two inclusions counts as primitive: its
+    `OrganismStructure ⊑ Infectious` is such a case. `normalize` keeps a
+    definition only when its body has no primitive conjunct; every other
+    one is demoted to two inclusions and counts as primitive: its
     right-to-left half is absorbed into a primitive conjunct `P` of the
     body, so at every node labelled `P` the tableau adds the name or
     refutes the rest of the body, and the name holds exactly where it is
     labelled."""
-    return name not in tbox.definitions and Named(name) not in label
+    return name not in tbox.definitions and tbox.table.names.get(name) not in label
+
+
+def _entailed(label: dict[int, int], name: Iri, tbox: NormalizedTBox) -> bool:
+    """Whether the label of ids has the named concept with an empty
+    dependency set. Such an entry was derived from the run's input and the
+    TBox by deterministic rules alone, so every model of them puts the
+    node in the concept, whichever choices a model makes."""
+    return label.get(tbox.table.names.get(name)) == 0
 
 
 def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Taxonomy:
@@ -744,30 +760,34 @@ def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Tax
     inserted by `build_taxonomy` in told-topological order, with mutually
     subsuming names merged. Independent of axiom order.
 
-    A satisfiability pre-pass tests each name once and keeps its witness.
-    The builder's questions "c ⊑ d?" are then answered without a tableau
-    test where the answer is known: yes when d is a told subsumer of c, no
-    when the root of c's witness refutes d (`_refuted`). ⊤'s witness
-    refutes "⊤ ⊑ d" the same way. Only the other questions cost a test."""
+    A satisfiability pre-pass tests each name once and keeps the root label
+    of its completion graph. The builder's questions "c ⊑ d?" are then
+    answered without a tableau test where the answer is known: yes when d
+    is a told subsumer of c, no when the root label of c's run refutes d
+    (`_refuted`), yes when d is in it with no dependencies (`_entailed`).
+    ⊤'s run answers "⊤ ⊑ d" the same way. Only the other questions cost a
+    test."""
     return _classify(ontology, _compiled(ontology).tbox, limits)
 
 
 def _classify(ontology: Ontology, tbox: NormalizedTBox, limits: ReasonerLimits) -> Taxonomy:
     told = told_subsumers(ontology)
-    witness = {name: is_satisfiable(Named(name), tbox, limits).witness for name in told}
-    bottom = [name for name in told if witness[name] is None]
+    label = {name: is_satisfiable(Named(name), tbox, limits).root_label for name in told}
+    bottom = [name for name in told if label[name] is None]
     top: list[Iri] = []
     if len(bottom) < len(told):
-        root = is_satisfiable(Top(), tbox, limits).witness.nodes[0].label
+        root = is_satisfiable(Top(), tbox, limits).root_label
         top = [name for name in told
-               if witness[name] is not None and not _refuted(root, name, tbox)
-               and is_subsumed_by(Top(), Named(name), tbox, limits)]
+               if label[name] is not None and not _refuted(root, name, tbox)
+               and (_entailed(root, name, tbox)
+                    or is_subsumed_by(Top(), Named(name), tbox, limits))]
 
     def leq(c: Iri, d: Iri) -> bool:
         if d in told[c]:
             return True
-        if _refuted(witness[c].nodes[0].label, d, tbox):
+        root = label[c]
+        if _refuted(root, d, tbox):
             return False
-        return is_subsumed_by(Named(c), Named(d), tbox, limits)
+        return _entailed(root, d, tbox) or is_subsumed_by(Named(c), Named(d), tbox, limits)
 
     return build_taxonomy(told, leq, top_names=top, bottom_names=bottom)

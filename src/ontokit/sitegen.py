@@ -236,9 +236,10 @@ def _page_paths(entities: tuple[Entity, ...]) -> dict[Entity, str]:
 
 
 def _html_page(title: str, body: str) -> str:
+    """A page around `body`; `title` is escaped already."""
     return (
         "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
-        f"<title>{html.escape(title)}</title>\n</head>\n<body>\n{body}</body>\n</html>\n"
+        f"<title>{title}</title>\n</head>\n<body>\n{body}</body>\n</html>\n"
     )
 
 
@@ -305,16 +306,17 @@ class _Page:
         """Render the page, handing over its entries: they are freed as the
         site's pages are made, not held until the last one."""
         iri, kind = self.entity.iri, self.entity.kind
-        parts = [f"<h1>{html.escape(iri.fragment)}</h1>\n"
-                 f"<p><code>{html.escape(iri.value)}</code> "
-                 f"({html.escape(kind.value)})</p>\n"
+        # Kind names and section labels are constants with nothing to escape.
+        title = html.escape(iri.fragment)
+        parts = [f"<h1>{title}</h1>\n"
+                 f"<p><code>{html.escape(iri.value)}</code> ({kind.value})</p>\n"
                  '<p><a href="index.html">index</a></p>\n']
         labels = _INDIVIDUAL_LABELS if kind is EntityKind.INDIVIDUAL else _SECTION_LABELS
         for heading in sorted(self.sections):
             entries = self.sections.pop(heading)
-            parts.append(f"<h2>{html.escape(labels[heading])}</h2>\n<ul>\n<li>"
+            parts.append(f"<h2>{labels[heading]}</h2>\n<ul>\n<li>"
                          + "</li>\n<li>".join(sorted(set(entries))) + "</li>\n</ul>\n")
-        return SiteDocument(path, iri.fragment, _html_page(iri.fragment, "".join(parts)))
+        return SiteDocument(path, iri.fragment, _html_page(title, "".join(parts)))
 
 
 def _fill_pages(pages: dict[Iri, list[_Page]], ontology: Ontology, inferred: Taxonomy,
@@ -401,7 +403,8 @@ def _index_document(ontology, inferred, entities, paths, anchors) -> SiteDocumen
         ("Individuals", counts.individuals),
         ("Data types", counts.datatypes),
     ]
-    body = [f"<h1>{html.escape(ontology.iri.value)}</h1>\n"]
+    title = html.escape(ontology.iri.value)
+    body = [f"<h1>{title}</h1>\n"]
     body.append("<h2>Entity counts</h2>\n<table>\n")
     body.extend(f"<tr><td>{label}</td><td>{value}</td></tr>\n" for label, value in rows)
     body.append("</table>\n")
@@ -421,12 +424,14 @@ def _index_document(ontology, inferred, entities, paths, anchors) -> SiteDocumen
             continue
         body.append(f"<h2>{label}</h2>\n<ul>\n")
         for entity in sorted(of_kind, key=lambda e: (e.iri.fragment, e.iri.value)):
-            link = f'<a href="{html.escape(paths[entity], quote=True)}">' \
-                   f"{html.escape(entity.iri.fragment)}</a>"
+            # Paths are made of safe characters only. The IRI's anchor links
+            # to the page of its first entity; a punned IRI's others differ.
+            path = paths[entity]
+            link = (anchors[entity.iri] if anchors.links[entity.iri] == path
+                    else f'<a href="{path}">{html.escape(entity.iri.fragment)}</a>')
             body.append(f"<li>{link}</li>\n")
         body.append("</ul>\n")
-    return SiteDocument("index.html", ontology.iri.value,
-                        _html_page(ontology.iri.value, "".join(body)))
+    return SiteDocument("index.html", ontology.iri.value, _html_page(title, "".join(body)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,19 @@ a fixpoint first; then the first open disjunction branches; then one
 universal fires, then one existential, each picked by (node, rank), where
 an id's rank is the repr of its expression. After each firing the
 fixpoint is reached again before the next choice.
+
+Every label entry and edge carries its dependency set: an int bitmask of
+the branch points it rests on, bit i for the i-th open choice. A clash
+carries the union of its two entries' sets, and the search backjumps to the
+latest branch point in that union (Horrocks & Patel-Schneider 1999),
+skipping later choices, which would meet the same clash. An entry with an
+empty set follows from the input and the TBox alone.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Optional
@@ -90,11 +97,24 @@ class CompletionGraph:
 
 @dataclass(frozen=True)
 class SatResult:
+    """A verdict. A Satisfiable one keeps the final graph of its run: its
+    witness is frozen from it on first access, and `root_label` is the
+    root's label of ids with their dependency sets."""
+
     satisfiable: bool
-    witness: Optional[CompletionGraph]
+    _final: Optional[_Graph] = field(default=None, repr=False, compare=False)
+    _tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.satisfiable
+
+    @cached_property
+    def witness(self) -> Optional[CompletionGraph]:
+        return None if self._final is None else self._tableau.freeze(self._final)
+
+    @property
+    def root_label(self) -> Optional[dict[int, int]]:
+        return None if self._final is None else self._final.labels[0]
 
 
 # Concept kinds.
@@ -109,10 +129,11 @@ class ConceptTable:
 
     For each concept id: its kind, its operand ids (the filler for ∃ and
     ∀), its role id, the id it clashes with (a name and its complement) and
-    its rank. Ids, ranks and the rules read off the TBox (unfoldings,
-    transitive propagations, domain constraints) are made on first use, so
-    compiling a TBox costs nothing until the tableau runs on it. For each
-    role id: the ids of its subsumers and of its inverse.
+    its rank; for each named concept's IRI, its id. Ids, ranks and the
+    rules read off the TBox (unfoldings, transitive propagations, domain
+    constraints) are made on first use, so compiling a TBox costs nothing
+    until the tableau runs on it. For each role id: the ids of its
+    subsumers and of its inverse.
 
     Interning writes to the table, so a tableau run holds `lock` from start
     to end: threads that share a TBox run on it one at a time."""
@@ -128,6 +149,7 @@ class ConceptTable:
         self.domain_triggers = tbox.domain_triggers
         self.lock = threading.Lock()
         self.ids: dict[ConceptExpression, int] = {}
+        self.names: dict[Iri, int] = {}  # the id of each named concept
         self.exprs: list[ConceptExpression] = []
         self.kinds: list[int] = []
         self.args: list[tuple[int, ...]] = []
@@ -181,7 +203,9 @@ class ConceptTable:
         self.ranks.append(None)
         self.unfoldings.append(None)
         self.propagations.append(None)
-        if kind == NOT:
+        if kind == NAMED:
+            self.names[expr.iri] = i
+        elif kind == NOT:
             self.partner[i] = args[0]
             if self.kinds[args[0]] == NAMED:
                 self.partner[args[0]] = i
@@ -257,7 +281,11 @@ class ConceptTable:
 
 
 class _Clash(Exception):
-    pass
+    """A clash, with the union of the dependency sets of its two entries."""
+
+    def __init__(self, deps: int):
+        super().__init__()
+        self.deps = deps
 
 
 class _Work:
@@ -279,11 +307,11 @@ class _Work:
 class _Graph:
     """Mutable working graph over concept ids.
 
-    Labels are dicts from id to None: the value slot is reserved for the
-    set of branch points an entry depends on, which dependency-directed
-    backjumping needs. Besides the graph itself it holds the agenda: `todo`
-    for the fixpoint rules, and heaps of (node, rank, id) for the
-    disjunctions, universals and existentials that may still fire."""
+    Labels are dicts from id to the entry's dependency set, and each edge
+    carries the set of the existential (or assertion) that made it. Besides
+    the graph itself it holds the agenda: `todo` for the fixpoint rules, and
+    heaps of (node, rank, id) for the disjunctions, universals and
+    existentials that may still fire."""
 
     __slots__ = ("table", "work", "labels", "frozen", "parents", "out_edges",
                  "in_edges", "alls", "todo", "choices", "universals", "existentials")
@@ -291,11 +319,11 @@ class _Graph:
     def __init__(self, table: ConceptTable, work: _Work):
         self.table = table
         self.work = work
-        self.labels: list[dict[int, None]] = []
+        self.labels: list[dict[int, int]] = []
         self.frozen: list[Optional[frozenset[int]]] = []  # label sets, for blocking
         self.parents: list[Optional[int]] = []
-        self.out_edges: list[list[tuple[int, int]]] = []  # (role, target)
-        self.in_edges: list[list[tuple[int, int]]] = []  # (inverse role, source)
+        self.out_edges: list[list[tuple[int, int, int]]] = []  # (role, target, deps)
+        self.in_edges: list[list[tuple[int, int, int]]] = []  # (inverse role, source, deps)
         self.alls: list[list[int]] = []  # each node's universals
         self.todo: list[tuple[int, int]] = []
         self.choices: list[tuple[int, str, int]] = []
@@ -338,32 +366,35 @@ class _Graph:
         self.alls.append([])
         return node
 
-    def add_edge(self, source: int, target: int, role: int) -> None:
+    def add_edge(self, source: int, target: int, role: int, deps: int) -> None:
         """Link `source` to `target` by the named role `role`. The new
         neighbours wake the universals at both ends, and the source and
         target take the domain constraints of the role and its inverse."""
         table = self.table
         inverse = table.role_inverse[role]
-        self.out_edges[source].append((role, target))
-        self.in_edges[target].append((inverse, source))
+        self.out_edges[source].append((role, target, deps))
+        self.in_edges[target].append((inverse, source, deps))
         for node, r in ((source, role), (target, inverse)):
             for universal in self.alls[node]:
                 heappush(self.universals, (node, table.ranks[universal], universal))
             for concept in table.domain_constraints(r):
-                self.add(node, concept)
+                self.add(node, concept, deps)
 
-    def add(self, node: int, concept: int) -> bool:
+    def add(self, node: int, concept: int, deps: int) -> bool:
         label = self.labels[node]
         if concept in label:
             return False
         table = self.table
-        if table.kinds[concept] == BOTTOM or table.partner[concept] in label:
-            raise _Clash()
+        if table.kinds[concept] == BOTTOM:
+            raise _Clash(deps)
+        partner = label.get(table.partner[concept])
+        if partner is not None:
+            raise _Clash(deps | partner)
         work = self.work
         work.steps += 1
         if work.steps > work.max_steps:
             raise work.exceeded()
-        label[concept] = None
+        label[concept] = deps
         self.frozen[node] = None
         self.todo.append((node, concept))
         return True
@@ -382,17 +413,17 @@ class _Tableau:
     def init_node(self, g: _Graph, parent: Optional[int]) -> int:
         node = g.new_node(parent)
         for constraint in self.table.node_constraints:
-            g.add(node, constraint)
+            g.add(node, constraint, 0)
         return node
 
     # -- neighbour access -----------------------------------------------------
 
-    def _neighbours(self, g: _Graph, node: int, role: int) -> list[int]:
-        """Nodes linked to `node` by an edge whose role, read from `node`'s
-        side, is subsumed by `role`."""
+    def _neighbours(self, g: _Graph, node: int, role: int) -> list[tuple[int, int]]:
+        """(node, edge dependency set) for each node linked to `node` by an
+        edge whose role, read from `node`'s side, is subsumed by `role`."""
         sups = self.table.role_sups
-        out = [target for r, target in g.out_edges[node] if role in sups[r]]
-        out += [source for r, source in g.in_edges[node] if role in sups[r]]
+        out = [(target, deps) for r, target, deps in g.out_edges[node] if role in sups[r]]
+        out += [(source, deps) for r, source, deps in g.in_edges[node] if role in sups[r]]
         return out
 
     # -- blocking --------------------------------------------------------------
@@ -429,16 +460,18 @@ class _Tableau:
         """Run conjunctions and unfolding to a fixpoint off the agenda, and
         file each new disjunction, universal and existential."""
         table = self.table
-        kinds, args, todo = table.kinds, table.args, g.todo
+        kinds, args, labels, todo = table.kinds, table.args, g.labels, g.todo
         while todo:
             node, concept = todo.pop()
             kind = kinds[concept]
             if kind == AND:
+                deps = labels[node][concept]
                 for op in args[concept]:
-                    g.add(node, op)
+                    g.add(node, op, deps)
             elif kind == NAMED or kind == NOT:
+                deps = labels[node][concept]
                 for extra in table.unfolding(concept):
-                    g.add(node, extra)
+                    g.add(node, extra, deps)
             elif kind == OR:
                 heappush(g.choices, (node, table.rank(concept), concept))
             elif kind == ALL:
@@ -462,12 +495,13 @@ class _Tableau:
     def _apply_universal(self, g: _Graph, node: int, concept: int) -> bool:
         table = self.table
         filler = table.args[concept][0]
-        for target in self._neighbours(g, node, table.roles[concept]):
-            if g.add(target, filler):
+        deps = g.labels[node][concept]
+        for target, edge in self._neighbours(g, node, table.roles[concept]):
+            if g.add(target, filler, deps | edge):
                 return True
         for trans, propagated in table.propagation(concept):
-            for target in self._neighbours(g, node, trans):
-                if g.add(target, propagated):
+            for target, edge in self._neighbours(g, node, trans):
+                if g.add(target, propagated, deps | edge):
                     return True
         return False
 
@@ -494,7 +528,7 @@ class _Tableau:
             while heap:
                 node, _, concept = heap[0]
                 role, filler = table.roles[concept], table.args[concept][0]
-                if any(filler in labels[t] for t in self._neighbours(g, node, role)):
+                if any(filler in labels[t] for t, _ in self._neighbours(g, node, role)):
                     heappop(heap)
                     continue
                 if node not in blocked:
@@ -502,15 +536,18 @@ class _Tableau:
                 if blocked[node]:
                     held.append(heappop(heap))
                     continue
+                # The successor, its edge and all it starts with rest on
+                # what the existential rests on.
+                deps = labels[node][concept]
                 fresh = g.new_node(parent=node)
                 inverse = table.role_inverse[role]
                 if isinstance(table.role_exprs[role], NamedRole):
-                    g.add_edge(node, fresh, role)
+                    g.add_edge(node, fresh, role, deps)
                 else:
-                    g.add_edge(fresh, node, inverse)
+                    g.add_edge(fresh, node, inverse, deps)
                 for constraint in table.node_constraints:
-                    g.add(fresh, constraint)
-                g.add(fresh, filler)
+                    g.add(fresh, constraint, deps)
+                g.add(fresh, filler, deps)
                 return True
             return False
         finally:
@@ -531,44 +568,58 @@ class _Tableau:
             return None
 
     def search(self, initial: _Graph) -> Optional[_Graph]:
-        """Chronological backtracking over disjunction choices (left to right)."""
-        frames: list[list] = []  # [base graph, node, operands, next index]
-        current: Optional[_Graph] = initial
+        """Backtracking over disjunction choices, left to right, that jumps
+        back to the latest choice a clash depends on. Choice i adds its
+        operand with bit i set; its last operand instead carries the sets of
+        the clashes its other operands met, without bit i, since it is
+        forced by them. A clash that depends on no choice ends the search."""
+        args = self.table.args
+        # [base graph, node, operands, next index, deps of the disjunction,
+        #  deps of the clashes met so far without this choice's bit]
+        frames: list[list] = []
 
-        def advance() -> Optional[_Graph]:
-            # Resume from the most recent choice point with operands left.
-            while frames:
-                base, node, operands, index = frames[-1]
-                if index >= len(operands):
-                    frames.pop()
-                    continue
-                frames[-1][3] = index + 1
-                candidate = base.copy()
-                try:
-                    candidate.add(node, operands[index])
-                except _Clash:
-                    continue
-                return candidate
-            return None
+        def alternative() -> _Graph:
+            # The next operand of the choice on top of the stack; raises _Clash.
+            frame = frames[-1]
+            base, node, operands, index, deps, failed = frame
+            frame[3] = index + 1
+            if index + 1 < len(operands):
+                deps |= 1 << (len(frames) - 1)
+            else:
+                deps |= failed
+            candidate = base.copy()
+            candidate.add(node, operands[index], deps)
+            return candidate
 
+        current = initial
         while True:
             try:
                 choice = self._saturate(current)
-            except _Clash:
-                current = advance()
-                if current is None:
-                    return None
-                continue
-            if choice is None:
-                return current
-            node, disjunction = choice
-            if len(frames) >= self.limits.max_branch_depth:
-                raise ResourceLimitExceeded(
-                    f"branch depth limit exceeded ({self.limits.max_branch_depth})")
-            frames.append([current, node, self.table.args[disjunction], 0])
-            current = advance()
-            if current is None:
-                return None
+                if choice is None:
+                    return current
+                node, disjunction = choice
+                if len(frames) >= self.limits.max_branch_depth:
+                    raise ResourceLimitExceeded(
+                        f"branch depth limit exceeded ({self.limits.max_branch_depth})")
+                frames.append([current, node, args[disjunction], 0,
+                               current.labels[node][disjunction], 0])
+                current = alternative()
+            except _Clash as clash:
+                deps = clash.deps
+                while True:
+                    # No choice after the highest bit set can undo the
+                    # clash, so the search resumes at that choice. It has
+                    # an operand left, since its last one carries no bit.
+                    top = deps.bit_length() - 1
+                    if top < 0:
+                        return None
+                    del frames[top + 1:]
+                    frames[top][5] |= deps & ~(1 << top)
+                    try:
+                        current = alternative()
+                        break
+                    except _Clash as again:
+                        deps = again.deps
 
     def freeze(self, g: _Graph) -> CompletionGraph:
         table = self.table
@@ -576,7 +627,7 @@ class _Tableau:
                       for i in range(len(g.labels)))
         edges = tuple(GraphEdge(source, target, table.role_exprs[role].iri)
                       for source, targets in enumerate(g.out_edges)
-                      for role, target in targets)
+                      for role, target, _ in targets)
         blocking = tuple((i, ancestor) for i in range(len(g.labels))
                          if (ancestor := self._blocker(g, i)) is not None)
         return CompletionGraph(nodes=nodes, edges=edges, blocking=blocking, clash=False)
@@ -591,22 +642,22 @@ def satisfiable(table: ConceptTable, concept: ConceptExpression, limits: Reasone
         g = tableau.graph()
         try:
             root = tableau.init_node(g, parent=None)
-            g.add(root, table.concept(concept))
+            g.add(root, table.concept(concept), 0)
         except _Clash:
-            return SatResult(False, None)
+            return SatResult(False)
         final = tableau.search(g)
         if final is None:
-            return SatResult(False, None)
-        return SatResult(True, tableau.freeze(final))
+            return SatResult(False)
+        return SatResult(True, final, tableau)
 
 
 def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
                 edges: list[tuple[int, int, Iri]], limits: ReasonerLimits,
-                equality_blocking: bool) -> Optional[list[dict[int, None]]]:
+                equality_blocking: bool) -> Optional[list[dict[int, int]]]:
     """Consistency of `roots` root nodes with the NNF `concepts` (root,
     concept) and the `edges` (source root, target root, named role). Returns
-    each root's label of ids in a clash-free completion graph, or None when
-    there is none."""
+    each root's label of ids, with their dependency sets, in a clash-free
+    completion graph, or None when there is none."""
     tableau = _Tableau(table, limits, equality_blocking)
     with table.lock:
         g = tableau.graph()
@@ -614,9 +665,9 @@ def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, Conce
             for _ in range(roots):
                 tableau.init_node(g, parent=None)
             for root, concept in concepts:
-                g.add(root, table.concept(concept))
+                g.add(root, table.concept(concept), 0)
             for source, target, role in edges:
-                g.add_edge(source, target, table.role(NamedRole(role)))
+                g.add_edge(source, target, table.role(NamedRole(role)), 0)
         except _Clash:
             return None
         final = tableau.search(g)

@@ -201,3 +201,47 @@ def random_full_ontology(rng: random.Random):
             axioms.append(AnnotationAssertion(annotation_roles[0], individual,
                                               Literal("a short note")))
     return make_ontology(Iri(NS.rstrip("#")), (("", NS),), axioms, strict=True)
+
+
+def disease_abox_ontology(rng: random.Random, count: int) -> tuple:
+    """`count` diseases in one ABox, in the shape of the benchmark's
+    abox-realize inputs: bacterial and viral alternate, each disease is
+    caused by its own organism and linked to its own symptom, and every
+    disease node must choose `Chronic ⊔ Acute` and its absorbed
+    `Bacterial` definition. The seed picks whether each symptom link is
+    asserted as `hasSymptoms` or as its inverse, and the axiom order.
+    Returns the ontology, which is consistent, and each individual's most
+    specific named concepts."""
+    def c(name):
+        return Named(Iri(NS + name))
+
+    def r(name):
+        return Iri(NS + name)
+
+    axioms = [
+        SubConceptOf(c("Bacteria"), c("Organism")), SubConceptOf(c("Virus"), c("Organism")),
+        DisjointConcepts((c("Bacteria"), c("Virus"))),
+        SubConceptOf(c("Infectious"), c("Disease")),
+        SubConceptOf(c("Infectious"), Union((c("Chronic"), c("Acute")))),
+        EquivalentConcepts((c("Bacterial"), Intersection(
+            (c("Disease"), Existential(NamedRole(r("causedBy")), c("Bacteria")))))),
+        SubConceptOf(c("Bacterial"), c("Infectious")),
+        RoleRange(r("causedBy"), c("Organism")),
+        RoleRange(r("hasSymptoms"), c("Symptom")),
+        InverseRoles(r("hasSymptoms"), r("isSymptomsOf")),
+    ]
+    expected = {}
+    for i in range(count):
+        kind = ("Bacteria", "Virus")[i % 2]
+        disease, organism, symptom = r(f"d{i}"), r(f"o{i}"), r(f"s{i}")
+        axioms += [ConceptAssertion(c("Disease"), disease), ConceptAssertion(c(kind), organism),
+                   RoleAssertion(r("causedBy"), disease, organism)]
+        if rng.random() < 0.5:
+            axioms.append(RoleAssertion(r("hasSymptoms"), disease, symptom))
+        else:
+            axioms.append(RoleAssertion(r("isSymptomsOf"), symptom, disease))
+        expected[disease] = (c("Bacterial" if kind == "Bacteria" else "Disease").iri,)
+        expected[organism] = (c(kind).iri,)
+        expected[symptom] = (c("Symptom").iri,)
+    rng.shuffle(axioms)
+    return make_ontology(Iri(NS.rstrip("#")), (("", NS),), axioms), expected

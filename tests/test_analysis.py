@@ -25,6 +25,7 @@ from ontokit.model import (
     Named,
     NamedRole,
     RoleAssertion,
+    SubConceptOf,
     add_axiom,
     signature,
 )
@@ -188,6 +189,42 @@ def test_probe_flips_when_disjointness_removed(disease, probes):
         for other, result in enumerate(results):
             if other != index:
                 assert not result.satisfiable
+
+
+def extended_copy_verdicts(ontology, probes):
+    """Each probe's verdict the long way: declare it as a fresh class under
+    its superclasses on a copy of the ontology, compile that copy and test
+    the class."""
+    concepts = {e.iri.fragment: e.iri for e in signature(ontology)
+                if e.kind is EntityKind.CONCEPT}
+    namespace = ontology.iri.value + "#probe-"
+    verdicts = []
+    for probe in probes:
+        name = Iri(namespace + probe.name)
+        extended = add_axiom(ontology, Declaration(Entity(EntityKind.CONCEPT, name)))
+        for super_name in probe.supers:
+            extended = add_axiom(extended, SubConceptOf(Named(name), Named(concepts[super_name])))
+        verdicts.append(reasoner.is_satisfiable(Named(name), normalize(extended)).satisfiable)
+    return verdicts
+
+
+def test_probes_agree_with_extended_copies(disease):
+    rng = random.Random(20261019)
+    names = sorted(e.iri.fragment for e in signature(disease) if e.kind is EntityKind.CONCEPT)
+    cases = [(disease, [ProbeSpec(f"Pair{i}", tuple(rng.sample(names, 2))) for i in range(40)])]
+    for _ in range(150):
+        ontology = random_full_ontology(rng)
+        names = sorted({e.iri.fragment for e in signature(ontology)
+                        if e.kind is EntityKind.CONCEPT})
+        cases.append((ontology, [
+            ProbeSpec(f"Probe{i}", tuple(rng.choices(names, k=rng.randint(2, 3))))
+            for i in range(3)]))
+    unsatisfiable = 0
+    for ontology, probes in cases:
+        verdicts = [result.satisfiable for result in run_probes(ontology, probes)]
+        assert verdicts == extended_copy_verdicts(ontology, probes)
+        unsatisfiable += verdicts.count(False)
+    assert unsatisfiable >= 20, unsatisfiable
 
 
 # ---------------------------------------------------------------------------

@@ -291,13 +291,15 @@ SubClassOf(:D ObjectSomeValuesFrom(:r :E))
 
 
 def test_step_limit_exit_three(capsys, tmp_path):
-    # `C ⊑ Ai ⊔ Bi` for i < 20 and an unsatisfiable successor: about 2^20
-    # branches, all meeting the same clash.
-    lines = ["Prefix(:=<http://x#>)", "Prefix(owl:=<http://www.w3.org/2002/07/owl#>)",
-             "Ontology(<http://x>",
-             "SubClassOf(:C ObjectSomeValuesFrom(:r :D))", "SubClassOf(:D owl:Nothing)"]
-    lines += [f"SubClassOf(:C ObjectUnionOf(:A{i} :B{i}))" for i in range(20)]
-    path = tmp_path / "thrash.ofn"
+    # Eight pigeons in seven holes: `C ⊑ Pi0 ⊔ … ⊔ Pi6` for each pigeon and
+    # the pigeons in each hole disjoint. Every clash depends on two
+    # pigeons' choices, so even backjumping needs 137,000 steps.
+    lines = ["Prefix(:=<http://x#>)", "Ontology(<http://x>"]
+    lines += ["SubClassOf(:C ObjectUnionOf(" + " ".join(f":P{i}_{h}" for h in range(7)) + "))"
+              for i in range(8)]
+    lines += ["DisjointClasses(" + " ".join(f":P{i}_{h}" for i in range(8)) + ")"
+              for h in range(7)]
+    path = tmp_path / "pigeons.ofn"
     path.write_text("\n".join(lines + [")"]) + "\n")
     code, out, err = invoke(capsys, "classify", str(path), "--max-steps", "5000")
     assert code == 3

@@ -51,7 +51,7 @@ from ontokit.reasoner import (
 )
 from ontokit.disease import DISEASE_NS, GIARDIA
 from ontokit.model import add_axiom
-from genontology import random_full_ontology
+from genontology import disease_abox_ontology, random_full_ontology
 from modelsearch import Interpretation, check_model, eval_concept, find_countermodel
 
 NS = "http://example.org/t#"
@@ -615,7 +615,7 @@ def test_branch_depth_limit_raises():
 def thrash_tbox(k):
     """`C ⊑ Ai ⊔ Bi` for i < k and `C ⊑ ∃r.D` with D unsatisfiable: every
     one of the 2^k combinations of choices meets the same clash in C's
-    successor, which chronological backtracking cannot see."""
+    successor, which depends on none of them."""
     c = Named(t("C"))
     axioms = [SubConceptOf(c, Union((Named(t(f"A{i}")), Named(t(f"B{i}")))))
               for i in range(k)]
@@ -624,33 +624,74 @@ def thrash_tbox(k):
     return normalize(tiny_ontology(axioms))
 
 
+def pigeonhole_tbox(holes):
+    """`C ⊑ Pi0 ⊔ … ⊔ Pi(holes-1)` for each of holes + 1 pigeons i, and the
+    pigeons in each hole disjoint. C is unsatisfiable, and every clash
+    depends on the choices of two pigeons, so backjumping skips almost
+    nothing: the search stays exponential."""
+    c = Named(t("C"))
+
+    def pigeon(i, h):
+        return Named(t(f"P{i}_{h}"))
+
+    axioms = [SubConceptOf(c, Union(tuple(pigeon(i, h) for h in range(holes))))
+              for i in range(holes + 1)]
+    axioms += [DisjointConcepts(tuple(pigeon(i, h) for i in range(holes + 1)))
+               for h in range(holes)]
+    return normalize(tiny_ontology(axioms))
+
+
 def test_step_limit_stops_backtracking_thrash():
     with pytest.raises(ResourceLimitExceeded,
                        match=r"^step limit exceeded \(max_steps 20000\) after 20001 "
                              r"steps: \d+ nodes created, \d+ graph copies$"):
-        is_satisfiable(Named(t("C")), thrash_tbox(20), ReasonerLimits(max_steps=20_000))
+        is_satisfiable(Named(t("C")), pigeonhole_tbox(7), ReasonerLimits(max_steps=20_000))
+
+
+def test_backjumping_ends_thrash_past_unrelated_choices():
+    # The clash in C's successor depends on no choice, so the search ends
+    # at the first clash, after one copy per choice point.
+    limits = ReasonerLimits(max_steps=65)
+    assert not is_satisfiable(Named(t("C")), thrash_tbox(20), limits)
+    with pytest.raises(ResourceLimitExceeded, match=r"after 65 steps: 2 nodes "
+                                                    r"created, 20 graph copies$"):
+        is_satisfiable(Named(t("C")), thrash_tbox(20), ReasonerLimits(max_steps=64))
 
 
 def test_step_limit_counts_labels_nodes_and_copies():
-    # k = 8 takes 1,543 steps. 257 nodes: the root and a successor for each
-    # of the 256 leaves. 510 copies: two per choice point, 2 + 4 + ... + 256.
-    # 776 concepts added: 10 on the root (C, eight disjunctions, ∃r.D), one
-    # disjunct per copy and D on each successor, whose ⊥ clashes.
+    # k = 8 takes 29 steps. 2 nodes: the root and one successor. 8 copies,
+    # one per choice point, each taking its first operand. 19 concepts
+    # added: 10 on the root (C, eight disjunctions, ∃r.D), one operand per
+    # copy and D on the successor, whose ⊥ clashes with no choice in its
+    # dependency set.
     tbox = thrash_tbox(8)
-    assert not is_satisfiable(Named(t("C")), tbox, ReasonerLimits(max_steps=1543))
-    with pytest.raises(ResourceLimitExceeded, match=r"after 1543 steps: 257 nodes "
-                                                    r"created, 510 graph copies$"):
-        is_satisfiable(Named(t("C")), tbox, ReasonerLimits(max_steps=1542))
+    assert not is_satisfiable(Named(t("C")), tbox, ReasonerLimits(max_steps=29))
+    with pytest.raises(ResourceLimitExceeded, match=r"after 29 steps: 2 nodes "
+                                                    r"created, 8 graph copies$"):
+        is_satisfiable(Named(t("C")), tbox, ReasonerLimits(max_steps=28))
 
 
-def test_seed_7_full_ontology_finishes_or_trips_the_step_limit():
-    # Its branches are copied hundreds of thousands of times while the node
-    # limit is far off, so only the step limit can end it.
-    try:
-        is_consistent(random_full_ontology(random.Random(7)))
-    except ResourceLimitExceeded as exc:
-        assert str(exc).startswith(
-            f"step limit exceeded (max_steps {ReasonerLimits().max_steps})")
+def test_seed_7_full_ontology_finishes():
+    # With backjumping the check ends after 8,349 steps, under a hundredth
+    # of the default step limit.
+    ontology = random_full_ontology(random.Random(7))
+    assert is_consistent(ontology, ReasonerLimits(max_steps=8_349)) is True
+    with pytest.raises(ResourceLimitExceeded, match=r"after 8349 steps"):
+        is_consistent(ontology, ReasonerLimits(max_steps=8_348))
+
+
+def test_many_diseases_in_one_abox_take_polynomial_work():
+    # Each disease node chooses Chronic ⊔ Acute and its absorbed Bacterial
+    # definition; a clash in one disease's branch must not backtrack
+    # through the other diseases' choices.
+    steps = {8: 218, 16: 548}
+    for count, exact in steps.items():
+        ontology, expected = disease_abox_ontology(random.Random(1), count)
+        assert is_consistent(ontology, ReasonerLimits(max_steps=exact)) is True
+        with pytest.raises(ResourceLimitExceeded, match=rf"after {exact} steps"):
+            is_consistent(ontology, ReasonerLimits(max_steps=exact - 1))
+        assert realize(ontology) == expected
+    assert steps[16] <= 4 * steps[8]
 
 
 def test_individual_free_ontology_with_unsatisfiable_top():

@@ -93,17 +93,20 @@ def thrash_ontology(k, individual):
 
 
 def test_kept_context_respects_each_calls_limits():
-    # k = 8 takes 1,543 steps, as a sat test and as an ABox check.
-    tight = ReasonerLimits(max_steps=1542)
+    # k = 8 takes 29 steps, as a sat test and as an ABox check: 8 graph
+    # copies, one per choice point, since the clash depends on no choice.
+    tight = ReasonerLimits(max_steps=28)
     tbox = thrash_ontology(8, individual=False)
     assert classify(tbox).members(0) == ()
-    with pytest.raises(ResourceLimitExceeded, match=r"after 1543 steps"):
+    with pytest.raises(ResourceLimitExceeded, match=r"after 29 steps: 2 nodes created, "
+                                                    r"8 graph copies$"):
         classify(tbox, tight)
     abox = thrash_ontology(8, individual=True)
     assert is_consistent(abox) is False
-    with pytest.raises(ResourceLimitExceeded, match=r"after 1543 steps"):
+    with pytest.raises(ResourceLimitExceeded, match=r"after 29 steps: 2 nodes created, "
+                                                    r"8 graph copies$"):
         is_consistent(abox, tight)
-    assert is_consistent(abox, ReasonerLimits(max_steps=1543)) is False
+    assert is_consistent(abox, ReasonerLimits(max_steps=29)) is False
 
 
 def test_inconsistent_ontology_raises_on_every_call():

@@ -214,18 +214,20 @@ def test_witness_never_refutes_a_defined_name(disease, disease_tbox, disease_tax
 
 
 def test_classify_fixture_makes_few_satisfiability_tests(disease, monkeypatch):
+    # Every tableau run, whichever function starts it.
     calls = []
-    original = reasoner.is_satisfiable
+    original = reasoner.satisfiable
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(reasoner, "is_satisfiable", counting)
+    monkeypatch.setattr(reasoner, "satisfiable", counting)
     classify(disease)
-    # The pre-pass makes one test per name and one for ⊤, 25 here; the
-    # all-pairs builder made 574 in all.
-    assert len(calls) <= 60, len(calls)
+    # The pre-pass makes one test per name and one for ⊤, 25 here, and the
+    # builder 6 more, about the defined Infectious, which no label can
+    # entail or refute; the all-pairs builder made 574 in all.
+    assert len(calls) <= 31, len(calls)
 
 
 def test_build_taxonomy_on_a_told_tree_asks_about_linearly_many_pairs():
@@ -295,30 +297,37 @@ def test_classify_keeps_no_module_state_across_ontologies():
 
 
 # ---------------------------------------------------------------------------
-# instances_of and entailed_types prune with the consistency check's labels
+# Classification and the ABox queries answer from labels where they can
 # ---------------------------------------------------------------------------
 
 
 def unpruned(function, *args, monkeypatch):
-    """`function` as it answers with every ABox test run."""
+    """`function` as it answers with every tableau test run: no label
+    refutes a name (`_refuted`) or entails one (`_entailed`)."""
     with monkeypatch.context() as patch:
         patch.setattr(reasoner, "_refuted", lambda label, name, tbox: False)
+        patch.setattr(reasoner, "_entailed", lambda label, name, tbox: False)
         return function(*args)
 
 
 def test_pruned_abox_retrieval_equals_unpruned(disease, monkeypatch):
     rng = random.Random(SEED)
+    ontologies = [disease]
+    for _ in range(80):
+        ontologies += [random_abox_ontology(rng), random_full_ontology(rng),
+                       random_alc_ontology(rng)[0]]
     checked = 0
-    for ontology in [disease] + [random_abox_ontology(rng) for _ in range(120)]:
+    for ontology in ontologies:
+        assert classify(ontology) == unpruned(classify, ontology, monkeypatch=monkeypatch)
         if not is_consistent(ontology):
             continue
         checked += 1
-        assert entailed_types(ontology) == unpruned(
-            entailed_types, ontology, monkeypatch=monkeypatch)
+        for function in (realize, entailed_types):
+            assert function(ontology) == unpruned(function, ontology, monkeypatch=monkeypatch)
         for name in [OWL_THING] + list(told_subsumers(ontology)):
             assert instances_of(Named(name), ontology) == unpruned(
                 instances_of, Named(name), ontology, monkeypatch=monkeypatch)
-    assert checked >= 60, checked
+    assert checked >= 180, checked
 
 
 def test_pruned_abox_retrieval_makes_fewer_abox_tests(monkeypatch):
@@ -335,10 +344,10 @@ def test_pruned_abox_retrieval_makes_fewer_abox_tests(monkeypatch):
     monkeypatch.setattr(reasoner, "_abox_labels", counting)
     names = len(told_subsumers(disease))
     entailed_types(disease)
-    # A test for each name Giardia's label does not refute: its three
-    # primitive types and the defined Infectious. Without pruning there is
-    # one test per name.
-    assert len(tests) == 4 < names, len(tests)
+    # Giardia's label has its three primitive types with no dependencies
+    # and refutes every other primitive name, so only the defined
+    # Infectious needs a test. Without pruning there is one test per name.
+    assert len(tests) == 1 < names, len(tests)
     tests.clear()
     assert instances_of(Named(Iri(DISEASE_NS + "Virus")), disease) == ()
     assert len(tests) == 0
