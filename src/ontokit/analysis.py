@@ -240,24 +240,17 @@ def answer_competency_query(
 ) -> tuple[Iri, ...]:
     """Entities answering the query, sorted by IRI."""
     kind = query.kind
-    if kind in _ROLE_OF_KIND:
+    if kind in _ROLE_OF_KIND or kind is QueryKind.FILLERS_OF:
         subject = query.subject
         if not isinstance(subject, Iri):
-            raise UnknownEntityError("role-filler queries take an individual IRI")
+            raise UnknownEntityError("FillersOf takes an individual IRI"
+                                     if kind is QueryKind.FILLERS_OF
+                                     else "role-filler queries take an individual IRI")
         if not any(e.iri == subject for e in signature(ontology)):
             raise UnknownEntityError(f"unknown subject entity: <{subject}>")
-        roles = _fragment_index(ontology, EntityKind.OBJECT_ROLE)
-        role = roles.get(_ROLE_OF_KIND[kind])
-        if role is None:
-            return ()
-        return _role_fillers(ontology, subject, role)
-    if kind is QueryKind.FILLERS_OF:
-        subject = query.subject
-        if not isinstance(subject, Iri):
-            raise UnknownEntityError("FillersOf takes an individual IRI")
-        if not any(e.iri == subject for e in signature(ontology)):
-            raise UnknownEntityError(f"unknown subject entity: <{subject}>")
-        return _role_fillers(ontology, subject, query.role)
+        role = query.role or _fragment_index(ontology, EntityKind.OBJECT_ROLE).get(
+            _ROLE_OF_KIND[kind])
+        return () if role is None else _role_fillers(ontology, subject, role)
     if kind in (QueryKind.SUB_CONCEPTS_OF, QueryKind.SUPER_CONCEPTS_OF):
         subject = query.subject
         if isinstance(subject, Named):

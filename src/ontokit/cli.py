@@ -250,38 +250,22 @@ def _cmd_probe(args) -> int:
 def _cmd_stats(args) -> int:
     ontology = _load(args)
     counts = compute_counts(ontology)
-    fields = [
-        ("concepts", counts.concepts),
-        ("concepts-including-top", counts.concepts_including_top),
-        ("object-roles", counts.object_roles),
-        ("data-roles", counts.data_roles),
-        ("annotation-roles", counts.annotation_roles),
-        ("individuals", counts.individuals),
-        ("datatypes", counts.datatypes),
+    # (text name, JSON key, published-reference key, value)
+    rows = [
+        ("concepts", "concepts", None, counts.concepts),
+        ("concepts-including-top", "conceptsIncludingTop", "concepts_including_top",
+         counts.concepts_including_top),
+        ("object-roles", "objectRoles", "object_roles", counts.object_roles),
+        ("data-roles", "dataRoles", "data_roles", counts.data_roles),
+        ("annotation-roles", "annotationRoles", "annotation_roles", counts.annotation_roles),
+        ("individuals", "individuals", "individuals", counts.individuals),
+        ("datatypes", "datatypes", "datatypes", counts.datatypes),
     ]
-    lines = [f"{name}: {value}" for name, value in fields]
-    payload: dict = {
-        "counts": {
-            "concepts": counts.concepts,
-            "conceptsIncludingTop": counts.concepts_including_top,
-            "objectRoles": counts.object_roles,
-            "dataRoles": counts.data_roles,
-            "annotationRoles": counts.annotation_roles,
-            "individuals": counts.individuals,
-            "datatypes": counts.datatypes,
-        },
-        "deviations": [],
-    }
+    lines = [f"{name}: {value}" for name, _, _, value in rows]
+    payload: dict = {"counts": {key: value for _, key, _, value in rows}, "deviations": []}
     reference = published_reference().get(ontology.iri.value)
     if reference:
-        actual = {
-            "concepts_including_top": counts.concepts_including_top,
-            "object_roles": counts.object_roles,
-            "data_roles": counts.data_roles,
-            "annotation_roles": counts.annotation_roles,
-            "individuals": counts.individuals,
-            "datatypes": counts.datatypes,
-        }
+        actual = {key: value for _, _, key, value in rows if key is not None}
         for key in sorted(reference):
             if actual.get(key) != reference[key]:
                 lines.append(

@@ -277,18 +277,33 @@ class Declaration(Axiom):
 # ---------------------------------------------------------------------------
 
 
+def subexpressions(expr: ConceptExpression) -> Iterator[ConceptExpression]:
+    """`expr` and every concept expression inside it, in pre-order with
+    operands left to right: the order references are reported in, which
+    decides the order of auto-declaration warnings."""
+    stack: list[ConceptExpression] = []
+    while True:
+        yield expr
+        if isinstance(expr, Named):
+            pass  # the commonest expression, a leaf, is tested for first
+        elif isinstance(expr, (Intersection, Union)):
+            stack.extend(reversed(expr.operands))
+        elif isinstance(expr, Complement):
+            stack.append(expr.operand)
+        elif isinstance(expr, (Existential, Universal)):
+            stack.append(expr.filler)
+        if not stack:
+            return
+        expr = stack.pop()
+
+
 def _expr_refs(expr: ConceptExpression) -> Iterator[tuple[EntityKind, Iri]]:
-    if isinstance(expr, Named):
-        if expr.iri not in BUILTIN_CONCEPTS:
-            yield (EntityKind.CONCEPT, expr.iri)
-    elif isinstance(expr, (Intersection, Union)):
-        for op in expr.operands:
-            yield from _expr_refs(op)
-    elif isinstance(expr, Complement):
-        yield from _expr_refs(expr.operand)
-    elif isinstance(expr, (Existential, Universal)):
-        yield (EntityKind.OBJECT_ROLE, expr.role.iri)
-        yield from _expr_refs(expr.filler)
+    for part in subexpressions(expr):
+        if isinstance(part, Named):
+            if part.iri not in BUILTIN_CONCEPTS:
+                yield (EntityKind.CONCEPT, part.iri)
+        elif isinstance(part, (Existential, Universal)):
+            yield (EntityKind.OBJECT_ROLE, part.role.iri)
 
 
 def axiom_references(axiom: Axiom) -> Iterator[tuple[Optional[EntityKind], Iri]]:

@@ -19,13 +19,14 @@ witnesses and verdicts therefore do not depend on hash seeds or id order.
 Each label entry carries the set of choices it depends on: the search
 backjumps past choices a clash does not depend on, and an entry that
 depends on none is an entailment, which classification and the ABox
-queries read off instead of testing it (`_entailed`).
+queries read off instead of testing it (`_decided`).
 
 Each Ontology instance keeps a reasoning context (`_Context`), filled on
 first use: the closure of its role hierarchy, which role-filler queries
-read without compiling a TBox, and then the compiled TBox with its
-`ConceptTable`, the sorted individuals, the NNF assertions on root indices
-and the consistency check's labels of ids per `ReasonerLimits`. So
+read without compiling a TBox; the closure of its told subsumptions, which
+classification and the asserted taxonomy share; and then the compiled TBox
+with its `ConceptTable`, the sorted individuals, the NNF assertions on root
+indices and the consistency check's labels of ids per `ReasonerLimits`. So
 `is_consistent`, `classify`, `realize`, `entailed_types` and `instances_of`
 compile the TBox and check consistency once per instance and limits, not
 once per call. Public `normalize` still returns a fresh `NormalizedTBox`.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Optional
+from typing import Container, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     AnnotationAssertion,
@@ -74,6 +75,7 @@ from .model import (
     add_axiom,
     inverse_of,
     signature,
+    subexpressions,
 )
 from .tableau import (  # the witness types, limits and graph are also reached from here
     DEFAULT_LIMITS,
@@ -189,17 +191,9 @@ class NormalizedTBox:
         return ConceptTable(self)
 
 
-def _role_expressions_in(expr: ConceptExpression) -> set[RoleExpression]:
-    out: set[RoleExpression] = set()
-    if isinstance(expr, (Existential, Universal)):
-        out.add(expr.role)
-        out |= _role_expressions_in(expr.filler)
-    elif isinstance(expr, (Intersection, Union)):
-        for op in expr.operands:
-            out |= _role_expressions_in(op)
-    elif isinstance(expr, Complement):
-        out |= _role_expressions_in(expr.operand)
-    return out
+def _roles_in(expr: ConceptExpression) -> Iterator[RoleExpression]:
+    return (part.role for part in subexpressions(expr)
+            if isinstance(part, (Existential, Universal)))
 
 
 def _primitive_conjunct(expr: ConceptExpression, definitions: Container[Iri]) -> Optional[int]:
@@ -210,6 +204,29 @@ def _primitive_conjunct(expr: ConceptExpression, definitions: Container[Iri]) ->
             if isinstance(op, Named) and op.iri not in definitions:
                 return i
     return None
+
+
+def _closure(direct: dict[Hashable, set]) -> dict[Hashable, frozenset]:
+    """The reflexive-transitive closure of a relation given as each key's
+    direct successors, with every successor also a key. One stack search
+    per key, in key order, that takes a key already closed whole instead of
+    searching past it."""
+    closed: dict[Hashable, frozenset] = {}
+    for key in direct:
+        reached = {key}
+        stack = [key]
+        while stack:
+            for nxt in direct[stack.pop()]:
+                if nxt in reached:
+                    continue
+                done = closed.get(nxt)
+                if done is None:
+                    reached.add(nxt)
+                    stack.append(nxt)
+                else:
+                    reached |= done
+        closed[key] = frozenset(reached)
+    return closed
 
 
 def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
@@ -248,35 +265,20 @@ def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
             else:
                 concepts = [axiom.concept]
             for c in concepts:
-                for role in _role_expressions_in(c):
+                for role in _roles_in(c):
                     exprs.add(role)
                     exprs.add(inverse_of(role))
                     if isinstance(role, InverseRole):
                         uses_inverse = True
-    # Reflexive-transitive closure over the (small) role-expression set.
-    ordered = sorted(exprs, key=repr)
-    subsumers: dict[RoleExpression, set[RoleExpression]] = {e: {e} for e in ordered}
+    direct: dict[RoleExpression, set[RoleExpression]] = {
+        e: set() for e in sorted(exprs, key=repr)}
     for sub, sup in base:
-        subsumers.setdefault(sub, {sub}).add(sup)
-        subsumers.setdefault(sup, {sup})
-    changed = True
-    while changed:
-        changed = False
-        for e, sups in subsumers.items():
-            extra = set()
-            for s in sups:
-                extra |= subsumers.get(s, set())
-            if not extra <= sups:
-                sups |= extra
-                changed = True
+        direct[sub].add(sup)
+    subsumers = _closure(direct)
     # A role equivalent to a transitive role is transitive as well.
-    transitive: set[RoleExpression] = set()
-    for e in subsumers:
-        for t in transitive_seed:
-            if t in subsumers[e] and e in subsumers.get(t, {t}):
-                transitive.add(e)
-    frozen = {e: frozenset(s) for e, s in subsumers.items()}
-    return frozen, frozenset(transitive), uses_inverse
+    transitive = frozenset(e for e in subsumers for t in transitive_seed
+                           if t in subsumers[e] and e in subsumers[t])
+    return subsumers, transitive, uses_inverse
 
 
 def normalize(ontology: Ontology) -> NormalizedTBox:
@@ -293,7 +295,7 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     a conjunct, so that both halves absorb and the tableau adds `A` wherever
     `C` holds. Lazy unfolding never does that, so it could carry none of
     `A`'s other inclusions, and the absence of `A` from a label would prove
-    nothing (see `_refuted`). Multiple and cyclic definitions are demoted
+    nothing (see `_decided`). Multiple and cyclic definitions are demoted
     the same way."""
     candidates: dict[Iri, list[ConceptExpression]] = {}
     raw_gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
@@ -342,18 +344,6 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
         state: dict[Iri, int] = {}  # 1 = visiting, 2 = done
         cyclic: set[Iri] = set()
 
-        def deps(body: ConceptExpression) -> Iterable[Iri]:
-            if isinstance(body, Named):
-                if body.iri in definitions:
-                    yield body.iri
-            elif isinstance(body, (Intersection, Union)):
-                for op in body.operands:
-                    yield from deps(op)
-            elif isinstance(body, Complement):
-                yield from deps(body.operand)
-            elif isinstance(body, (Existential, Universal)):
-                yield from deps(body.filler)
-
         def visit(name: Iri, stack: list[Iri]) -> None:
             if state.get(name) == 2:
                 return
@@ -362,8 +352,9 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
                 return
             state[name] = 1
             stack.append(name)
-            for dep in deps(definitions[name]):
-                visit(dep, stack)
+            for part in subexpressions(definitions[name]):
+                if isinstance(part, Named) and part.iri in definitions:
+                    visit(part.iri, stack)
             stack.pop()
             state[name] = 2
 
@@ -442,7 +433,7 @@ def _equality_blocking(tbox: NormalizedTBox, queries: list[ConceptExpression]) -
     """Subset blocking is only sound without inverse flows; a query can
     introduce inverses the TBox does not have."""
     return tbox.uses_inverse or any(isinstance(r, InverseRole)
-                                    for c in queries for r in _role_expressions_in(c))
+                                    for c in queries for r in _roles_in(c))
 
 
 def is_subsumed_by(
@@ -473,11 +464,13 @@ def _individuals_of(ontology: Ontology) -> list[Iri]:
 class _Context:
     """What reasoning compiles from one Ontology instance, kept on it
     (`Ontology._reasoning`) and filled part by part on first use: the role
-    closure, then the compiled ABox. Two threads that fill the same part at
-    once each make it and one is kept; a part is complete before it is
-    stored, so a call that reads it once sees a whole part."""
+    closure, the told closure, then the compiled ABox. Two threads that
+    fill the same part at once each make it and one is kept; a part is
+    complete before it is stored, so a call that reads it once sees a whole
+    part."""
 
     role_closure: Optional[tuple[dict, frozenset, bool]] = None
+    told: Optional[dict[Iri, frozenset[Iri]]] = None
     abox: Optional[_CompiledABox] = None
 
 
@@ -590,9 +583,7 @@ def instances_of(
 ) -> tuple[Iri, ...]:
     """All individuals whose membership in `concept` is entailed. For a
     named concept, the individual's node in the consistency check's
-    completion graph answers without a test where it can: no when the node
-    refutes it (`_refuted`), yes when the name is there with no
-    dependencies (`_entailed`)."""
+    completion graph answers without a test where it can (`_abox_entails`)."""
     abox, labels = _consistent_abox(ontology, limits)
     negated = _nnf_complement(concept)
     # owl:Thing is in no label, yet every individual is an instance of it.
@@ -600,18 +591,22 @@ def instances_of(
         return tuple(individual for individual in abox.individuals
                      if _abox_labels(abox, limits, extra=[(individual, negated)]) is None)
     return tuple(individual for individual in abox.individuals
-                 if _abox_entails(abox, limits, individual, labels[individual], concept.iri))
+                 if _abox_entails(abox, limits, individual, labels[individual], [concept.iri]))
 
 
 def _abox_entails(abox: _CompiledABox, limits: ReasonerLimits, individual: Iri,
-                  label: dict[int, int], name: Iri) -> bool:
+                  label: dict[int, int], names: Sequence[Iri]) -> bool:
     """Whether the ABox entails that `individual`, whose node in the
-    consistency check's graph has `label`, belongs to the named concept."""
-    if _refuted(label, name, abox.tbox):
+    consistency check's graph has `label`, belongs to the named concepts
+    `names`, which are equivalent. The label decides where it can
+    (`_decided`), a refutation first; otherwise one ABox test on the
+    first name does."""
+    verdicts = [_decided(label, name, abox.tbox) for name in names]
+    if False in verdicts:
         return False
-    if _entailed(label, name, abox.tbox):
+    if True in verdicts:
         return True
-    return _abox_labels(abox, limits, extra=[(individual, Complement(Named(name)))]) is None
+    return _abox_labels(abox, limits, extra=[(individual, Complement(Named(names[0])))]) is None
 
 
 def entailed_types(
@@ -623,7 +618,7 @@ def entailed_types(
     abox, labels = _consistent_abox(ontology, limits)
     names = _named_concepts_of(ontology)
     return {individual: tuple(name for name in names
-                              if _abox_entails(abox, limits, individual, label, name))
+                              if _abox_entails(abox, limits, individual, label, [name]))
             for individual, label in labels.items()}
 
 
@@ -638,28 +633,19 @@ def realize(
     the taxonomy builder runs, with an ABox entailment test in place of the
     subsumption test: a group is tested only once the individual belongs to
     all of its parents. The individual's node in the consistency check's
-    completion graph answers without a test where it can: no when it
-    refutes a member (`_refuted`), yes when a member is there with no
-    dependencies (`_entailed`)."""
+    completion graph answers without a test where it can (`_abox_entails`)."""
     abox, labels = _consistent_abox(ontology, limits)
-    tbox = abox.tbox
-    taxonomy = _classify(ontology, tbox, limits)
+    taxonomy = _classify(ontology, abox.tbox, limits)
 
     def below(group: int) -> list[int]:
         return [c for c in taxonomy.children_of(group) if c != Taxonomy.BOTTOM]
 
     result: dict[Iri, tuple[Iri, ...]] = {}
     for individual, label in labels.items():
-        def entailed(group: int) -> bool:
-            members = taxonomy.members(group)
-            if any(_refuted(label, name, tbox) for name in members):
-                return False
-            if any(_entailed(label, name, tbox) for name in members):
-                return True
-            probe = [(individual, Complement(Named(members[0])))]
-            return _abox_labels(abox, limits, extra=probe) is None
-
-        found = most_specific(Taxonomy.TOP, entailed, taxonomy.parents_of, below)
+        found = most_specific(
+            Taxonomy.TOP,
+            lambda group: _abox_entails(abox, limits, individual, label, taxonomy.members(group)),
+            taxonomy.parents_of, below)
         names = sorted({name for group in found for name in taxonomy.members(group)},
                        key=lambda iri: iri.value)
         result[individual] = tuple(names) or (OWL_THING,)
@@ -698,44 +684,45 @@ def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
     """Each named concept's told subsumers, itself included: the transitive
     closure of named-to-named subclass axioms and of the named members of
     equivalence axioms. Keys run in told-topological order (fewest told
-    subsumers first, ties by IRI), so no name precedes a strict told
-    subsumer: a strict subsumer's closure is a proper subset."""
-    told: dict[Iri, set[Iri]] = {name: {name} for name in _named_concepts_of(ontology)}
-    for axiom in ontology.axioms:
-        if isinstance(axiom, SubConceptOf) and isinstance(axiom.sub, Named) \
-                and isinstance(axiom.sup, Named):
-            if axiom.sub.iri in told and axiom.sup.iri in told:
-                told[axiom.sub.iri].add(axiom.sup.iri)
-        elif isinstance(axiom, EquivalentConcepts):
-            named_ops = [op.iri for op in axiom.operands
-                         if isinstance(op, Named) and op.iri in told]
-            for a in named_ops:
-                told[a].update(named_ops)
-    changed = True
-    while changed:
-        changed = False
-        for ups in told.values():
-            extra: set[Iri] = set()
-            for up in ups:
-                extra |= told[up]
-            if not extra <= ups:
-                ups |= extra
-                changed = True
-    order = sorted(told, key=lambda name: (len(told[name]), name.value))
-    return {name: frozenset(told[name]) for name in order}
+    subsumer: a strict subsumer's closure is a proper subset. Made once per
+    instance, like the role closure; each call returns a fresh dict."""
+    context = _context(ontology)
+    if context.told is None:
+        direct: dict[Iri, set[Iri]] = {name: set() for name in _named_concepts_of(ontology)}
+        for axiom in ontology.axioms:
+            if isinstance(axiom, SubConceptOf) and isinstance(axiom.sub, Named) \
+                    and isinstance(axiom.sup, Named):
+                if axiom.sub.iri in direct and axiom.sup.iri in direct:
+                    direct[axiom.sub.iri].add(axiom.sup.iri)
+            elif isinstance(axiom, EquivalentConcepts):
+                named_ops = [op.iri for op in axiom.operands
+                             if isinstance(op, Named) and op.iri in direct]
+                for a in named_ops:
+                    direct[a].update(named_ops)
+        told = _closure(direct)
+        context.told = {name: told[name] for name in
+                        sorted(told, key=lambda name: (len(told[name]), name.value))}
+    return dict(context.told)
 
 
-def _refuted(label: Container[int], name: Iri, tbox: NormalizedTBox) -> bool:
-    """Whether the node with this label of ids, in a clash-free completion
-    graph over `tbox`'s table, shows an element outside the named concept.
+def _decided(label: dict[int, int], name: Iri, tbox: NormalizedTBox) -> Optional[bool]:
+    """What the node with this label of ids, in a clash-free completion
+    graph over `tbox`'s table, shows about its membership in the named
+    concept: False when it is outside it, True when it is inside it
+    whatever the choices, None when only a tableau test can tell.
 
-    Sound for primitive names only. A complete, clash-free graph reads as a
-    model in which a primitive name holds exactly at the nodes whose label
-    has it, since every inclusion that can put the name on a node has been
-    applied wherever its premise holds. A defined name is unfolded lazily:
-    the tableau adds its body when the name is in a label, never the name
-    when its body holds. In the model the name holds wherever its body
-    does, so its absence proves nothing. The fixture's
+    True when the name is in the label with an empty dependency set. Such
+    an entry was derived from the run's input and the TBox by
+    deterministic rules alone, so every model of them puts the node in
+    the concept, whichever choices a model makes.
+
+    False when the name is absent and primitive. A complete, clash-free
+    graph reads as a model in which a primitive name holds exactly at the
+    nodes whose label has it, since every inclusion that can put the name
+    on a node has been applied wherever its premise holds. A defined name
+    is unfolded lazily: the tableau adds its body when the name is in a
+    label, never the name when its body holds. In the model the name holds
+    wherever its body does, so its absence proves nothing. The fixture's
     `OrganismStructure ⊑ Infectious` is such a case. `normalize` keeps a
     definition only when its body has no primitive conjunct; every other
     one is demoted to two inclusions and counts as primitive: its
@@ -743,15 +730,10 @@ def _refuted(label: Container[int], name: Iri, tbox: NormalizedTBox) -> bool:
     body, so at every node labelled `P` the tableau adds the name or
     refutes the rest of the body, and the name holds exactly where it is
     labelled."""
-    return name not in tbox.definitions and tbox.table.names.get(name) not in label
-
-
-def _entailed(label: dict[int, int], name: Iri, tbox: NormalizedTBox) -> bool:
-    """Whether the label of ids has the named concept with an empty
-    dependency set. Such an entry was derived from the run's input and the
-    TBox by deterministic rules alone, so every model of them puts the
-    node in the concept, whichever choices a model makes."""
-    return label.get(tbox.table.names.get(name)) == 0
+    deps = label.get(tbox.table.names.get(name))
+    if deps is None:
+        return None if name in tbox.definitions else False
+    return True if deps == 0 else None
 
 
 def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Taxonomy:
@@ -763,10 +745,9 @@ def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Tax
     A satisfiability pre-pass tests each name once and keeps the root label
     of its completion graph. The builder's questions "c ⊑ d?" are then
     answered without a tableau test where the answer is known: yes when d
-    is a told subsumer of c, no when the root label of c's run refutes d
-    (`_refuted`), yes when d is in it with no dependencies (`_entailed`).
-    ⊤'s run answers "⊤ ⊑ d" the same way. Only the other questions cost a
-    test."""
+    is a told subsumer of c, else whatever the root label of c's run
+    decides about d (`_decided`). ⊤'s run answers "⊤ ⊑ d" the same way.
+    Only the other questions cost a test."""
     return _classify(ontology, _compiled(ontology).tbox, limits)
 
 
@@ -774,20 +755,19 @@ def _classify(ontology: Ontology, tbox: NormalizedTBox, limits: ReasonerLimits) 
     told = told_subsumers(ontology)
     label = {name: is_satisfiable(Named(name), tbox, limits).root_label for name in told}
     bottom = [name for name in told if label[name] is None]
+
+    def subsumed(sub: ConceptExpression, root: dict[int, int], d: Iri) -> bool:
+        # `root` is the root label of a clash-free run on `sub`.
+        verdict = _decided(root, d, tbox)
+        return is_subsumed_by(sub, Named(d), tbox, limits) if verdict is None else verdict
+
     top: list[Iri] = []
     if len(bottom) < len(told):
         root = is_satisfiable(Top(), tbox, limits).root_label
         top = [name for name in told
-               if label[name] is not None and not _refuted(root, name, tbox)
-               and (_entailed(root, name, tbox)
-                    or is_subsumed_by(Top(), Named(name), tbox, limits))]
+               if label[name] is not None and subsumed(Top(), root, name)]
 
     def leq(c: Iri, d: Iri) -> bool:
-        if d in told[c]:
-            return True
-        root = label[c]
-        if _refuted(root, d, tbox):
-            return False
-        return _entailed(root, d, tbox) or is_subsumed_by(Named(c), Named(d), tbox, limits)
+        return d in told[c] or subsumed(Named(c), label[c], d)
 
     return build_taxonomy(told, leq, top_names=top, bottom_names=bottom)

@@ -633,31 +633,13 @@ class _Tableau:
         return CompletionGraph(nodes=nodes, edges=edges, blocking=blocking, clash=False)
 
 
-def satisfiable(table: ConceptTable, concept: ConceptExpression, limits: ReasonerLimits,
-                equality_blocking: bool) -> SatResult:
-    """Satisfiability of an NNF concept; a Satisfiable verdict carries the
-    final completion graph as a witness."""
-    tableau = _Tableau(table, limits, equality_blocking)
-    with table.lock:
-        g = tableau.graph()
-        try:
-            root = tableau.init_node(g, parent=None)
-            g.add(root, table.concept(concept), 0)
-        except _Clash:
-            return SatResult(False)
-        final = tableau.search(g)
-        if final is None:
-            return SatResult(False)
-        return SatResult(True, final, tableau)
-
-
-def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
-                edges: list[tuple[int, int, Iri]], limits: ReasonerLimits,
-                equality_blocking: bool) -> Optional[list[dict[int, int]]]:
-    """Consistency of `roots` root nodes with the NNF `concepts` (root,
-    concept) and the `edges` (source root, target root, named role). Returns
-    each root's label of ids, with their dependency sets, in a clash-free
-    completion graph, or None when there is none."""
+def _run(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
+         edges: list[tuple[int, int, Iri]], limits: ReasonerLimits,
+         equality_blocking: bool) -> tuple[_Tableau, Optional[_Graph]]:
+    """One tableau run from `roots` root nodes, the NNF `concepts` (root,
+    concept) and the `edges` (source root, target root, named role): the
+    tableau and its final clash-free graph, or None for the graph when
+    there is none."""
     tableau = _Tableau(table, limits, equality_blocking)
     with table.lock:
         g = tableau.graph()
@@ -669,8 +651,24 @@ def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, Conce
             for source, target, role in edges:
                 g.add_edge(source, target, table.role(NamedRole(role)), 0)
         except _Clash:
-            return None
-        final = tableau.search(g)
-        if final is None:
-            return None
-        return final.labels[:roots]
+            return tableau, None
+        return tableau, tableau.search(g)
+
+
+def satisfiable(table: ConceptTable, concept: ConceptExpression, limits: ReasonerLimits,
+                equality_blocking: bool) -> SatResult:
+    """Satisfiability of an NNF concept; a Satisfiable verdict carries the
+    final completion graph as a witness."""
+    tableau, final = _run(table, 1, [(0, concept)], [], limits, equality_blocking)
+    return SatResult(False) if final is None else SatResult(True, final, tableau)
+
+
+def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
+                edges: list[tuple[int, int, Iri]], limits: ReasonerLimits,
+                equality_blocking: bool) -> Optional[list[dict[int, int]]]:
+    """Consistency of `roots` root nodes with the NNF `concepts` and the
+    `edges` (see `_run`). Returns each root's label of ids, with their
+    dependency sets, in a clash-free completion graph, or None when there
+    is none."""
+    _, final = _run(table, roots, concepts, edges, limits, equality_blocking)
+    return None if final is None else final.labels[:roots]

@@ -333,6 +333,20 @@ def test_query_unknown_subject_rejected(disease):
             CompetencyQuery(QueryKind.SYMPTOMS_OF, Iri("http://nowhere#x")), disease)
 
 
+def test_role_filler_queries_reject_a_concept_subject(disease):
+    concept = Named(Iri(DISEASE_NS + "Disease"))
+    with pytest.raises(UnknownEntityError,
+                       match=r"^role-filler queries take an individual IRI$"):
+        answer_competency_query(CompetencyQuery(QueryKind.SYMPTOMS_OF, concept), disease)
+    with pytest.raises(UnknownEntityError, match=r"^FillersOf takes an individual IRI$"):
+        answer_competency_query(CompetencyQuery(
+            QueryKind.FILLERS_OF, concept, role=Iri(DISEASE_NS + "hasSymptoms")), disease)
+    with pytest.raises(UnknownEntityError, match=r"^unknown subject entity: <http://nowhere#x>$"):
+        answer_competency_query(CompetencyQuery(
+            QueryKind.FILLERS_OF, Iri("http://nowhere#x"), role=Iri(DISEASE_NS + "hasSymptoms")),
+            disease)
+
+
 def test_query_role_only_for_fillers_of():
     with pytest.raises(ValueError):
         CompetencyQuery(QueryKind.SYMPTOMS_OF, Iri("http://x#i"), role=Iri("http://x#r"))

@@ -149,6 +149,52 @@ def test_stats_json_machine_readable_deviation(capsys, ofn):
     assert deviations["object_roles"]["published"] == 10
 
 
+# Recorded from the `stats` command that wrote its seven counts out three
+# times (text lines, JSON counts, reference comparison).
+STATS_TEXT = """\
+concepts: 24
+concepts-including-top: 25
+object-roles: 9
+data-roles: 1
+annotation-roles: 1
+individuals: 1
+datatypes: 1
+deviation: concepts-including-top 25 != published 26
+deviation: object-roles 9 != published 10
+"""
+
+STATS_JSON = """\
+{
+  "counts": {
+    "annotationRoles": 1,
+    "concepts": 24,
+    "conceptsIncludingTop": 25,
+    "dataRoles": 1,
+    "datatypes": 1,
+    "individuals": 1,
+    "objectRoles": 9
+  },
+  "deviations": [
+    {
+      "actual": 25,
+      "field": "concepts_including_top",
+      "published": 26
+    },
+    {
+      "actual": 9,
+      "field": "object_roles",
+      "published": 10
+    }
+  ]
+}
+"""
+
+
+def test_stats_keeps_recorded_stdout(capsys, ofn):
+    assert invoke(capsys, "stats", ofn) == (0, STATS_TEXT, "")
+    assert invoke(capsys, "stats", ofn, "--format", "json") == (0, STATS_JSON, "")
+
+
 def test_stats_no_deviation_block_for_other_ontologies(capsys, tmp_path):
     path = tmp_path / "other.ofn"
     path.write_text("Prefix(:=<http://x#>)\nOntology(<http://x>\n"

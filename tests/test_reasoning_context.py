@@ -12,6 +12,8 @@ import weakref
 
 import pytest
 
+from ontokit import reasoner
+from ontokit.analysis import asserted_taxonomy
 from ontokit.disease import DISEASE_NS, build_disease_ontology
 from ontokit.model import (
     Bottom,
@@ -116,6 +118,28 @@ def test_inconsistent_ontology_raises_on_every_call():
         with pytest.raises(InconsistentOntologyError):
             call(abox)
     assert is_consistent(abox) is False
+
+
+def test_told_closure_is_built_once_per_instance(monkeypatch):
+    expected = told_subsumers(build_disease_ontology())
+    onto = build_disease_ontology()
+    built = []
+    original = reasoner._closure
+
+    def counting(direct):
+        built.append(all(isinstance(key, Iri) for key in direct))
+        return original(direct)
+
+    monkeypatch.setattr(reasoner, "_closure", counting)
+    inferred = classify(onto)
+    asserted = asserted_taxonomy(onto)
+    told = told_subsumers(onto)
+    assert told == expected
+    told.clear()  # each call returns its own dict
+    assert told_subsumers(onto) == expected
+    assert classify(onto) == inferred and asserted_taxonomy(onto) == asserted
+    # One closure of the role hierarchy and one of the told subsumptions.
+    assert sorted(built) == [False, True]
 
 
 def test_context_lives_and_dies_with_its_instance():

@@ -296,8 +296,7 @@ def _site_digest(sites):
 
 def _random_site(seed):
     # The taxonomies and the realization are drawn without the reasoner, so
-    # the digest pins the generator alone (and on seed 7 the tableau runs
-    # for more than five seconds).
+    # the digest pins the generator alone; `_reasoned_site` draws them with it.
     rng = random.Random(seed)
     ontology = random_full_ontology(rng)
     entities = declared_entities(ontology)
@@ -307,6 +306,17 @@ def _random_site(seed):
         for e in entities if e.kind is EntityKind.INDIVIDUAL
     }
     taxonomy = asserted_taxonomy(ontology)
+    return generate_site(ontology, taxonomy, taxonomy, realization)
+
+
+def _reasoned_site(seed):
+    # The inferred taxonomy fills both taxonomy slots; a consistent draw is
+    # realized on even seeds and typed by `entailed_types` on odd ones.
+    ontology = random_full_ontology(random.Random(seed))
+    taxonomy = classify(ontology)
+    realization = None
+    if is_consistent(ontology):
+        realization = (realize if seed % 2 == 0 else entailed_types)(ontology)
     return generate_site(ontology, taxonomy, taxonomy, realization)
 
 
@@ -338,11 +348,14 @@ def _told_ontology(n_classes):
 
 
 # Recorded from the generator that scanned every axiom once per page, before
-# generation became one pass over the axioms.
+# generation became one pass over the axioms; "reasoned" was recorded from the
+# reasoner before its label tests, closure loops and expression walkers each
+# became one.
 SITE_DIGESTS = {
     "fixture": "deb077dfdbe6e6bf90fdb950a098ad382023f45aa030686b79c880cca84bf738",
     "random": "a392b6db9ab48070cad6d61b6dd40aaf70d2691cd49e4be27f1a7f29b9708b74",
     "declared-thing": "ac2ea95f7da5ba53580d32c4f2f0a9c0894154dcd8230b4136e54b1925196e9e",
+    "reasoned": "a188aac63d4f7c5f9470b5b18ffb5e305465fa15beb950ec154988a3862434fc",
 }
 
 
@@ -355,6 +368,7 @@ def test_sites_keep_recorded_bytes(disease, disease_taxonomy):
         "random": _site_digest([_random_site(seed) for seed in range(40)]),
         "declared-thing": _site_digest(
             [generate_site(thing, classify(thing), asserted_taxonomy(thing))]),
+        "reasoned": _site_digest([_reasoned_site(seed) for seed in range(40)]),
     } == SITE_DIGESTS
 
 

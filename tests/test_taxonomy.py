@@ -303,10 +303,9 @@ def test_classify_keeps_no_module_state_across_ontologies():
 
 def unpruned(function, *args, monkeypatch):
     """`function` as it answers with every tableau test run: no label
-    refutes a name (`_refuted`) or entails one (`_entailed`)."""
+    decides a name (`_decided`)."""
     with monkeypatch.context() as patch:
-        patch.setattr(reasoner, "_refuted", lambda label, name, tbox: False)
-        patch.setattr(reasoner, "_entailed", lambda label, name, tbox: False)
+        patch.setattr(reasoner, "_decided", lambda label, name, tbox: None)
         return function(*args)
 
 
