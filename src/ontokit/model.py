@@ -4,8 +4,8 @@ Entities, concept and role expressions, axioms, and the Ontology value type,
 plus the signature/counting/usage queries everything else is built on. All
 types are plain frozen dataclasses: construction validates invariants, and no
 operation mutates its inputs. The only things written after construction are
-an Ontology's cached signature and the reasoner's compiled context, which are
-never compared or printed.
+an Ontology's signature and the reasoner's compiled context, which are never
+compared or printed.
 """
 
 from __future__ import annotations
@@ -370,8 +370,12 @@ class Ontology:
     axioms: tuple[Axiom, ...] = ()
     strict: bool = False
     warnings: tuple[str, ...] = ()
-    # `signature`'s result, kept with the instance it describes; an
-    # operation that changes the axioms builds a new Ontology.
+    # The signature as one set of IRIs per kind, handed over by the
+    # operation that built the instance (`make_ontology`, `add_axioms`) or
+    # made on first use, and `signature`'s sort of it; an operation that
+    # changes the axioms builds a new Ontology.
+    _entities: Optional[dict[EntityKind, set[Iri]]] = field(
+        default=None, init=False, repr=False, compare=False)
     _signature: Optional[tuple[Entity, ...]] = field(
         default=None, init=False, repr=False, compare=False)
     # What the reasoner compiles from this instance (`reasoner._context`),
@@ -406,18 +410,55 @@ class Ontology:
         return state
 
 
-def _declared_set(axioms: Iterable[Axiom]) -> set[Entity]:
-    return {a.entity for a in axioms if isinstance(a, Declaration)}
+def _declared_by_kind(axioms: Iterable[Axiom]) -> dict[EntityKind, set[Iri]]:
+    declared: dict[EntityKind, set[Iri]] = {kind: set() for kind in EntityKind}
+    for axiom in axioms:
+        if isinstance(axiom, Declaration):
+            declared[axiom.entity.kind].add(axiom.entity.iri)
+    return declared
 
 
-def _check_strict(axiom: Axiom, declared: set[Entity]) -> None:
-    if isinstance(axiom, Declaration):
-        return
+def _admit(axiom: Axiom, known: dict[EntityKind, set[Iri]], strict: bool,
+           warnings: list[str]) -> None:
+    """Check the typed references of `axiom`, not a declaration, against
+    `known`, the IRIs of each kind declared so far. In strict mode a new
+    one raises; in lenient mode it is auto-declared: added to `known`, with
+    a warning."""
     for kind, iri in axiom_references(axiom):
-        if kind is None:
-            continue
-        if Entity(kind, iri) not in declared:
-            raise UndeclaredEntityError(f"undeclared entity: {kind.value} <{iri}>")
+        if kind is not None:
+            iris = known[kind]
+            if iri not in iris:
+                if strict:
+                    raise UndeclaredEntityError(f"undeclared entity: {kind.value} <{iri}>")
+                iris.add(iri)
+                warnings.append(f"auto-declared {kind.value} <{iri}>")
+
+
+def _admitted(axioms: tuple[Axiom, ...], strict: bool
+              ) -> tuple[dict[EntityKind, set[Iri]], list[str]]:
+    """One walk over the references of the axioms that are not declarations:
+    the entities per kind and the auto-declaration warnings. Declarations
+    count wherever they stand. A strict walk that returns has met only
+    declared entities, so in both modes the entities are the signature."""
+    known = _declared_by_kind(axioms)
+    warnings: list[str] = []
+    for axiom in axioms:
+        if not isinstance(axiom, Declaration):
+            _admit(axiom, known, strict, warnings)
+    return known, warnings
+
+
+def _with_entities(ontology: Ontology, entities: dict[EntityKind, set[Iri]]) -> Ontology:
+    object.__setattr__(ontology, "_entities", entities)
+    return ontology
+
+
+def _entities_of(ontology: Ontology) -> dict[EntityKind, set[Iri]]:
+    """The signature per kind, unsorted; an instance built directly, not by
+    `make_ontology` or `add_axioms`, walks its axioms for it once."""
+    if ontology._entities is None:
+        _with_entities(ontology, _admitted(ontology.axioms, strict=False)[0])
+    return ontology._entities
 
 
 def add_axiom(ontology: Ontology, axiom: Axiom) -> Ontology:
@@ -426,27 +467,36 @@ def add_axiom(ontology: Ontology, axiom: Axiom) -> Ontology:
     In strict mode every typed entity the axiom references must already be
     declared (or be the axiom's own declaration).
     """
-    if axiom in ontology.axioms:
+    return add_axioms(ontology, (axiom,))
+
+
+def add_axioms(ontology: Ontology, axioms: Iterable[Axiom]) -> Ontology:
+    """Return an ontology containing each of `axioms`: the result of adding
+    them one at a time with `add_axiom`, the same axioms in the same order
+    with the same warnings, built in one step. Only the added axioms are
+    walked; the signature is carried forward from `ontology`."""
+    present = set(ontology.axioms)
+    added = tuple(a for a in dict.fromkeys(axioms) if a not in present)
+    if not added:
         return ontology
+    known = {kind: set(iris) for kind, iris in _entities_of(ontology).items()}
+    # Strict mode checks against the declarations made so far, lenient mode
+    # against the signature so far.
+    declared = _declared_by_kind(ontology.axioms) if ontology.strict else known
     warnings = list(ontology.warnings)
-    if ontology.strict:
-        declared = _declared_set(ontology.axioms)
+    for axiom in added:
         if isinstance(axiom, Declaration):
-            declared.add(axiom.entity)
-        _check_strict(axiom, declared)
-    elif not isinstance(axiom, Declaration):
-        known = set(signature(ontology))
-        for kind, iri in axiom_references(axiom):
-            if kind is not None and Entity(kind, iri) not in known:
-                known.add(Entity(kind, iri))
-                warnings.append(f"auto-declared {kind.value} <{iri}>")
-    return Ontology(
+            known[axiom.entity.kind].add(axiom.entity.iri)
+            declared[axiom.entity.kind].add(axiom.entity.iri)
+        else:
+            _admit(axiom, declared, ontology.strict, warnings)
+    return _with_entities(Ontology(
         iri=ontology.iri,
         prefixes=ontology.prefixes,
-        axioms=ontology.axioms + (axiom,),
+        axioms=ontology.axioms + added,
         strict=ontology.strict,
         warnings=tuple(warnings),
-    )
+    ), known)
 
 
 def make_ontology(
@@ -459,31 +509,14 @@ def make_ontology(
 
     Deduplicates while preserving first-occurrence order. Strict validation is
     whole-set (declarations may appear anywhere in the stream); lenient mode
-    records one auto-declaration warning per undeclared entity.
+    records one auto-declaration warning per undeclared entity. The one walk
+    over the references that does either also yields the signature, which
+    the instance keeps unsorted until `signature` is first asked.
     """
-    ordered: list[Axiom] = []
-    seen: set[Axiom] = set()
-    for a in axioms:
-        if a not in seen:
-            seen.add(a)
-            ordered.append(a)
-    declared = _declared_set(ordered)
-    warnings: list[str] = []
-    if strict:
-        for a in ordered:
-            _check_strict(a, declared)
-    else:
-        known = set(declared)
-        for a in ordered:
-            for kind, ref in axiom_references(a):
-                if kind is None or isinstance(a, Declaration):
-                    continue
-                entity = Entity(kind, ref)
-                if entity not in known:
-                    known.add(entity)
-                    warnings.append(f"auto-declared {kind.value} <{ref}>")
-    return Ontology(iri=iri, prefixes=tuple(prefixes), axioms=tuple(ordered),
-                    strict=strict, warnings=tuple(warnings))
+    ordered = tuple(dict.fromkeys(axioms))
+    entities, warnings = _admitted(ordered, strict)
+    return _with_entities(Ontology(iri=iri, prefixes=tuple(prefixes), axioms=ordered,
+                                   strict=strict, warnings=tuple(warnings)), entities)
 
 
 # ---------------------------------------------------------------------------
@@ -494,22 +527,24 @@ def make_ontology(
 def signature(ontology: Ontology) -> tuple[Entity, ...]:
     """All entities declared or referenced, ordered by (kind, IRI text).
 
-    Computed once per Ontology instance and kept on it.
+    Sorted on the first call and kept on the instance, from the entities
+    that the operation building it collected (see `_entities_of`).
     """
     if ontology._signature is None:
-        entities = {Entity(kind, iri) for axiom in ontology.axioms
-                    for kind, iri in axiom_references(axiom) if kind is not None}
-        object.__setattr__(ontology, "_signature",
-                           tuple(sorted(entities, key=Entity.sort_key)))
+        object.__setattr__(ontology, "_signature", _sorted_entities(_entities_of(ontology)))
     return ontology._signature
+
+
+def _sorted_entities(entities: dict[EntityKind, set[Iri]]) -> tuple[Entity, ...]:
+    return tuple(sorted((Entity(kind, iri) for kind, iris in entities.items() for iri in iris),
+                        key=Entity.sort_key))
 
 
 def declared_entities(ontology: Ontology) -> tuple[Entity, ...]:
     """The declared-entity set: explicit declarations, plus (in lenient mode)
     every typed reference, which the ontology treats as auto-declared."""
     if ontology.strict:
-        entities = _declared_set(ontology.axioms)
-        return tuple(sorted(entities, key=Entity.sort_key))
+        return _sorted_entities(_declared_by_kind(ontology.axioms))
     return signature(ontology)
 
 

@@ -233,6 +233,13 @@ class _Parser:
     Tokens are scanned only as the parser reaches them, so a construct is
     rejected before later text is scanned: an unsupported keyword wins over
     a lex error inside it. Locations are computed only for an error.
+
+    Each IRI value is built once per document: every mention of it, in
+    either spelling (`:A` or `<...#A>`), is the same `Iri` object, and every
+    mention as a concept is the same `Named`, `Top` or `Bottom` leaf. The
+    dicts that hold them are keyed by text (a prefixed name's, or the IRI's
+    own), so a name read before costs a dict lookup and no hash of a model
+    value, and later lookups of equal values find identical objects.
     """
 
     def __init__(self, text: str):
@@ -241,6 +248,14 @@ class _Parser:
         self.lookahead: tuple | None = None
         self.prefixes: dict[str, str] = {}
         self.depth = 0
+        # IRI value, which is an IRI reference's token text -> Iri; the
+        # built-in constants are the document's own.
+        self.iris: dict[str, Iri] = {iri.value: iri for iri in (OWL_THING, OWL_NOTHING, XSD_STRING)}
+        # Prefixed name's token text -> Iri.
+        self.pnames: dict[str, Iri] = {}
+        # IRI value -> its concept leaf.
+        self.leaves: dict[str, ConceptExpression] = {OWL_THING.value: Top(),
+                                                     OWL_NOTHING.value: Bottom()}
 
     def peek(self) -> tuple:
         tok = self.lookahead
@@ -269,21 +284,28 @@ class _Parser:
         raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, tok,
                          f"expected {what}, found {shown!r}")
 
-    def resolve_pname(self, tok: tuple) -> Iri:
-        prefix, _, local = tok[1].partition(":")
-        if prefix not in self.prefixes:
-            raise self.error(ParseErrorKind.UNDECLARED_PREFIX, tok,
-                             f"undeclared prefix '{prefix}:'")
-        return Iri(self.prefixes[prefix] + local)
-
-    def parse_iri(self, what: str = "IRI") -> Iri:
+    def intern(self, value: str) -> Iri:
         # The scanner admits no whitespace in an IRI reference or a prefixed
         # name, and no empty IRI reference, so Iri() cannot fail here.
+        iri = self.iris.get(value)
+        if iri is None:
+            iri = self.iris[value] = Iri(value)
+        return iri
+
+    def parse_iri(self, what: str = "IRI") -> Iri:
         tok = self.take()
-        if tok[0] is TokenKind.IRI_REF:
-            return Iri(tok[1])
-        if tok[0] is TokenKind.PNAME:
-            return self.resolve_pname(tok)
+        kind, text, _ = tok
+        if kind is TokenKind.PNAME:
+            iri = self.pnames.get(text)
+            if iri is None:
+                prefix, _, local = text.partition(":")
+                if prefix not in self.prefixes:
+                    raise self.error(ParseErrorKind.UNDECLARED_PREFIX, tok,
+                                     f"undeclared prefix '{prefix}:'")
+                iri = self.pnames[text] = self.intern(self.prefixes[prefix] + local)
+            return iri
+        if kind is TokenKind.IRI_REF:
+            return self.intern(text)
         self.fail_unexpected(tok, what)
         raise AssertionError  # unreachable
 
@@ -298,7 +320,7 @@ class _Parser:
         self.take()
         self.expect(TokenKind.LPAREN, "'('")
         iri_tok = self.expect(TokenKind.IRI_REF, "ontology IRI")
-        ontology_iri = Iri(iri_tok[1])
+        ontology_iri = self.intern(iri_tok[1])
         axioms: list[Axiom] = []
         while self.peek()[0] is not TokenKind.RPAREN:
             axioms.append(self.parse_axiom())
@@ -422,11 +444,10 @@ class _Parser:
         kind, name, _ = tok
         if kind is TokenKind.IRI_REF or kind is TokenKind.PNAME:
             iri = self.parse_iri("concept IRI")
-            if iri == OWL_THING:
-                return Top()
-            if iri == OWL_NOTHING:
-                return Bottom()
-            return Named(iri)
+            leaf = self.leaves.get(iri.value)
+            if leaf is None:
+                leaf = self.leaves[iri.value] = Named(iri)
+            return leaf
         if kind is not TokenKind.KEYWORD:
             self.fail_unexpected(tok, "a concept expression")
         if name in _UNSUPPORTED_CONCEPTS:
@@ -512,46 +533,63 @@ def render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
     return f"{prefix}:{iri.value[len(prefixes[prefix]):]}"
 
 
-def _render_literal(literal: Literal, prefixes: dict[str, str]) -> str:
+class _Names(dict):
+    """Each IRI's text under one prefix map, rendered on its first lookup,
+    so a serialization renders each distinct IRI once."""
+
+    def __init__(self, prefixes: dict[str, str]):
+        super().__init__()
+        self.prefixes = prefixes
+
+    def __missing__(self, iri: Iri) -> str:
+        text = self[iri] = render_iri(iri, self.prefixes)
+        return text
+
+
+def _literal_text(literal: Literal, names: _Names) -> str:
     escaped = literal.lexical.replace("\\", "\\\\").replace('"', '\\"')
     if literal.datatype == XSD_STRING:
         return f'"{escaped}"'
-    return f'"{escaped}"^^{render_iri(literal.datatype, prefixes)}'
+    return f'"{escaped}"^^{names[literal.datatype]}'
 
 
-def render_role(role: RoleExpression, prefixes: dict[str, str]) -> str:
+def _role_text(role: RoleExpression, names: _Names) -> str:
     if isinstance(role, InverseRole):
-        return f"ObjectInverseOf({render_iri(role.iri, prefixes)})"
-    return render_iri(role.iri, prefixes)
+        return f"ObjectInverseOf({names[role.iri]})"
+    return names[role.iri]
 
 
-def render_concept(expr: ConceptExpression, prefixes: dict[str, str]) -> str:
-    if isinstance(expr, Top):
-        return render_iri(OWL_THING, prefixes)
-    if isinstance(expr, Bottom):
-        return render_iri(OWL_NOTHING, prefixes)
+def _concept_text(expr: ConceptExpression, names: _Names) -> str:
     if isinstance(expr, Named):
-        return render_iri(expr.iri, prefixes)
+        return names[expr.iri]
+    if isinstance(expr, Top):
+        return names[OWL_THING]
+    if isinstance(expr, Bottom):
+        return names[OWL_NOTHING]
     if isinstance(expr, Intersection):
-        inner = " ".join(render_concept(op, prefixes) for op in expr.operands)
+        inner = " ".join(_concept_text(op, names) for op in expr.operands)
         return f"ObjectIntersectionOf({inner})"
     if isinstance(expr, Union):
-        inner = " ".join(render_concept(op, prefixes) for op in expr.operands)
+        inner = " ".join(_concept_text(op, names) for op in expr.operands)
         return f"ObjectUnionOf({inner})"
     if isinstance(expr, Complement):
-        return f"ObjectComplementOf({render_concept(expr.operand, prefixes)})"
+        return f"ObjectComplementOf({_concept_text(expr.operand, names)})"
     if isinstance(expr, Existential):
-        return (f"ObjectSomeValuesFrom({render_role(expr.role, prefixes)} "
-                f"{render_concept(expr.filler, prefixes)})")
+        return (f"ObjectSomeValuesFrom({_role_text(expr.role, names)} "
+                f"{_concept_text(expr.filler, names)})")
     if isinstance(expr, Universal):
-        return (f"ObjectAllValuesFrom({render_role(expr.role, prefixes)} "
-                f"{render_concept(expr.filler, prefixes)})")
+        return (f"ObjectAllValuesFrom({_role_text(expr.role, names)} "
+                f"{_concept_text(expr.filler, names)})")
     raise TypeError(f"unknown concept expression: {type(expr).__name__}")
 
 
 def render_axiom(axiom: Axiom, prefixes: dict[str, str]) -> str:
-    r = lambda iri: render_iri(iri, prefixes)
-    c = lambda expr: render_concept(expr, prefixes)
+    return _axiom_text(axiom, _Names(prefixes))
+
+
+def _axiom_text(axiom: Axiom, names: _Names) -> str:
+    r = names.__getitem__
+    c = lambda expr: _concept_text(expr, names)
     if isinstance(axiom, Declaration):
         return f"Declaration({axiom.entity.kind.value}({r(axiom.entity.iri)}))"
     if isinstance(axiom, SubConceptOf):
@@ -576,10 +614,10 @@ def render_axiom(axiom: Axiom, prefixes: dict[str, str]) -> str:
         return f"ObjectPropertyAssertion({r(axiom.role)} {r(axiom.subject)} {r(axiom.object)})"
     if isinstance(axiom, DataAssertion):
         return (f"DataPropertyAssertion({r(axiom.role)} {r(axiom.subject)} "
-                f"{_render_literal(axiom.value, prefixes)})")
+                f"{_literal_text(axiom.value, names)})")
     if isinstance(axiom, AnnotationAssertion):
         return (f"AnnotationAssertion({r(axiom.role)} {r(axiom.subject)} "
-                f"{_render_literal(axiom.value, prefixes)})")
+                f"{_literal_text(axiom.value, names)})")
     raise TypeError(f"unknown axiom type: {type(axiom).__name__}")
 
 
@@ -598,13 +636,14 @@ def _axiom_group(axiom: Axiom) -> tuple[int, int]:
 def serialize(ontology: Ontology) -> str:
     """Canonical text form: prefixes sorted, axioms grouped by kind and
     sorted by their serialized text, one per line; byte-identical across runs
-    for equal inputs."""
+    for equal inputs. Each distinct IRI is rendered once per call."""
     prefixes = ontology.prefix_map()
     lines = [f"Prefix({prefix}:=<{expansion}>)"
              for prefix, expansion in sorted(prefixes.items())]
     lines.append(f"Ontology(<{ontology.iri.value}>")
+    names = _Names(prefixes)
     rendered = sorted(
-        (_axiom_group(axiom) + (render_axiom(axiom, prefixes),) for axiom in ontology.axioms)
+        (_axiom_group(axiom) + (_axiom_text(axiom, names),) for axiom in ontology.axioms)
     )
     lines.extend(text for _, _, text in rendered)
     lines.append(")")

@@ -72,7 +72,7 @@ from .model import (
     TransitiveRole,
     Union,
     Universal,
-    add_axiom,
+    add_axioms,
     inverse_of,
     signature,
     subexpressions,
@@ -669,10 +669,7 @@ def materialize_inverses(ontology: Ontology) -> Ontology:
                 if implied not in closure:
                     closure.add(implied)
                     frontier.append(implied)
-    result = ontology
-    for assertion in sorted(closure - asserted, key=repr):
-        result = add_axiom(result, assertion)
-    return result
+    return add_axioms(ontology, sorted(closure - asserted, key=repr))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from ontokit.model import (
     Union,
     XSD_STRING,
     add_axiom,
+    add_axioms,
+    axiom_references,
     compute_counts,
     make_ontology,
     signature,
@@ -255,3 +257,74 @@ def test_strict_mode_tracks_punning():
     # Using an IRI with an undeclared kind still fails.
     with pytest.raises(UndeclaredEntityError):
         add_axiom(o, ConceptAssertion(named("Other"), iri("Other")))
+
+
+# ---------------------------------------------------------------------------
+# The signature handed over by the operation that builds an ontology
+# ---------------------------------------------------------------------------
+
+
+def _walked_signature(ontology):
+    """The signature by its definition: every typed reference of every
+    axiom, walked afresh."""
+    entities = {Entity(kind, ref) for axiom in ontology.axioms
+                for kind, ref in axiom_references(axiom) if kind is not None}
+    return tuple(sorted(entities, key=Entity.sort_key))
+
+
+def _built_every_way(ontology):
+    """Ontologies over `ontology`'s axioms (or a part of them), built by
+    each operation that makes one: lenient and strict `make_ontology`,
+    the constructor, and `add_axiom`/`add_axioms` onto either."""
+    axioms, name, prefixes = ontology.axioms, ontology.iri, ontology.prefixes
+    declarations = tuple(a for a in axioms if isinstance(a, Declaration))
+    logical = tuple(a for a in axioms if not isinstance(a, Declaration))
+    half = len(axioms) // 2
+    yield make_ontology(name, prefixes, axioms)
+    yield make_ontology(name, prefixes, logical)  # every entity auto-declared
+    yield make_ontology(name, prefixes, axioms[::-1], strict=True)
+    yield Ontology(name, prefixes, axioms)
+    yield Ontology(name, prefixes, logical, strict=True)  # never validated
+    lenient = make_ontology(name, prefixes, axioms[:half])
+    for axiom in axioms[half:]:
+        lenient = add_axiom(lenient, axiom)
+    yield lenient
+    strict = make_ontology(name, prefixes, declarations, strict=True)
+    for axiom in logical:
+        strict = add_axiom(strict, axiom)
+    yield strict
+    yield add_axioms(Ontology(name, prefixes, logical[:half]), logical[half:] + logical)
+
+
+def test_signature_matches_the_walk_over_every_axiom(disease):
+    import random
+    from genontology import random_full_ontology
+    rng = random.Random(20261019)
+    sources = [disease] + [random_full_ontology(rng) for _ in range(200)]
+    built = 0
+    for source in sources:
+        for ontology in _built_every_way(source):
+            assert signature(ontology) == _walked_signature(ontology)
+            built += 1
+    assert built == 8 * len(sources)
+
+
+def test_add_axioms_is_the_fold_of_add_axiom(disease):
+    extra = (ConceptAssertion(named("Virus"), iri("v1")),
+             Declaration(Entity(EntityKind.OBJECT_ROLE, iri("hasHost"))),
+             ConceptAssertion(named("Virus"), iri("v1")),
+             RoleRange(iri("hasHost"), named("Host")))
+    lenient = make_ontology(disease.iri, disease.prefixes, disease.axioms)
+    folded = lenient
+    for axiom in extra:
+        folded = add_axiom(folded, axiom)
+    once = add_axioms(lenient, extra)
+    assert once.axioms == folded.axioms == lenient.axioms + extra[:2] + extra[3:]
+    assert once.warnings == folded.warnings
+    assert once.warnings[len(lenient.warnings):] == (
+        f"auto-declared NamedIndividual <{DISEASE_NS}v1>",
+        f"auto-declared Class <{DISEASE_NS}Host>")
+    assert signature(once) == _walked_signature(once)
+    assert add_axioms(lenient, lenient.axioms) is lenient
+    with pytest.raises(UndeclaredEntityError):
+        add_axioms(disease, extra)  # strict: v1 was never declared

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -273,3 +274,87 @@ def test_empty_input_is_unexpected_token():
     with pytest.raises(ParseError) as err:
         parse("")
     assert err.value.kind is ParseErrorKind.UNEXPECTED_TOKEN
+
+
+# ---------------------------------------------------------------------------
+# One value per IRI within a parse
+# ---------------------------------------------------------------------------
+
+
+SHARED_NAMES = """Prefix(:=<http://x#>)
+Prefix(owl:=<http://www.w3.org/2002/07/owl#>)
+Prefix(xsd:=<http://www.w3.org/2001/XMLSchema#>)
+Ontology(<http://x>
+SubClassOf(:A <http://x#B>)
+SubClassOf(<http://x#A> ObjectSomeValuesFrom(:r :B))
+SubClassOf(:B owl:Thing)
+EquivalentClasses(<http://www.w3.org/2002/07/owl#Thing> ObjectUnionOf(:A owl:Nothing))
+ClassAssertion(:A <http://x>)
+ObjectPropertyAssertion(<http://x#r> :i <http://x#i>)
+DataPropertyAssertion(:d :i "1"^^xsd:string)
+)"""
+
+
+def _parts(value):
+    """`value` and every value inside it, through dataclass fields and tuples."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        yield value
+        if dataclasses.is_dataclass(value):
+            stack.extend(getattr(value, f.name) for f in dataclasses.fields(value))
+        elif isinstance(value, tuple):
+            stack.extend(value)
+
+
+def test_equal_iris_within_one_parse_are_one_object():
+    from ontokit.model import Named, XSD_STRING
+    ontology = parse(SHARED_NAMES)
+    shared: dict = {}
+    for part in _parts((ontology.iri, ontology.axioms)):
+        if isinstance(part, Iri):
+            key = part.value
+        elif isinstance(part, Named):
+            key = ("Named", part.iri.value)
+        elif isinstance(part, (Top, Bottom)):
+            key = type(part)
+        else:
+            continue
+        assert shared.setdefault(key, part) is part, part
+    # `:A` and `<http://x#A>` are one Iri and one Named leaf, and both
+    # spellings of owl:Thing are one Top; the built-in IRIs are the model's.
+    assert ontology.axioms[0].sub is ontology.axioms[1].sub
+    assert shared[Top] is ontology.axioms[2].sup
+    assert shared[XSD_STRING.value] is XSD_STRING
+    assert {key for key in shared if isinstance(key, tuple)} == {("Named", "http://x#A"),
+                                                              ("Named", "http://x#B")}
+
+
+def test_two_parses_are_equal_and_share_nothing():
+    one, other = parse(SHARED_NAMES), parse(SHARED_NAMES)
+    assert one == other
+    assert one.axioms == other.axioms
+    assert one.axioms[0].sub == other.axioms[0].sub
+    assert one.axioms[0].sub is not other.axioms[0].sub
+    assert one.iri is not other.iri
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_parse_then_signature_walks_each_axiom_once(fixture_dir, monkeypatch, strict):
+    from ontokit import model
+    calls: dict = {}
+    original = model.axiom_references
+
+    def counting(axiom):
+        calls[id(axiom)] = calls.get(id(axiom), 0) + 1
+        return original(axiom)
+
+    monkeypatch.setattr(model, "axiom_references", counting)
+    text = (fixture_dir / "disease.ofn").read_text(encoding="utf-8")
+    ontology = parse(text, strict=strict)
+    model.signature(ontology)
+    model.compute_counts(ontology)
+    # Declarations are read without the walk; every other axiom once.
+    logical = [a for a in ontology.axioms if not isinstance(a, Declaration)]
+    assert len(logical) > 30
+    assert calls == {id(axiom): 1 for axiom in logical}

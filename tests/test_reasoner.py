@@ -50,7 +50,7 @@ from ontokit.reasoner import (
     to_nnf,
 )
 from ontokit.disease import DISEASE_NS, GIARDIA
-from ontokit.model import add_axiom
+from ontokit.model import UndeclaredEntityError, add_axiom, axiom_references, signature
 from genontology import disease_abox_ontology, random_full_ontology
 from modelsearch import Interpretation, check_model, eval_concept, find_countermodel
 
@@ -549,6 +549,76 @@ def test_materialize_preserves_input(disease):
     before = serialize(o)
     materialize_inverses(o)
     assert serialize(o) == before
+
+
+def _add_one_at_a_time(ontology, axioms):
+    """The fold `materialize_inverses` once made: one new instance per
+    axiom, checked against the declarations (strict) or against the
+    signature walked afresh over every axiom (lenient)."""
+    for axiom in axioms:
+        if axiom in ontology.axioms:
+            continue
+        references = [(kind, ref) for kind, ref in axiom_references(axiom) if kind is not None]
+        warnings = list(ontology.warnings)
+        if ontology.strict and not isinstance(axiom, Declaration):
+            declared = {a.entity for a in ontology.axioms if isinstance(a, Declaration)}
+            for kind, ref in references:
+                if Entity(kind, ref) not in declared:
+                    raise UndeclaredEntityError(kind, ref)
+        elif not isinstance(axiom, Declaration):
+            known = {Entity(kind, ref) for a in ontology.axioms
+                     for kind, ref in axiom_references(a) if kind is not None}
+            for kind, ref in references:
+                if Entity(kind, ref) not in known:
+                    known.add(Entity(kind, ref))
+                    warnings.append(f"auto-declared {kind.value} <{ref}>")
+        ontology = Ontology(ontology.iri, ontology.prefixes, ontology.axioms + (axiom,),
+                            ontology.strict, tuple(warnings))
+    return ontology
+
+
+def test_materialize_inverses_matches_the_fold_of_single_adds():
+    rng = random.Random(1301)
+    grew = 0
+    for _ in range(200):
+        strict = random_full_ontology(rng)
+        logical = [a for a in strict.axioms if not isinstance(a, Declaration)]
+        # Lenient, with every entity auto-declared and warned about.
+        lenient = make_ontology(strict.iri, strict.prefixes, logical)
+        for ontology in (strict, lenient):
+            result = materialize_inverses(ontology)
+            assert result.axioms[:len(ontology.axioms)] == ontology.axioms
+            implied = sorted(set(result.axioms) - set(ontology.axioms), key=repr)
+            expected = _add_one_at_a_time(ontology, implied)
+            assert result.axioms == expected.axioms
+            assert result.warnings == expected.warnings
+            assert signature(result) == signature(expected)
+            grew += bool(implied)
+    assert grew >= 20
+
+
+def test_materialize_inverses_walks_only_the_assertions_it_adds(monkeypatch):
+    from ontokit import model
+    calls = []
+    original = model.axiom_references
+
+    def counting(axiom):
+        calls.append(axiom)
+        return original(axiom)
+
+    for n in (100, 200, 400):
+        axioms = [InverseRoles(t("r"), t("s"))]
+        axioms += [RoleAssertion(t("r"), t(f"a{i}"), t(f"b{i}")) for i in range(n)]
+        ontology = make_ontology(Iri(NS.rstrip("#")), (("", NS),), axioms)
+        calls.clear()
+        monkeypatch.setattr(model, "axiom_references", counting)
+        result = materialize_inverses(ontology)
+        signature(result)
+        monkeypatch.setattr(model, "axiom_references", original)
+        added = result.axioms[len(axioms):]
+        assert len(added) == n
+        # One walk per added assertion; the fold walked every axiom per add.
+        assert len(calls) == n
 
 
 # ---------------------------------------------------------------------------
