@@ -7,6 +7,7 @@ and retrieval-style competency queries over the role assertions.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union as TypingUnion
 
@@ -57,7 +58,8 @@ def asserted_taxonomy(ontology: Ontology) -> Taxonomy:
     """Taxonomy from told subsumptions between named concepts (plus the
     named-to-named halves of equivalences); no reasoning involved."""
     told = told_subsumers(ontology)
-    return build_taxonomy(told, lambda c, d: d in told[c])
+    bit = {name: 1 << i for i, name in enumerate(told)}
+    return build_taxonomy(list(told), [sum(map(bit.__getitem__, ups)) for ups in told.values()])
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,8 @@ class HierarchyDiff:
 
 
 def _equivalence_pairs(taxonomy: Taxonomy) -> frozenset[tuple[Iri, Iri]]:
-    pairs: set[tuple[Iri, Iri]] = set()
-    for members in taxonomy.groups:
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                pairs.add((a, b))
-    return frozenset(pairs)
+    return frozenset(pair for members in taxonomy.groups
+                     for pair in itertools.combinations(members, 2))
 
 
 def diff_taxonomies(asserted: Taxonomy, inferred: Taxonomy) -> HierarchyDiff:

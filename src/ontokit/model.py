@@ -52,6 +52,9 @@ class Iri:
     def __str__(self) -> str:
         return self.value
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
 
 OWL_THING = Iri(OWL_NS + "Thing")
 OWL_NOTHING = Iri(OWL_NS + "Nothing")

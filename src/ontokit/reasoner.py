@@ -601,10 +601,10 @@ def _abox_entails(abox: _CompiledABox, limits: ReasonerLimits, individual: Iri,
     `names`, which are equivalent. The label decides where it can
     (`_decided`), a refutation first; otherwise one ABox test on the
     first name does."""
-    verdicts = [_decided(label, name, abox.tbox) for name in names]
-    if False in verdicts:
+    known, undecided = _decided(label, *_reading(names, abox.tbox))
+    if known | undecided != (1 << len(names)) - 1:
         return False
-    if True in verdicts:
+    if known:
         return True
     return _abox_labels(abox, limits, extra=[(individual, Complement(Named(names[0])))]) is None
 
@@ -629,10 +629,9 @@ def realize(
     inferred taxonomy). An individual with no entailed named concept maps to
     the built-in top concept.
 
-    Each individual descends the inferred taxonomy by the same top search
-    the taxonomy builder runs, with an ABox entailment test in place of the
-    subsumption test: a group is tested only once the individual belongs to
-    all of its parents. The individual's node in the consistency check's
+    Each individual descends the inferred taxonomy from ⊤
+    (`most_specific`), with an ABox entailment test for each group: a group
+    is tested only once the individual belongs to all of its parents. The individual's node in the consistency check's
     completion graph answers without a test where it can (`_abox_entails`)."""
     abox, labels = _consistent_abox(ontology, limits)
     taxonomy = _classify(ontology, abox.tbox, limits)
@@ -702,18 +701,28 @@ def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
     return dict(context.told)
 
 
-def _decided(label: dict[int, int], name: Iri, tbox: NormalizedTBox) -> Optional[bool]:
-    """What the node with this label of ids, in a clash-free completion
-    graph over `tbox`'s table, shows about its membership in the named
-    concept: False when it is outside it, True when it is inside it
-    whatever the choices, None when only a tableau test can tell.
+def _reading(names: Sequence[Iri], tbox: NormalizedTBox) -> tuple[dict[int, int], int]:
+    """How `_decided` reads labels about the named concepts `names`: each
+    name's id in `tbox`'s table (a name without one gets a key no label
+    has) -> the name's bit, and the bits of the names with a definition."""
+    ids = tbox.table.names
+    return ({ids.get(name, ~i): 1 << i for i, name in enumerate(names)},
+            sum(1 << i for i, name in enumerate(names) if name in tbox.definitions))
 
-    True when the name is in the label with an empty dependency set. Such
+
+def _decided(label: dict[int, int], bits: dict[int, int], defined: int) -> tuple[int, int]:
+    """What the node with this label of ids, in a clash-free completion
+    graph, shows about its membership in the named concepts of a
+    `_reading`, as two bitsets: the names it is in whatever the choices,
+    and the names only a tableau test can tell about. It is outside every
+    other name.
+
+    In when the name is in the label with an empty dependency set. Such
     an entry was derived from the run's input and the TBox by
     deterministic rules alone, so every model of them puts the node in
     the concept, whichever choices a model makes.
 
-    False when the name is absent and primitive. A complete, clash-free
+    Outside when the name is absent and primitive. A complete, clash-free
     graph reads as a model in which a primitive name holds exactly at the
     nodes whose label has it, since every inclusion that can put the name
     on a node has been applied wherever its premise holds. A defined name
@@ -727,24 +736,28 @@ def _decided(label: dict[int, int], name: Iri, tbox: NormalizedTBox) -> Optional
     body, so at every node labelled `P` the tableau adds the name or
     refutes the rest of the body, and the name holds exactly where it is
     labelled."""
-    deps = label.get(tbox.table.names.get(name))
-    if deps is None:
-        return None if name in tbox.definitions else False
-    return True if deps == 0 else None
+    known = present = 0
+    for concept, deps in label.items():
+        bit = bits.get(concept)
+        if bit:
+            present |= bit
+            if not deps:
+                known |= bit
+    return known, present & ~known | defined & ~present
 
 
 def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Taxonomy:
     """Inferred taxonomy over all named concepts: unsatisfiable names in the
     bottom group, names equivalent to ⊤ in the top group, and the rest
-    inserted by `build_taxonomy` in told-topological order, with mutually
+    read off their known subsumers by `build_taxonomy`, with mutually
     subsuming names merged. Independent of axiom order.
 
-    A satisfiability pre-pass tests each name once and keeps the root label
-    of its completion graph. The builder's questions "c ⊑ d?" are then
-    answered without a tableau test where the answer is known: yes when d
-    is a told subsumer of c, else whatever the root label of c's run
-    decides about d (`_decided`). ⊤'s run answers "⊤ ⊑ d" the same way.
-    Only the other questions cost a test."""
+    A satisfiability pre-pass tests each name once, and the root label of
+    its completion graph gives the name's known and possible subsumers in
+    one reading (`_decided`): known where the label entails the name or it
+    is a told subsumer, possible where only a test can tell. ⊤'s run
+    decides "⊤ ⊑ d" the same way. The builder closes the known subsumers
+    and tests only the possible pairs it cannot settle from them."""
     return _classify(ontology, _compiled(ontology).tbox, limits)
 
 
@@ -752,19 +765,25 @@ def _classify(ontology: Ontology, tbox: NormalizedTBox, limits: ReasonerLimits) 
     told = told_subsumers(ontology)
     label = {name: is_satisfiable(Named(name), tbox, limits).root_label for name in told}
     bottom = [name for name in told if label[name] is None]
+    names = [name for name in told if label[name] is not None]
 
-    def subsumed(sub: ConceptExpression, root: dict[int, int], d: Iri) -> bool:
-        # `root` is the root label of a clash-free run on `sub`.
-        verdict = _decided(root, d, tbox)
-        return is_subsumed_by(sub, Named(d), tbox, limits) if verdict is None else verdict
+    def subsumed(sub: ConceptExpression, sup: Iri) -> bool:
+        return is_subsumed_by(sub, Named(sup), tbox, limits)
 
-    top: list[Iri] = []
-    if len(bottom) < len(told):
+    top: set[Iri] = set()
+    if names:
         root = is_satisfiable(Top(), tbox, limits).root_label
-        top = [name for name in told
-               if label[name] is not None and subsumed(Top(), root, name)]
-
-    def leq(c: Iri, d: Iri) -> bool:
-        return d in told[c] or subsumed(Named(c), label[c], d)
-
-    return build_taxonomy(told, leq, top_names=top, bottom_names=bottom)
+        known, undecided = _decided(root, *_reading(names, tbox))
+        top = {name for i, name in enumerate(names) if known >> i & 1
+               or undecided >> i & 1 and subsumed(Top(), name)}
+        names = [name for name in names if name not in top]
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    reading = _reading(names, tbox)
+    known, possible = [], []
+    for name in names:
+        entailed, undecided = _decided(label[name], *reading)
+        told_mask = sum(bit.get(up, 0) for up in told[name])
+        known.append(entailed | told_mask)
+        possible.append(undecided & ~told_mask)
+    return build_taxonomy(names, known, possible, lambda c, d: subsumed(Named(c), d),
+                          top_names=top, bottom_names=bottom)

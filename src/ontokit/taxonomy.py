@@ -3,15 +3,20 @@
 A `Taxonomy` holds the equivalence groups of a subsumption preorder in a
 transitively reduced DAG. `build_taxonomy` is the one builder behind the
 inferred tree (`reasoner.classify`) and the asserted tree
-(`analysis.asserted_taxonomy`); `most_specific` is the search it runs,
-which `reasoner.realize` also runs over a finished taxonomy.
+(`analysis.asserted_taxonomy`): it closes each name's known subsumers, as
+int bitsets over a name index, tests only the pairs they leave undecided,
+and reduces the closed sets to the DAG, with no search per name.
+`most_specific` is the top-down search `reasoner.realize` runs over a
+finished taxonomy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from functools import cached_property, reduce
+from operator import or_
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import Iri
 
@@ -35,19 +40,14 @@ class Taxonomy:
     def _group_index(self) -> dict[Iri, int]:
         return {iri: idx for idx, members in enumerate(self.groups) for iri in members}
 
-    @cached_property
-    def _parents(self) -> dict[int, tuple[int, ...]]:
+    def _adjacent(self, end: int) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {i: [] for i in range(len(self.groups))}
-        for child, parent in self.edges:
-            out[child].append(parent)
+        for edge in self.edges:
+            out[edge[end]].append(edge[1 - end])
         return {k: tuple(sorted(v)) for k, v in out.items()}
 
-    @cached_property
-    def _children(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {i: [] for i in range(len(self.groups))}
-        for child, parent in self.edges:
-            out[parent].append(child)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
+    _parents = cached_property(lambda self: self._adjacent(0))
+    _children = cached_property(lambda self: self._adjacent(1))
 
     def concepts(self) -> tuple[Iri, ...]:
         return tuple(sorted(self._group_index, key=lambda iri: iri.value))
@@ -67,23 +67,19 @@ class Taxonomy:
     def equivalents_of(self, iri: Iri) -> tuple[Iri, ...]:
         return self.groups[self.group_of(iri)]
 
+    def _named(self, groups: Iterable[int]) -> tuple[Iri, ...]:
+        return tuple(sorted({m for g in groups for m in self.groups[g]}, key=lambda i: i.value))
+
     def parent_concepts_of(self, iri: Iri) -> tuple[Iri, ...]:
         """Named members of the direct parent groups."""
-        out: list[Iri] = []
-        for parent in self.parents_of(self.group_of(iri)):
-            out.extend(self.groups[parent])
-        return tuple(sorted(set(out), key=lambda i: i.value))
+        return self._named(self.parents_of(self.group_of(iri)))
 
     def named_links(self) -> frozenset[tuple[Iri, Iri]]:
         """Direct (child concept, parent concept) pairs, expanded over group
         members; links to the pseudo top/bottom are represented only through
         named members of those groups."""
-        pairs: set[tuple[Iri, Iri]] = set()
-        for child, parent in self.edges:
-            for c in self.groups[child]:
-                for p in self.groups[parent]:
-                    pairs.add((c, p))
-        return frozenset(pairs)
+        return frozenset(pair for child, parent in self.edges
+                         for pair in itertools.product(self.groups[child], self.groups[parent]))
 
     @staticmethod
     def _reach(start: int, direction: Mapping[int, Iterable[int]]) -> set[int]:
@@ -100,157 +96,126 @@ class Taxonomy:
 
     def ancestors_of(self, iri: Iri) -> tuple[Iri, ...]:
         """Named concepts strictly above, transitively (equivalents excluded)."""
-        groups = self._reach(self.group_of(iri), self._parents)
-        out = [m for g in groups for m in self.groups[g]]
-        return tuple(sorted(set(out), key=lambda i: i.value))
+        return self._named(self._reach(self.group_of(iri), self._parents))
 
     def descendants_of(self, iri: Iri) -> tuple[Iri, ...]:
-        groups = self._reach(self.group_of(iri), self._children)
-        out = [m for g in groups for m in self.groups[g]]
-        return tuple(sorted(set(out), key=lambda i: i.value))
+        return self._named(self._reach(self.group_of(iri), self._children))
 
     def closure_pairs(self) -> frozenset[tuple[Iri, Iri]]:
         """(c, d) for every strict-or-equivalent named pair with c ⊑ d."""
         pairs: set[tuple[Iri, Iri]] = set()
-        for iri in self._group_index:
-            for other in self.equivalents_of(iri):
-                if other != iri:
-                    pairs.add((iri, other))
-            for ancestor in self.ancestors_of(iri):
-                pairs.add((iri, ancestor))
+        for group, members in enumerate(self.groups):
+            above = [m for g in self._reach(group, self._parents) for m in self.groups[g]]
+            pairs.update(itertools.permutations(members, 2))
+            pairs.update(itertools.product(members, above))
         return frozenset(pairs)
 
 
 def most_specific(
     root: int,
     passes: Callable[[int], bool],
-    above: Callable[[int], Iterable[int]],
+    above: Callable[[int], Sequence[int]],
     below: Callable[[int], Iterable[int]],
 ) -> list[int]:
-    """The nodes of a DAG walked down from `root` that pass `passes` and have
-    no passing node directly `below` them; `root` passes by assumption.
+    """The nodes of a finished DAG, walked down from `root`, that pass
+    `passes` and have no passing node directly `below` them; `root` passes
+    by assumption. `reasoner.realize` runs it over the inferred taxonomy.
 
     Enhanced traversal (Baader, Hollunder, Nebel, Profitlich & Franconi
     1994). `passes` must be closed upwards: a node that passes has only
     passing nodes `above` it. So a node is tested only once every node
     directly above it has passed, and one failure prunes all below it."""
-    verdict: dict[int, bool] = {root: True}
-
-    def settle(node: int) -> bool:
-        # Settles the nodes above `node` first, with a stack, not recursion:
-        # chains of unsettled parents can be as long as the DAG is deep.
-        stack = [node]
-        while stack:
-            current = stack[-1]
-            if current in verdict:
-                stack.pop()
-                continue
-            pending = None
-            for up in above(current):
-                known = verdict.get(up)
-                if known is False:
-                    verdict[current] = False
-                    break
-                if known is None:
-                    pending = up
-            else:
-                if pending is None:
-                    verdict[current] = passes(current)
-                else:
-                    stack.append(pending)
-        return verdict[node]
-
-    found: list[int] = []
+    passing = {root}
+    waiting: dict[int, int] = {}  # node -> the nodes above it not yet passed
     frontier = [root]
-    seen = {root}
     while frontier:
-        node = frontier.pop()
-        lower = [n for n in below(node) if settle(n)]
-        if not lower:
-            found.append(node)
-        for n in lower:
-            if n not in seen:
-                seen.add(n)
-                frontier.append(n)
-    return sorted(found)
+        for node in below(frontier.pop()):
+            waiting[node] = waiting.get(node, len(above(node))) - 1
+            if not waiting[node] and passes(node):
+                passing.add(node)
+                frontier.append(node)
+    return sorted(node for node in passing if not passing.intersection(below(node)))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close(masks: list[int]) -> None:
+    """Close the masks transitively, in place: each takes in the masks of
+    the indices it has, until none changes."""
+    changed = True
+    while changed:
+        changed = False
+        for i, mask in enumerate(masks):
+            masks[i] = reduce(or_, map(masks.__getitem__, _bits(mask)), mask)
+            changed = changed or masks[i] != mask
 
 
 def build_taxonomy(
-    names: Iterable[Iri],
-    leq: Callable[[Iri, Iri], bool],
+    names: Sequence[Iri],
+    known: Sequence[int],
+    possible: Sequence[int] = (),
+    test: Optional[Callable[[Iri, Iri], bool]] = None,
     top_names: Iterable[Iri] = (),
     bottom_names: Iterable[Iri] = (),
 ) -> Taxonomy:
-    """The reduced DAG of equivalence groups of the subsumption preorder
-    `leq` over named concepts. Serves the inferred and the asserted trees.
+    """The reduced DAG of equivalence groups of a subsumption preorder over
+    named concepts; the one builder of the inferred and the asserted trees.
 
-    Names are inserted one at a time, in the order given, into a growing
-    DAG rooted at ⊤ (Baader, Hollunder, Nebel, Profitlich & Franconi 1994).
-    A top search (`most_specific` from ⊤) finds the new name's most
-    specific subsumers. A bottom search from ⊥ then finds its most general
-    subsumees among the common descendants of those subsumers, plus the
-    subsumer itself when there is just one: it is the only group the name
-    can be equivalent to, and if the search returns it, the name joins it.
-    Otherwise the name becomes a group between the two sets. The result
-    does not depend on the order, but listing told subsumers before the
-    names below them, as `reasoner.told_subsumers` does, keeps both
-    searches short.
-    `leq` is asked only about names outside `top_names` and `bottom_names`,
-    and never twice about one pair."""
-    top_set, bottom_set = set(top_names), set(bottom_names)
-    members: dict[int, list[Iri]] = {Taxonomy.TOP: []}
-    parents: dict[int, set[int]] = {Taxonomy.TOP: set()}
-    children: dict[int, set[int]] = {Taxonomy.TOP: set()}
-    bottom = -1  # where the bottom search starts; never stored in the DAG
+    The preorder comes as int bitsets over the index of `names`, which
+    leaves out `top_names` and `bottom_names` (the ⊤ and ⊥ groups): bit d
+    of `known[c]` says that names[c] ⊑ names[d], and each name has its own
+    bit; bit d of `possible[c]` that only `test(names[c], names[d])` can
+    tell; every other pair is refuted. As in Glimm, Horrocks, Motik,
+    Shearer & Stoilos (2012), the builder keeps each name's known and
+    possible subsumers and tests only what it cannot read off them. It
+    closes the known masks transitively, then resolves each possible pair
+    (c, d) not known by then, c from the most known subsumers down and d
+    ancestors first. A pair is refuted without a test when a known
+    subsumer of d is refuted for c, or d is refuted for a known subsumee
+    of c; otherwise the test decides, and a yes gives c all of d's known
+    subsumers. No pair is tested twice. Every pair is then known or
+    refuted, so the masks are closed, and they reduce to the DAG: names
+    with equal masks are one group, and a group's parents are its minimal
+    strict subsumers, or ⊤."""
+    known = list(known)
+    _close(known)
+    refuted = [~(k | p) for k, p in zip(known, possible)]
+    outside: dict[int, int] = {}  # d -> the names known to be outside d
+    for c in sorted(range(len(possible)), key=lambda c: -known[c].bit_count()):
+        for d in sorted(_bits(possible[c] & ~known[c]), key=lambda d: known[d].bit_count()):
+            if known[c] >> d & 1:
+                continue
+            if d not in outside:
+                outside[d] = reduce(or_, (known[f] for f, row in enumerate(refuted)
+                                          if row >> d & 1), 0)
+            if known[d] & refuted[c] or outside[d] >> c & 1 or not test(names[c], names[d]):
+                refuted[c] |= 1 << d
+                outside[d] |= known[c]
+            else:
+                known[c] |= known[d]
 
-    for name in dict.fromkeys(names):
-        if name in top_set or name in bottom_set:
-            continue
-
-        def subsumes(node: int) -> bool:
-            return leq(name, members[node][0])
-
-        def subsumed(node: int) -> bool:
-            return leq(members[node][0], name)
-
-        uppers = most_specific(Taxonomy.TOP, subsumes, parents.__getitem__,
-                               children.__getitem__)
-        candidates = set.intersection(*(Taxonomy._reach(up, children) for up in uppers))
-        if len(uppers) == 1 and uppers != [Taxonomy.TOP]:
-            candidates.add(uppers[0])
-        leaves = [n for n in candidates if not children[n]]
-        lowers = most_specific(
-            bottom, subsumed,
-            lambda n: children[n] or (bottom,),
-            lambda n: leaves if n == bottom else parents[n] & candidates)
-        if lowers == uppers:
-            members[uppers[0]].append(name)
-            continue
-        lowers = [n for n in lowers if n != bottom]
-
-        node = len(members)
-        members[node] = [name]
-        parents[node] = set(uppers)
-        children[node] = set(lowers)
-        for up in uppers:
-            children[up] -= children[node]
-            children[up].add(node)
-        for low in lowers:
-            parents[low] -= parents[node]
-            parents[low].add(node)
-
-    named = sorted(((tuple(sorted(m, key=lambda i: i.value)), n)
-                    for n, m in members.items() if n != Taxonomy.TOP),
-                   key=lambda item: item[0][0].value)
-    group_of = {Taxonomy.TOP: Taxonomy.TOP}
-    group_of.update((n, index) for index, (_, n) in enumerate(named, start=2))
-    groups: tuple[tuple[Iri, ...], ...] = (
-        tuple(sorted(top_set, key=lambda i: i.value)),
-        tuple(sorted(bottom_set, key=lambda i: i.value)),
-        *(group for group, _ in named),
-    )
-    edges = [(group_of[n], group_of[p]) for _, n in named for p in parents[n]]
-    edges += [(Taxonomy.BOTTOM, group_of[n]) for _, n in named if not children[n]]
-    if not named:
-        edges.append((Taxonomy.BOTTOM, Taxonomy.TOP))
-    return Taxonomy(groups=groups, edges=tuple(sorted(edges)))
+    order = sorted(range(len(names)), key=lambda i: names[i].value)
+    group_of: dict[int, int] = {}  # a group's mask -> the group
+    for i in order:
+        group_of.setdefault(known[i], len(group_of) + 2)
+    members: list[list[Iri]] = [[] for _ in group_of]
+    strict = {mask: mask for mask in group_of}  # a group's mask -> its strict subsumers
+    for i in order:
+        members[group_of[known[i]] - 2].append(names[i])
+        strict[known[i]] &= ~(1 << i)
+    edges = set() if group_of else {(Taxonomy.BOTTOM, Taxonomy.TOP)}
+    for mask, group in group_of.items():
+        above = strict[mask] & ~reduce(or_, (strict[known[j]] for j in _bits(strict[mask])), 0)
+        edges |= {(group, group_of[known[j]]) for j in _bits(above)} or {(group, Taxonomy.TOP)}
+    parents = {parent for _, parent in edges}
+    edges |= {(Taxonomy.BOTTOM, group) for group in group_of.values() if group not in parents}
+    return Taxonomy(groups=(tuple(sorted(top_names, key=lambda i: i.value)),
+                            tuple(sorted(bottom_names, key=lambda i: i.value)),
+                            *map(tuple, members)),
+                    edges=tuple(sorted(edges)))

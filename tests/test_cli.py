@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -8,8 +10,22 @@ import pytest
 
 from ontokit import analysis, cli, reasoner
 from ontokit.cli import run
-from ontokit.model import declared_entities
-from ontokit.parser import parse
+from ontokit.model import (
+    Declaration,
+    Entity,
+    EntityKind,
+    EquivalentConcepts,
+    Existential,
+    Intersection,
+    Iri,
+    Named,
+    NamedRole,
+    SubConceptOf,
+    declared_entities,
+    make_ontology,
+)
+from ontokit.parser import parse, serialize
+from genontology import random_alc_ontology
 
 
 @pytest.fixture()
@@ -193,6 +209,61 @@ STATS_JSON = """\
 def test_stats_keeps_recorded_stdout(capsys, ofn):
     assert invoke(capsys, "stats", ofn) == (0, STATS_TEXT, "")
     assert invoke(capsys, "stats", ofn, "--format", "json") == (0, STATS_JSON, "")
+
+
+def _told_tree_with_equivalences():
+    """A told tree of 40 classes with named equivalences, one subclass cycle
+    and one defined class, so that the inferred tree adds links."""
+    ns = "http://example.org/tree#"
+    names = [Iri(f"{ns}C{i:02d}") for i in range(40)]
+    role = Iri(ns + "r")
+    axioms = [Declaration(Entity(EntityKind.OBJECT_ROLE, role))]
+    axioms += [Declaration(Entity(EntityKind.CONCEPT, name)) for name in names]
+    for i in range(1, 40):
+        axioms.append(SubConceptOf(Named(names[i]), Named(names[(i - 1) // 3])))
+    for i in range(0, 40, 9):
+        twin = Iri(f"{ns}E{i:02d}")
+        axioms.append(Declaration(Entity(EntityKind.CONCEPT, twin)))
+        axioms.append(EquivalentConcepts((Named(names[i]), Named(twin))))
+    axioms.append(SubConceptOf(Named(names[4]), Named(names[13])))
+    defined = Iri(ns + "D")
+    axioms.append(Declaration(Entity(EntityKind.CONCEPT, defined)))
+    axioms.append(EquivalentConcepts((
+        Named(defined), Intersection((Named(names[2]), Existential(NamedRole(role), Named(names[5])))))))
+    axioms.append(SubConceptOf(Named(names[25]), Existential(NamedRole(role), Named(names[17]))))
+    return make_ontology(Iri(ns.rstrip("#")), (("", ns),), axioms)
+
+
+# Recorded from the taxonomy builder that inserted one name at a time with
+# a top and a bottom search, before it read the hierarchy off bitsets.
+CLI_DIGESTS = {
+    "classify text": "e065b6c89905138b5144a2c4e354fbf589f1699935c102bc139fbe189378016f",
+    "classify json": "abd097323c600e62dd781bb28bd93772af4c67ee3df9d28ba769f1851e7a0599",
+    "diff text": "91b92360f0e2cc311fedf455c0ef67967b462784a24fcda665f44d0c55894b40",
+    "diff json": "71ab02334fb4cbd3422c08fd50e44a73baeecafae0f840fa1fb0a87f091f71ad",
+}
+
+
+def test_classify_and_diff_keep_recorded_stdout(capsys, ofn, tmp_path):
+    # The fixture, 20 seeded ALC draws and a told tree with equivalences;
+    # each digest covers the exit code and stdout of every input.
+    rng = random.Random(20261019)
+    ontologies = [random_alc_ontology(rng)[0] for _ in range(20)]
+    ontologies.append(_told_tree_with_equivalences())
+    paths = [ofn]
+    for index, ontology in enumerate(ontologies):
+        path = tmp_path / f"draw{index}.ofn"
+        path.write_text(serialize(ontology), encoding="utf-8")
+        paths.append(str(path))
+    digests = {}
+    for command in ("classify", "diff"):
+        for fmt in ("text", "json"):
+            digest = hashlib.sha256()
+            for path in paths:
+                code, out, _ = invoke(capsys, command, path, "--format", fmt)
+                digest.update(f"{code}\n{out}".encode("utf-8"))
+            digests[f"{command} {fmt}"] = digest.hexdigest()
+    assert digests == CLI_DIGESTS
 
 
 def test_stats_no_deviation_block_for_other_ontologies(capsys, tmp_path):

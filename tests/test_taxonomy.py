@@ -1,11 +1,13 @@
-"""The insertion-based taxonomy builder against the all-pairs oracle.
+"""The taxonomy builder against the all-pairs oracle.
 
-`allpairs_taxonomy` is the builder the toolkit used before insertion: it
-groups names by testing each against every group and finds direct parents
-among all strict subsumers. It asks `leq` about every pair, so it cannot be
-misled by search order or pruning, and it is kept here only as the
-reference that `build_taxonomy`, `classify`, `asserted_taxonomy` and
-`realize` are compared with.
+`build_taxonomy` closes each name's known subsumers, given as bitsets,
+tests only the pairs they leave undecided and reduces the closed sets to
+the DAG. `allpairs_taxonomy` is the builder the toolkit used before any
+pruning: it groups names by testing each against every group and finds
+direct parents among all strict subsumers. It asks `leq` about every pair,
+so it cannot be misled by test order or pruning, and it is kept here only
+as the reference that `build_taxonomy`, `classify`, `asserted_taxonomy`
+and `realize` are compared with.
 """
 
 import random
@@ -156,28 +158,88 @@ def test_asserted_taxonomy_equals_oracle(disease):
             told, lambda c, d: d in told[c])
 
 
+def random_preorder(rng):
+    """Names and each name's subsumers (itself included): the closure of a
+    random told DAG, with cycles, so with equivalences."""
+    names = [Iri(f"{NS}N{i}") for i in range(rng.randint(1, 12))]
+    ups = {name: {name} for name in names}
+    for _ in range(rng.randint(0, 2 * len(names))):
+        sub, sup = rng.choice(names), rng.choice(names)
+        ups[sub].add(sup)
+    changed = True
+    while changed:
+        changed = False
+        for name in names:
+            closure = set().union(*(ups[up] for up in ups[name]))
+            if closure != ups[name]:
+                ups[name] = closure
+                changed = True
+    return names, ups
+
+
+def masks(names, pairs):
+    """Bitsets over the index of `names`: bit d of row c for (c, d) in `pairs`."""
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    rows = {name: 0 for name in names}
+    for c, d in pairs:
+        rows[c] |= bit[d]
+    return [rows[name] for name in names]
+
+
 def test_build_taxonomy_independent_of_insertion_order():
-    # Random told DAGs with equivalences, inserted in shuffled order, so the
-    # bottom search must move names inserted before their subsumers.
+    # Random told DAGs with equivalences, their masks given in shuffled
+    # order.
     rng = random.Random(SEED)
     for _ in range(200):
-        names = [Iri(f"{NS}N{i}") for i in range(rng.randint(1, 12))]
-        ups = {name: {name} for name in names}
-        for _ in range(rng.randint(0, 2 * len(names))):
-            sub, sup = rng.choice(names), rng.choice(names)
-            ups[sub].add(sup)
-        changed = True
-        while changed:
-            changed = False
-            for name in names:
-                closure = set().union(*(ups[up] for up in ups[name]))
-                if closure != ups[name]:
-                    ups[name] = closure
-                    changed = True
+        names, ups = random_preorder(rng)
         expected = allpairs_taxonomy(names, lambda c, d: d in ups[c])
         shuffled = names[:]
         rng.shuffle(shuffled)
-        assert build_taxonomy(shuffled, lambda c, d: d in ups[c]) == expected
+        known = masks(shuffled, [(c, d) for c in names for d in ups[c]])
+        assert build_taxonomy(shuffled, known) == expected
+
+
+def test_build_taxonomy_tests_only_undecided_pairs():
+    # Each pair of a random preorder is split at random: a holding pair is
+    # known or possible, any other possible or refuted. The builder must
+    # build the same taxonomy as from all pairs, test a possible pair at
+    # most once, and never test a known or refuted one.
+    rng = random.Random(SEED)
+    tested = 0
+    for _ in range(300):
+        names, ups = random_preorder(rng)
+        rng.shuffle(names)
+        known, possible = [], []
+        for c in names:
+            for d in names:
+                if c == d:
+                    known.append((c, d))
+                elif rng.random() < 0.5:
+                    (known if d in ups[c] else possible).append((c, d))
+                else:
+                    possible.append((c, d))
+        calls = []
+
+        def test(c, d):
+            calls.append((c, d))
+            return d in ups[c]
+
+        built = build_taxonomy(names, masks(names, known), masks(names, possible), test)
+        assert built == allpairs_taxonomy(names, lambda c, d: d in ups[c])
+        assert len(set(calls)) == len(calls)
+        assert set(calls) <= set(possible)
+        tested += len(calls)
+    assert tested > 0
+
+
+def test_closure_pairs_are_each_names_equivalents_and_ancestors(disease_taxonomy):
+    rng = random.Random(SEED)
+    taxonomies = [disease_taxonomy] + [classify(random_full_ontology(rng)) for _ in range(60)]
+    for tree in taxonomies:
+        expected = {(iri, other) for iri in tree.concepts()
+                    for other in tree.equivalents_of(iri) + tree.ancestors_of(iri)
+                    if other != iri}
+        assert tree.closure_pairs() == expected
 
 
 def test_realize_equals_oracle_on_fixture(disease):
@@ -224,26 +286,48 @@ def test_classify_fixture_makes_few_satisfiability_tests(disease, monkeypatch):
 
     monkeypatch.setattr(reasoner, "satisfiable", counting)
     classify(disease)
-    # The pre-pass makes one test per name and one for ⊤, 25 here, and the
-    # builder 6 more, about the defined Infectious, which no label can
-    # entail or refute; the all-pairs builder made 574 in all.
-    assert len(calls) <= 31, len(calls)
+    # The pre-pass makes one test per name and one for ⊤, 25 here, and 5
+    # more ask about the defined Infectious, which no label can entail or
+    # refute: ⊤ and four names, whose refutations settle the names they
+    # are below; the all-pairs builder made 574 in all.
+    assert len(calls) <= 30, len(calls)
 
 
-def test_build_taxonomy_on_a_told_tree_asks_about_linearly_many_pairs():
-    names, told, _ = told_tree(2000, 3)
+def test_classify_on_random_tboxes_makes_few_subsumption_tests(monkeypatch):
+    # The draws of test_classify_equals_oracle_on_random_tboxes. The
+    # insertion builder made 189 subsumption tests on them, 70 about ⊤.
     calls = []
+    original = reasoner.is_subsumed_by
 
-    def leq(c, d):
-        calls.append((c, d))
-        return d in told[c]
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
 
-    order = sorted(names, key=lambda name: (len(told[name]), name.value))
-    tree = build_taxonomy(order, leq)
-    assert len(calls) < 20 * len(names), len(calls)
-    assert len(set(calls)) == len(calls)
-    for i in (1, 4, 1999):
-        assert tree.parent_concepts_of(names[i]) == (names[(i - 1) // 3],)
+    monkeypatch.setattr(reasoner, "is_subsumed_by", counting)
+    rng = random.Random(SEED)
+    for _ in range(300):
+        classify(random_alc_ontology(rng)[0])
+    assert sum(isinstance(sub, Top) for sub in calls) == 70
+    assert len(calls) <= 170, len(calls)
+
+
+def test_build_taxonomy_on_a_told_tree_makes_no_tests(monkeypatch):
+    # Every label of a told tree decides every name, so classification
+    # reads the tree off the pre-pass as the asserted tree reads it off the
+    # told closure: the builder's test is never called.
+    names, _, ontology = told_tree(2000, 3)
+    calls = []
+    original = reasoner.is_subsumed_by
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reasoner, "is_subsumed_by", counting)
+    for tree in (classify(ontology), asserted_taxonomy(ontology)):
+        for i in (1, 4, 1999):
+            assert tree.parent_concepts_of(names[i]) == (names[(i - 1) // 3],)
+    assert calls == []
 
 
 def test_told_subsumers_lists_names_after_their_told_subsumers():
@@ -305,7 +389,8 @@ def unpruned(function, *args, monkeypatch):
     """`function` as it answers with every tableau test run: no label
     decides a name (`_decided`)."""
     with monkeypatch.context() as patch:
-        patch.setattr(reasoner, "_decided", lambda label, name, tbox: None)
+        patch.setattr(reasoner, "_decided",
+                      lambda label, bits, defined: (0, sum(bits.values())))
         return function(*args)
 
 
