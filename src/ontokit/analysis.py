@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union as TypingUnion
+from typing import Iterable, Iterator, Optional, Union as TypingUnion
 
 from .model import (
     ConceptExpression,
@@ -84,12 +84,23 @@ def diff_taxonomies(asserted: Taxonomy, inferred: Taxonomy) -> HierarchyDiff:
     transitive closure, plus newly merged equivalence groups."""
     if set(asserted.concepts()) != set(inferred.concepts()):
         raise TaxonomyMismatchError("taxonomies cover different concept sets")
-    asserted_closure = asserted.closure_pairs()
-    inferred_closure = inferred.closure_pairs()
-    added = sorted(inferred.named_links() - asserted_closure)
-    removed = sorted(asserted.named_links() - inferred_closure)
+    added = sorted(_links_outside(inferred, asserted))
+    removed = sorted(_links_outside(asserted, inferred))
     new_equiv = sorted(_equivalence_pairs(inferred) - _equivalence_pairs(asserted))
     return HierarchyDiff(tuple(added), tuple(removed), tuple(new_equiv))
+
+
+def _links_outside(one: Taxonomy, other: Taxonomy) -> Iterator[tuple[Iri, Iri]]:
+    """`one`'s direct named links (c, d) with no c ⊑ d in `other`: d's group
+    in `other` is neither c's nor above it. Each group's ancestry is walked
+    once."""
+    above: dict[int, set[int]] = {}  # a group of `other` -> it and its ancestors
+    for c, d in one.named_links():
+        group = other.group_of(c)
+        if group not in above:
+            above[group] = other._reach(group, other._parents) | {group}
+        if other.group_of(d) not in above[group]:
+            yield c, d
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,19 @@
 `tokenize` / `parse` / `serialize` over UTF-8 ".ofn" documents. The grammar
 covers prefix declarations, one Ontology block, declarations, the class and
 property axioms the model supports, and the ALC-with-inverses concept
-constructors. Parsing aborts on the first error with an exact (line, column);
-serialization is canonical and byte-deterministic.
+constructors. One `findall` of one pattern reads a document into its token
+texts, and a recursive descent walks them. Parsing aborts on the first error
+with an exact (line, column); serialization is canonical and
+byte-deterministic.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable, NoReturn
 
 from .model import (
     AnnotationAssertion,
@@ -101,74 +105,75 @@ class Token:
 
 # Whitespace and comments. A comment must run to the end of its line, so a
 # failed token match cannot backtrack into one and find a token there.
-_SKIP = re.compile(r"[ \t\r\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\r\n]*)*")
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\r\n]*)*"
 _STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
 _IRI_BODY = re.compile(r"[^\s<>]*")
 _ESCAPE = re.compile(r'\\(["\\])')
-# One alternative per token kind, after the skipped text. A keyword and a
-# prefixed name share the NAME alternative; the ':' tells them apart.
-_TOKEN = re.compile(_SKIP.pattern + r"""(?:
-      (?P<RPAREN>\))
-    | (?P<LPAREN>\()
-    | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_.\-]*)?|:[A-Za-z0-9_.\-]*)
-    | (?P<IRI_REF><[^\s<>]+>)
-    | (?P<STRING>"(?:""" + _STRING_BODY.pattern + r""")")
-    | (?P<CARETS>\^\^)
-    | (?P<EQUALS>=)
-    | (?P<EOF>\Z))""", re.VERBOSE)
-# The token kind of each group number (None for NAME); matching by number is
-# much cheaper than by group name.
-_KIND_OF_GROUP = tuple(
-    TokenKind.__members__.get(name) for name, _ in
-    sorted(_TOKEN.groupindex.items(), key=lambda item: item[1]))
+# The skipped text, then one token, whose text is the only group: a
+# parenthesis, a name (a keyword, or a prefixed name if it holds ':'), an
+# IRI reference, a string literal, '^^', '=', Eof's empty text, or else the
+# one character that starts no token, a lex error. So `findall` reads a
+# whole document into token texts, ending with Eof.
+_TOKEN = re.compile(_SKIP + r"""(
+      \) | \(
+    | [A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_.\-]*)?|:[A-Za-z0-9_.\-]*
+    | <[^\s<>]+>
+    | "(?:""" + _STRING_BODY.pattern + r""")"
+    | \^\^ | = | \Z | .)""", re.VERBOSE)
+_PUNCTUATION = {"(": TokenKind.LPAREN, ")": TokenKind.RPAREN, "=": TokenKind.EQUALS,
+                "^^": TokenKind.CARETS, "": TokenKind.EOF}
+
+
+def _kind(token: str) -> TokenKind | None:
+    """The kind of a token text of `_TOKEN`, read off its first character;
+    None for a lex error, whose text is one character."""
+    kind = _PUNCTUATION.get(token)
+    if kind is None:
+        first = token[0]
+        if first == "<" or first == '"':
+            if len(token) > 1:
+                kind = TokenKind.IRI_REF if first == "<" else TokenKind.STRING
+        elif first == "_" or first == ":" or first.isascii() and first.isalpha():
+            kind = TokenKind.PNAME if ":" in token else TokenKind.KEYWORD
+    return kind
+
+
+def _value(token: str) -> str:
+    """A token's value: an IRI reference without its brackets, a string
+    literal's text unescaped, any other token its text."""
+    if len(token) > 1 and token[0] in '<"':
+        body = token[1:-1]
+        return _ESCAPE.sub(r"\1", body) if token[0] == '"' and "\\" in body else body
+    return token
 
 
 def tokenize(text: str) -> list[Token]:
-    """Scan the input into tokens, ending with Eof.
+    """Scan the input into tokens, ending with Eof, or raise the first lex
+    error.
 
     Whitespace and '#'-to-end-of-line comments (outside IRIs and strings) are
     skipped; string values are stored unescaped.
     """
     tokens = []
     line, line_start = 1, 0
-    for kind, value, offset in _scan(text):
+    for match in _TOKEN.finditer(text):
+        token, offset = match[1], match.start(1)
+        kind = _kind(token)
+        if kind is None:
+            raise _lex_error(text, offset)
         newlines = text.count("\n", line_start, offset)
         if newlines:
             line += newlines
             line_start = text.rindex("\n", line_start, offset) + 1
-        tokens.append(Token(kind, value, SourceLocation(line, offset - line_start + 1)))
+        tokens.append(Token(kind, _value(token), SourceLocation(line, offset - line_start + 1)))
+        if kind is TokenKind.EOF:
+            break
     return tokens
 
 
-def _scan(text: str):
-    """Lazily yield (kind, text, offset) for each token, ending with Eof."""
-    match = _TOKEN.match
-    pos = 0
-    while True:
-        m = match(text, pos)
-        if m is None:
-            raise _lex_error(text, pos)
-        group = m.lastindex
-        start, pos = m.span(group)
-        kind = _KIND_OF_GROUP[group - 1]
-        value = text[start:pos]
-        if kind is None:
-            yield (TokenKind.PNAME if ":" in value else TokenKind.KEYWORD), value, start
-        elif kind is TokenKind.IRI_REF:
-            yield kind, value[1:-1], start
-        elif kind is TokenKind.STRING:
-            value = value[1:-1]
-            yield kind, _ESCAPE.sub(r"\1", value) if "\\" in value else value, start
-        else:
-            yield kind, value, start
-            if kind is TokenKind.EOF:
-                return
-
-
-def _lex_error(text: str, pos: int) -> ParseError:
-    """The error for the first token at or after `pos`, which `_TOKEN` does
-    not match; only the failure path comes here."""
-    start = _SKIP.match(text, pos).end()
+def _lex_error(text: str, start: int) -> ParseError:
+    """The error for the lex error token at `start`; only the failure path
+    comes here."""
     ch = text[start]
     if ch == "^":
         message = "expected '^^'"
@@ -226,63 +231,70 @@ _UNSUPPORTED_CONCEPTS = {
     "DataIntersectionOf", "DataUnionOf", "DataComplementOf", "DataOneOf",
 }
 
+_ROLE = "object property IRI"
+_INDIVIDUAL = "individual IRI"
+
 
 class _Parser:
-    """Recursive descent over `_scan`'s (kind, text, offset) tuples.
+    """Recursive descent over the token texts of one `_TOKEN.findall`.
 
-    Tokens are scanned only as the parser reaches them, so a construct is
-    rejected before later text is scanned: an unsupported keyword wins over
-    a lex error inside it. Locations are computed only for an error.
+    The descent walks the list by index and compares token texts; it reads
+    a token's kind with `_kind` only where the grammar allows more than one.
+    A lex error's token is raised only when the descent reaches it, so an
+    unsupported keyword still wins over a lex error inside it. Offsets come
+    from a `finditer` of the same pattern, only for an error.
 
     Each IRI value is built once per document: every mention of it, in
     either spelling (`:A` or `<...#A>`), is the same `Iri` object, and every
     mention as a concept is the same `Named`, `Top` or `Bottom` leaf. The
-    dicts that hold them are keyed by text (a prefixed name's, or the IRI's
-    own), so a name read before costs a dict lookup and no hash of a model
-    value, and later lookups of equal values find identical objects.
+    dicts that hold them are keyed by text (a token's, or the IRI's own),
+    so a name read before costs a dict lookup and no hash of a model value,
+    and later lookups of equal values find identical objects.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _scan(text)
-        self.lookahead: tuple | None = None
+        self.tokens = _TOKEN.findall(text)
+        self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.depth = 0
-        # IRI value, which is an IRI reference's token text -> Iri; the
-        # built-in constants are the document's own.
+        # IRI value -> Iri; the built-in constants are the document's own.
         self.iris: dict[str, Iri] = {iri.value: iri for iri in (OWL_THING, OWL_NOTHING, XSD_STRING)}
-        # Prefixed name's token text -> Iri.
-        self.pnames: dict[str, Iri] = {}
+        # Token text of a prefixed name or an IRI reference -> Iri.
+        self.names: dict[str, Iri] = {}
         # IRI value -> its concept leaf.
         self.leaves: dict[str, ConceptExpression] = {OWL_THING.value: Top(),
                                                      OWL_NOTHING.value: Bottom()}
+        # Token text of a concept name -> its leaf.
+        self.concepts: dict[str, ConceptExpression] = {}
 
-    def peek(self) -> tuple:
-        tok = self.lookahead
-        if tok is None:
-            tok = self.lookahead = next(self.tokens)
-        return tok
+    def error(self, kind: ParseErrorKind, pos: int, message: str) -> ParseError:
+        """The error at token `pos`, or the lex error if that token is one."""
+        offset = next(itertools.islice(_TOKEN.finditer(self.text), pos, None)).start(1)
+        if _kind(self.tokens[pos]) is None:
+            return _lex_error(self.text, offset)
+        return ParseError(kind, _location(self.text, offset), message)
 
-    def take(self) -> tuple:
-        tok = self.peek()
-        if tok[0] is not TokenKind.EOF:
-            self.lookahead = None
-        return tok
-
-    def error(self, kind: ParseErrorKind, tok: tuple, message: str) -> ParseError:
-        return ParseError(kind, _location(self.text, tok[2]), message)
-
-    # A token taken before an error is raised is harmless: parsing stops.
-    def expect(self, kind: TokenKind, what: str) -> tuple:
-        tok = self.take()
-        if tok[0] is not kind:
-            self.fail_unexpected(tok, what)
-        return tok
-
-    def fail_unexpected(self, tok: tuple, what: str) -> None:
-        shown = tok[1] if tok[0] is not TokenKind.EOF else "end of input"
-        raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, tok,
+    def fail_unexpected(self, pos: int, what: str) -> NoReturn:
+        token = self.tokens[pos]
+        shown = _value(token) if token else "end of input"
+        raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, pos,
                          f"expected {what}, found {shown!r}")
+
+    def expect(self, token: str, what: str) -> None:
+        pos = self.pos
+        if self.tokens[pos] != token:
+            self.fail_unexpected(pos, what)
+        self.pos = pos + 1
+
+    def take(self, kind: TokenKind, what: str) -> str:
+        """The value of the next token, which must be of `kind`."""
+        pos = self.pos
+        token = self.tokens[pos]
+        if _kind(token) is not kind:
+            self.fail_unexpected(pos, what)
+        self.pos = pos + 1
+        return _value(token)
 
     def intern(self, value: str) -> Iri:
         # The scanner admits no whitespace in an IRI reference or a prefixed
@@ -293,201 +305,189 @@ class _Parser:
         return iri
 
     def parse_iri(self, what: str = "IRI") -> Iri:
-        tok = self.take()
-        kind, text, _ = tok
-        if kind is TokenKind.PNAME:
-            iri = self.pnames.get(text)
-            if iri is None:
-                prefix, _, local = text.partition(":")
+        pos = self.pos
+        token = self.tokens[pos]
+        iri = self.names.get(token)
+        if iri is None:
+            kind = _kind(token)
+            if kind is TokenKind.PNAME:
+                prefix, _, local = token.partition(":")
                 if prefix not in self.prefixes:
-                    raise self.error(ParseErrorKind.UNDECLARED_PREFIX, tok,
+                    raise self.error(ParseErrorKind.UNDECLARED_PREFIX, pos,
                                      f"undeclared prefix '{prefix}:'")
-                iri = self.pnames[text] = self.intern(self.prefixes[prefix] + local)
-            return iri
-        if kind is TokenKind.IRI_REF:
-            return self.intern(text)
-        self.fail_unexpected(tok, what)
-        raise AssertionError  # unreachable
+                iri = self.intern(self.prefixes[prefix] + local)
+            elif kind is TokenKind.IRI_REF:
+                iri = self.intern(token[1:-1])
+            else:
+                self.fail_unexpected(pos, what)
+            self.names[token] = iri
+        self.pos = pos + 1
+        return iri
 
     # -- document -----------------------------------------------------------
 
     def parse_document(self) -> tuple[Iri, dict[str, str], list[Axiom]]:
-        while self.peek()[:2] == (TokenKind.KEYWORD, "Prefix"):
+        tokens = self.tokens
+        while tokens[self.pos] == "Prefix":
             self.parse_prefix()
-        tok = self.peek()
-        if tok[:2] != (TokenKind.KEYWORD, "Ontology"):
-            self.fail_unexpected(tok, "'Ontology('")
-        self.take()
-        self.expect(TokenKind.LPAREN, "'('")
-        iri_tok = self.expect(TokenKind.IRI_REF, "ontology IRI")
-        ontology_iri = self.intern(iri_tok[1])
+        if tokens[self.pos] != "Ontology":
+            self.fail_unexpected(self.pos, "'Ontology('")
+        self.pos += 1
+        self.expect("(", "'('")
+        ontology_iri = self.intern(self.take(TokenKind.IRI_REF, "ontology IRI"))
         axioms: list[Axiom] = []
-        while self.peek()[0] is not TokenKind.RPAREN:
+        while tokens[self.pos] != ")":
             axioms.append(self.parse_axiom())
-        self.take()  # ')'
-        trailing = self.peek()
-        if trailing[0] is not TokenKind.EOF:
-            if trailing[:2] == (TokenKind.KEYWORD, "Ontology"):
-                raise self.error(ParseErrorKind.DUPLICATE_ONTOLOGY, trailing,
+        self.pos += 1
+        trailing = tokens[self.pos]
+        if trailing:  # not Eof
+            if trailing == "Ontology":
+                raise self.error(ParseErrorKind.DUPLICATE_ONTOLOGY, self.pos,
                                  "a document holds exactly one Ontology block")
-            self.fail_unexpected(trailing, "end of input")
+            self.fail_unexpected(self.pos, "end of input")
         return ontology_iri, self.prefixes, axioms
 
     def parse_prefix(self) -> None:
-        self.take()  # 'Prefix'
-        self.expect(TokenKind.LPAREN, "'('")
-        name_tok = self.expect(TokenKind.PNAME, "prefix name like 'p:'")
-        prefix, _, local = name_tok[1].partition(":")
+        self.pos += 1  # 'Prefix'
+        self.expect("(", "'('")
+        name_pos = self.pos
+        name = self.take(TokenKind.PNAME, "prefix name like 'p:'")
+        prefix, _, local = name.partition(":")
         if local:
-            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, name_tok,
-                             f"prefix declaration must end in ':', found {name_tok[1]!r}")
-        self.expect(TokenKind.EQUALS, "'='")
-        expansion = self.expect(TokenKind.IRI_REF, "IRI")[1]
-        self.expect(TokenKind.RPAREN, "')'")
+            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, name_pos,
+                             f"prefix declaration must end in ':', found {name!r}")
+        self.expect("=", "'='")
+        expansion = self.take(TokenKind.IRI_REF, "IRI")
+        self.expect(")", "')'")
         existing = self.prefixes.get(prefix)
         if existing is not None and existing != expansion:
-            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, name_tok,
+            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, name_pos,
                              f"conflicting redeclaration of prefix '{prefix}:'")
         self.prefixes[prefix] = expansion
 
     # -- axioms --------------------------------------------------------------
 
     def parse_axiom(self) -> Axiom:
-        tok = self.peek()
-        kind, name, _ = tok
-        if kind is not TokenKind.KEYWORD:
-            self.fail_unexpected(tok, "an axiom keyword")
-        if name in _UNSUPPORTED_AXIOMS or name in _UNSUPPORTED_CONCEPTS:
-            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
-                             f"unsupported construct '{name}'")
-        handler = getattr(self, f"_axiom_{name}", None)
-        if handler is None:
-            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
-                             f"unknown construct '{name}'")
-        self.take()
-        self.expect(TokenKind.LPAREN, "'('")
-        axiom = handler()
-        self.expect(TokenKind.RPAREN, "')'")
+        pos = self.pos
+        name = self.tokens[pos]
+        build = _AXIOMS.get(name)
+        if build is None:
+            if _kind(name) is not TokenKind.KEYWORD:
+                self.fail_unexpected(pos, "an axiom keyword")
+            known = name in _UNSUPPORTED_AXIOMS or name in _UNSUPPORTED_CONCEPTS
+            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, pos,
+                             f"{'unsupported' if known else 'unknown'} construct '{name}'")
+        if self.tokens[pos + 1] != "(":
+            self.fail_unexpected(pos + 1, "'('")
+        self.pos = pos + 2
+        axiom = build(self)
+        self.expect(")", "')'")
         return axiom
 
-    def _axiom_Declaration(self) -> Axiom:
-        tok = self.peek()
-        kind, name, _ = tok
-        if kind is not TokenKind.KEYWORD or name not in _DECLARATION_KINDS:
-            if kind is TokenKind.KEYWORD:
-                raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
+    def parse_declaration(self) -> Axiom:
+        pos = self.pos
+        name = self.tokens[pos]
+        kind = _DECLARATION_KINDS.get(name)
+        if kind is None:
+            if _kind(name) is TokenKind.KEYWORD:
+                raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, pos,
                                  f"unknown entity kind '{name}'")
-            self.fail_unexpected(tok, "an entity kind keyword")
-        self.take()
-        self.expect(TokenKind.LPAREN, "'('")
+            self.fail_unexpected(pos, "an entity kind keyword")
+        self.pos = pos + 1
+        self.expect("(", "'('")
         iri = self.parse_iri("entity IRI")
-        self.expect(TokenKind.RPAREN, "')'")
-        return Declaration(Entity(_DECLARATION_KINDS[name], iri))
+        self.expect(")", "')'")
+        return Declaration(Entity(kind, iri))
 
-    def _axiom_SubClassOf(self) -> Axiom:
-        return SubConceptOf(self.parse_concept(), self.parse_concept())
-
-    def _axiom_EquivalentClasses(self) -> Axiom:
-        return EquivalentConcepts(tuple(self._concept_list(minimum=2)))
-
-    def _axiom_DisjointClasses(self) -> Axiom:
-        return DisjointConcepts(tuple(self._concept_list(minimum=2)))
-
-    def _concept_list(self, minimum: int) -> list[ConceptExpression]:
-        items = [self.parse_concept() for _ in range(minimum)]
-        while self.peek()[0] is not TokenKind.RPAREN:
+    def concept_list(self) -> tuple[ConceptExpression, ...]:
+        """Two or more concepts, up to the closing ')'."""
+        items = [self.parse_concept(), self.parse_concept()]
+        while self.tokens[self.pos] != ")":
             items.append(self.parse_concept())
-        return items
-
-    def _axiom_SubObjectPropertyOf(self) -> Axiom:
-        return SubRoleOf(self.parse_iri("object property IRI"),
-                         self.parse_iri("object property IRI"))
-
-    def _axiom_InverseObjectProperties(self) -> Axiom:
-        return InverseRoles(self.parse_iri("object property IRI"),
-                            self.parse_iri("object property IRI"))
-
-    def _axiom_TransitiveObjectProperty(self) -> Axiom:
-        return TransitiveRole(self.parse_iri("object property IRI"))
-
-    def _axiom_ObjectPropertyDomain(self) -> Axiom:
-        return RoleDomain(self.parse_iri("object property IRI"), self.parse_concept())
-
-    def _axiom_ObjectPropertyRange(self) -> Axiom:
-        return RoleRange(self.parse_iri("object property IRI"), self.parse_concept())
-
-    def _axiom_ClassAssertion(self) -> Axiom:
-        return ConceptAssertion(self.parse_concept(), self.parse_iri("individual IRI"))
-
-    def _axiom_ObjectPropertyAssertion(self) -> Axiom:
-        return RoleAssertion(self.parse_iri("object property IRI"),
-                             self.parse_iri("individual IRI"),
-                             self.parse_iri("individual IRI"))
-
-    def _axiom_DataPropertyAssertion(self) -> Axiom:
-        return DataAssertion(self.parse_iri("data property IRI"),
-                             self.parse_iri("individual IRI"),
-                             self.parse_literal())
-
-    def _axiom_AnnotationAssertion(self) -> Axiom:
-        return AnnotationAssertion(self.parse_iri("annotation property IRI"),
-                                   self.parse_iri("subject IRI"),
-                                   self.parse_literal())
+        return tuple(items)
 
     # -- expressions ----------------------------------------------------------
 
     def parse_concept(self) -> ConceptExpression:
-        tok = self.peek()
+        pos = self.pos
+        token = self.tokens[pos]
         if self.depth >= MAX_NESTING:
-            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, tok,
+            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, pos,
                              "expression nesting too deep")
-        kind, name, _ = tok
-        if kind is TokenKind.IRI_REF or kind is TokenKind.PNAME:
-            iri = self.parse_iri("concept IRI")
-            leaf = self.leaves.get(iri.value)
-            if leaf is None:
-                leaf = self.leaves[iri.value] = Named(iri)
+        leaf = self.concepts.get(token)
+        if leaf is not None:
+            self.pos = pos + 1
             return leaf
-        if kind is not TokenKind.KEYWORD:
-            self.fail_unexpected(tok, "a concept expression")
-        if name in _UNSUPPORTED_CONCEPTS:
-            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
-                             f"unsupported construct '{name}'")
-        if name not in _CONSTRUCTORS:
-            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, tok,
-                             f"unknown construct '{name}'")
-        self.take()
-        self.expect(TokenKind.LPAREN, "'('")
+        if token not in _CONSTRUCTORS:
+            kind = _kind(token)
+            if kind is TokenKind.IRI_REF or kind is TokenKind.PNAME:
+                iri = self.parse_iri("concept IRI")
+                leaf = self.leaves.get(iri.value)
+                if leaf is None:
+                    leaf = self.leaves[iri.value] = Named(iri)
+                self.concepts[token] = leaf
+                return leaf
+            if kind is not TokenKind.KEYWORD:
+                self.fail_unexpected(pos, "a concept expression")
+            known = token in _UNSUPPORTED_CONCEPTS
+            raise self.error(ParseErrorKind.UNKNOWN_CONSTRUCT, pos,
+                             f"{'unsupported' if known else 'unknown'} construct '{token}'")
+        self.pos = pos + 1
+        self.expect("(", "'('")
         self.depth += 1
-        if name == "ObjectIntersectionOf":
-            result = Intersection(tuple(self._concept_list(minimum=2)))
-        elif name == "ObjectUnionOf":
-            result = Union(tuple(self._concept_list(minimum=2)))
-        elif name == "ObjectComplementOf":
+        # One frame per level of nesting, so that MAX_NESTING levels stay
+        # inside the recursion limit: no helper between two levels.
+        if token == "ObjectIntersectionOf" or token == "ObjectUnionOf":
+            items = [self.parse_concept(), self.parse_concept()]
+            while self.tokens[self.pos] != ")":
+                items.append(self.parse_concept())
+            result = (Intersection if token == "ObjectIntersectionOf" else Union)(tuple(items))
+        elif token == "ObjectComplementOf":
             result = Complement(self.parse_concept())
-        elif name == "ObjectSomeValuesFrom":
+        elif token == "ObjectSomeValuesFrom":
             result = Existential(self.parse_role(), self.parse_concept())
         else:
             result = Universal(self.parse_role(), self.parse_concept())
         self.depth -= 1
-        self.expect(TokenKind.RPAREN, "')'")
+        self.expect(")", "')'")
         return result
 
     def parse_role(self) -> RoleExpression:
-        if self.peek()[:2] == (TokenKind.KEYWORD, "ObjectInverseOf"):
-            self.take()
-            self.expect(TokenKind.LPAREN, "'('")
-            iri = self.parse_iri("object property IRI")
-            self.expect(TokenKind.RPAREN, "')'")
+        if self.tokens[self.pos] == "ObjectInverseOf":
+            self.pos += 1
+            self.expect("(", "'('")
+            iri = self.parse_iri(_ROLE)
+            self.expect(")", "')'")
             return InverseRole(iri)
-        return NamedRole(self.parse_iri("object property IRI"))
+        return NamedRole(self.parse_iri(_ROLE))
 
     def parse_literal(self) -> Literal:
-        lexical = self.expect(TokenKind.STRING, "a string literal")[1]
-        if self.peek()[0] is TokenKind.CARETS:
-            self.take()
+        lexical = self.take(TokenKind.STRING, "a string literal")
+        if self.tokens[self.pos] == "^^":
+            self.pos += 1
             return Literal(lexical, self.parse_iri("datatype IRI"))
         return Literal(lexical)
+
+
+# Each supported axiom keyword -> what reads its arguments, after its '('.
+_AXIOMS: dict[str, Callable[[_Parser], Axiom]] = {
+    "Declaration": _Parser.parse_declaration,
+    "SubClassOf": lambda p: SubConceptOf(p.parse_concept(), p.parse_concept()),
+    "EquivalentClasses": lambda p: EquivalentConcepts(p.concept_list()),
+    "DisjointClasses": lambda p: DisjointConcepts(p.concept_list()),
+    "SubObjectPropertyOf": lambda p: SubRoleOf(p.parse_iri(_ROLE), p.parse_iri(_ROLE)),
+    "InverseObjectProperties": lambda p: InverseRoles(p.parse_iri(_ROLE), p.parse_iri(_ROLE)),
+    "TransitiveObjectProperty": lambda p: TransitiveRole(p.parse_iri(_ROLE)),
+    "ObjectPropertyDomain": lambda p: RoleDomain(p.parse_iri(_ROLE), p.parse_concept()),
+    "ObjectPropertyRange": lambda p: RoleRange(p.parse_iri(_ROLE), p.parse_concept()),
+    "ClassAssertion": lambda p: ConceptAssertion(p.parse_concept(), p.parse_iri(_INDIVIDUAL)),
+    "ObjectPropertyAssertion": lambda p: RoleAssertion(
+        p.parse_iri(_ROLE), p.parse_iri(_INDIVIDUAL), p.parse_iri(_INDIVIDUAL)),
+    "DataPropertyAssertion": lambda p: DataAssertion(
+        p.parse_iri("data property IRI"), p.parse_iri(_INDIVIDUAL), p.parse_literal()),
+    "AnnotationAssertion": lambda p: AnnotationAssertion(
+        p.parse_iri("annotation property IRI"), p.parse_iri("subject IRI"), p.parse_literal()),
+}
 
 
 def parse(text: str, strict: bool = False) -> Ontology:

@@ -590,23 +590,25 @@ def instances_of(
     if not isinstance(concept, Named) or concept.iri in BUILTIN_CONCEPTS:
         return tuple(individual for individual in abox.individuals
                      if _abox_labels(abox, limits, extra=[(individual, negated)]) is None)
+    reading = _reading([concept.iri], abox.tbox)
     return tuple(individual for individual in abox.individuals
-                 if _abox_entails(abox, limits, individual, labels[individual], [concept.iri]))
+                 if _abox_entails(abox, limits, individual,
+                                  _decided(labels[individual], *reading), 1, concept.iri))
 
 
 def _abox_entails(abox: _CompiledABox, limits: ReasonerLimits, individual: Iri,
-                  label: dict[int, int], names: Sequence[Iri]) -> bool:
-    """Whether the ABox entails that `individual`, whose node in the
-    consistency check's graph has `label`, belongs to the named concepts
-    `names`, which are equivalent. The label decides where it can
-    (`_decided`), a refutation first; otherwise one ABox test on the
-    first name does."""
-    known, undecided = _decided(label, *_reading(names, abox.tbox))
-    if known | undecided != (1 << len(names)) - 1:
+                  read: tuple[int, int], group: int, first: Iri) -> bool:
+    """Whether the ABox entails that `individual` belongs to the named
+    concepts of the bitset `group`, which are equivalent and the first of
+    which is `first`. `read` is what `_decided` reads off the individual's
+    node in the consistency check's graph. It decides where it can, a
+    refutation first; otherwise one ABox test on `first` does."""
+    known, undecided = read
+    if (known | undecided) & group != group:
         return False
-    if known:
+    if known & group:
         return True
-    return _abox_labels(abox, limits, extra=[(individual, Complement(Named(names[0])))]) is None
+    return _abox_labels(abox, limits, extra=[(individual, Complement(Named(first)))]) is None
 
 
 def entailed_types(
@@ -617,9 +619,13 @@ def entailed_types(
     graph where it can be (see `instances_of`)."""
     abox, labels = _consistent_abox(ontology, limits)
     names = _named_concepts_of(ontology)
-    return {individual: tuple(name for name in names
-                              if _abox_entails(abox, limits, individual, label, [name]))
-            for individual, label in labels.items()}
+    reading = _reading(names, abox.tbox)
+    result: dict[Iri, tuple[Iri, ...]] = {}
+    for individual, label in labels.items():
+        read = _decided(label, *reading)
+        result[individual] = tuple(name for i, name in enumerate(names)
+                                   if _abox_entails(abox, limits, individual, read, 1 << i, name))
+    return result
 
 
 def realize(
@@ -639,11 +645,19 @@ def realize(
     def below(group: int) -> list[int]:
         return [c for c in taxonomy.children_of(group) if c != Taxonomy.BOTTOM]
 
+    # One reading of every name, each group's members on consecutive bits.
+    reading = _reading([name for members in taxonomy.groups for name in members], abox.tbox)
+    masks, offset = [], 0
+    for members in taxonomy.groups:
+        masks.append(((1 << len(members)) - 1) << offset)
+        offset += len(members)
     result: dict[Iri, tuple[Iri, ...]] = {}
     for individual, label in labels.items():
+        read = _decided(label, *reading)
         found = most_specific(
             Taxonomy.TOP,
-            lambda group: _abox_entails(abox, limits, individual, label, taxonomy.members(group)),
+            lambda group: _abox_entails(abox, limits, individual, read, masks[group],
+                                        taxonomy.members(group)[0]),
             taxonomy.parents_of, below)
         names = sorted({name for group in found for name in taxonomy.members(group)},
                        key=lambda iri: iri.value)

@@ -32,7 +32,7 @@ from ontokit.model import (
 from ontokit.parser import serialize
 from ontokit.reasoner import Taxonomy, classify, materialize_inverses, normalize
 from ontokit.disease import DISEASE_NS, GIARDIA
-from genontology import random_full_ontology
+from genontology import random_alc_ontology, random_full_ontology
 
 
 def iri(fragment):
@@ -109,6 +109,31 @@ def test_diff_rejects_concept_set_mismatch(disease):
 def test_diff_added_and_removed_disjoint(disease, disease_taxonomy):
     diff = diff_taxonomies(asserted_taxonomy(disease), disease_taxonomy)
     assert not (set(diff.added_parent_links) & set(diff.removed_parent_links))
+
+
+def closure_diff(asserted, inferred):
+    """`diff_taxonomies` by its definition: each side's direct links minus
+    the other side's whole closure."""
+    return analysis.HierarchyDiff(
+        tuple(sorted(inferred.named_links() - asserted.closure_pairs())),
+        tuple(sorted(asserted.named_links() - inferred.closure_pairs())),
+        tuple(sorted(analysis._equivalence_pairs(inferred)
+                     - analysis._equivalence_pairs(asserted))))
+
+
+def test_diff_equals_the_closure_definition(disease, disease_taxonomy):
+    pairs = [(asserted_taxonomy(disease), disease_taxonomy)]
+    rng = random.Random(20)
+    for _ in range(60):
+        ontology = random_alc_ontology(rng)[0]
+        pairs.append((asserted_taxonomy(ontology), classify(ontology)))
+    links = 0
+    for asserted, inferred in pairs:
+        for one, other in ((asserted, inferred), (inferred, asserted)):
+            diff = diff_taxonomies(one, other)
+            assert diff == closure_diff(one, other)
+            links += len(diff.added_parent_links) + len(diff.removed_parent_links)
+    assert links > 60, links
 
 
 # ---------------------------------------------------------------------------

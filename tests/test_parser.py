@@ -217,6 +217,16 @@ def test_deeply_nested_input_is_rejected_not_crashing():
         parse(doc)
 
 
+@pytest.mark.parametrize("opening", ["ObjectIntersectionOf(:C ", "ObjectUnionOf(:C ",
+                                     "ObjectSomeValuesFrom(:r ", "ObjectAllValuesFrom(:r "])
+def test_every_constructor_nested_too_deep_is_a_parse_error(opening):
+    doc = ("Prefix(:=<http://x#>)\nOntology(<http://x>\nSubClassOf(:A "
+           + opening * 600 + ":B" + ")" * 600 + ")\n)")
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert err.value.message == "expression nesting too deep"
+
+
 def test_error_locations_are_inside_input():
     bad_docs = [
         "Ontology(",
@@ -358,3 +368,67 @@ def test_parse_then_signature_walks_each_axiom_once(fixture_dir, monkeypatch, st
     logical = [a for a in ontology.axioms if not isinstance(a, Declaration)]
     assert len(logical) > 30
     assert calls == {id(axiom): 1 for axiom in logical}
+
+
+# ---------------------------------------------------------------------------
+# One scan per document
+# ---------------------------------------------------------------------------
+
+
+class CountingPattern:
+    """A compiled pattern that counts the calls of its methods."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _documents(fixture_dir, count):
+    return ([(fixture_dir / "disease.ofn").read_text(encoding="utf-8"), SHARED_NAMES]
+            + [serialize(random_full_ontology(random.Random(seed))) for seed in range(count)])
+
+
+def test_parse_runs_the_token_pattern_once_per_document(fixture_dir, monkeypatch):
+    from ontokit import parser
+    texts = _documents(fixture_dir, 20)
+    counting = CountingPattern(parser._TOKEN)
+    monkeypatch.setattr(parser, "_TOKEN", counting)
+    for text in texts:
+        counting.calls = 0
+        parse(text)
+        assert counting.calls == 1
+
+
+def test_tokenize_equals_the_tokens_the_parser_consumes(fixture_dir):
+    from ontokit.parser import _Parser, _kind, _value
+    for text in _documents(fixture_dir, 200):
+        reader = _Parser(text)
+        reader.parse_document()
+        consumed = reader.tokens[:reader.pos + 1]
+        assert consumed[-1] == ""  # the descent ends on Eof
+        assert [(t.kind, t.text) for t in tokenize(text)] == [
+            (_kind(token), _value(token)) for token in consumed]
+
+
+@pytest.mark.parametrize("tail, line, column, message", [
+    (')\n  ^', 2004, 3, "expected '^^'"),
+    ('SubClassOf(:C0 "oops', 2003, 16, "unterminated string literal"),
+])
+def test_lex_error_on_the_last_token_of_a_long_document(tail, line, column, message):
+    axioms = "".join(f"SubClassOf(:C{i} :C{i + 1})\n" for i in range(2000))
+    doc = "Prefix(:=<http://x#>)\nOntology(<http://x>\n" + axioms + tail
+    for read in (parse, tokenize):
+        with pytest.raises(ParseError) as err:
+            read(doc)
+        assert err.value.kind is ParseErrorKind.LEX_ERROR
+        assert (err.value.location.line, err.value.location.column) == (line, column)
+        assert err.value.message == message

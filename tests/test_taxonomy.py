@@ -441,6 +441,40 @@ def test_pruned_abox_retrieval_makes_fewer_abox_tests(monkeypatch):
     assert len(checks) == 1
 
 
+def test_realize_reads_the_names_once(monkeypatch):
+    # Each query reads the individuals' labels over one `_reading` of its
+    # names, however many individuals and groups it visits; realize's
+    # classification makes its own readings.
+    calls = []
+    original = reasoner._reading
+
+    def counting(names, tbox):
+        calls.append(len(names))
+        return original(names, tbox)
+
+    monkeypatch.setattr(reasoner, "_reading", counting)
+    rng = random.Random(SEED)
+    for ontology in [build_disease_ontology()] + [random_abox_ontology(rng) for _ in range(20)]:
+        if not is_consistent(ontology):
+            continue
+        calls.clear()
+        classify(ontology)
+        classified = len(calls)
+        calls.clear()
+        realize(ontology)
+        assert len(calls) == classified + 1, calls
+        calls.clear()
+        entailed_types(ontology)
+        assert len(calls) == 1
+        calls.clear()
+        for name in told_subsumers(ontology):
+            instances_of(Named(name), ontology)
+        assert calls == [1] * len(told_subsumers(ontology))
+    calls.clear()
+    realize(build_disease_ontology())
+    assert len(calls) == 3  # two in the classification
+
+
 def test_realize_compiles_the_tbox_once(monkeypatch):
     disease = build_disease_ontology()
     calls = []
