@@ -2,7 +2,7 @@
 
 Subcommands: check, classify, diff, probe, stats, query, site. Exit codes:
 0 success, 1 semantic finding (inconsistency, unsatisfiable concept, broken
-link, unsatisfiable probe), 2 parse or usage error, 3 resource limit
+link, unsatisfiable probe), 2 parse, usage or file error, 3 resource limit
 exceeded. Output is deterministic; --format json emits the stable schemas
 documented in the README.
 """
@@ -106,8 +106,6 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load(args) -> Ontology:
-    if not os.path.exists(args.input):
-        raise FileNotFoundError(args.input)
     with open(args.input, encoding="utf-8") as handle:
         return parse(handle.read(), strict=args.strict)
 
@@ -223,8 +221,6 @@ def _cmd_diff(args) -> int:
 
 def _cmd_probe(args) -> int:
     ontology = _load(args)
-    if not os.path.exists(args.probes):
-        raise FileNotFoundError(args.probes)
     with open(args.probes, encoding="utf-8") as handle:
         probes = parse_probe_file(handle.read())
     results = run_probes(ontology, probes, _limits(args))
@@ -358,8 +354,8 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"ontokit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"ontokit: error: no such file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a path that is missing, a directory, or a file
+        print(f"ontokit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"ontokit: parse error: {exc}", file=sys.stderr)

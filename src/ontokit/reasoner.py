@@ -10,11 +10,12 @@ everything else.
 The tableau itself lives in `tableau.py`. Each compiled TBox carries a
 `ConceptTable` that interns every concept and role it meets as an int id,
 so node labels are int sets. Expansion is driven by an agenda: a concept
-added to a label is queued once, and a new edge wakes only the universals
-at its two ends, instead of every rule rescanning every node. The order is
-fixed: conjunctions and unfolding to a fixpoint, then the first open
-disjunction, then one universal, then one existential, each picked by
-(node, rank) with an id's rank the repr of its expression. The branches,
+added to a label is queued once, and a new edge queues again only the
+universals at its two ends, instead of every rule rescanning every node.
+The order is fixed: the deterministic rules (conjunctions, unfolding,
+domain constraints and universals) to a fixpoint, then the first open
+disjunction, then one existential, each picked by (node, rank) with an
+id's rank the repr of its expression. The branches,
 witnesses and verdicts therefore do not depend on hash seeds or id order.
 Each label entry carries the set of choices it depends on: the search
 backjumps past choices a clash does not depend on, and an entry that

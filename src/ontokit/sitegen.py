@@ -439,7 +439,8 @@ def _index_document(ontology, inferred, entities, paths, anchors) -> SiteDocumen
 # ---------------------------------------------------------------------------
 
 _HREF = re.compile(r'href="([^"]*)"')
-_SCHEMES = ("http://", "https://", "mailto:", "file:")
+# Links that point outside the site, or within the same page.
+_NOT_CHECKED = ("http://", "https://", "mailto:", "file:", "#")
 
 
 def verify_links(documents: tuple[SiteDocument, ...]) -> LinkReport:
@@ -448,9 +449,8 @@ def verify_links(documents: tuple[SiteDocument, ...]) -> LinkReport:
     total = 0
     broken: list[tuple[str, str]] = []
     for doc in sorted(documents, key=lambda d: d.relative_path):
-        for match in _HREF.finditer(doc.body):
-            target = match.group(1)
-            if target.startswith(_SCHEMES) or target.startswith("#"):
+        for target in _HREF.findall(doc.body):
+            if target.startswith(_NOT_CHECKED):
                 continue
             total += 1
             plain = target.split("#", 1)[0]

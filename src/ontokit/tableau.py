@@ -6,13 +6,15 @@ per compiled TBox, so labels are int sets and every membership, clash and
 blocking test is an int lookup instead of a rehash of an expression tree.
 Expansion runs from an agenda (Tsarkov & Horrocks, IJCAR 2006): `add`
 queues each new (node, id), and new edges queue the universals at their
-ends, so no rule rescans the graph.
+ends again, so no rule rescans the graph.
 
-The search is fixed. Conjunctions, unfolding and domain constraints run to
-a fixpoint first; then the first open disjunction branches; then one
-universal fires, then one existential, each picked by (node, rank), where
-an id's rank is the repr of its expression. After each firing the
-fixpoint is reached again before the next choice.
+The search is fixed. The deterministic rules (conjunctions, unfolding,
+domain constraints and universals with their transitive propagations) run
+to a fixpoint first (Horrocks, ch. 9 of The Description Logic Handbook,
+2003); then the first open disjunction branches; then one existential
+fires, each picked by (node, rank), where an id's rank is the repr of its
+expression. After each firing the fixpoint is reached again before the
+next choice.
 
 Every label entry and edge carries its dependency set: an int bitmask of
 the branch points it rests on, bit i for the i-th open choice. A clash
@@ -254,11 +256,12 @@ class ConceptTable:
         return found
 
     def propagation(self, i: int) -> tuple[tuple[int, int], ...]:
-        """For a universal ∀R.C: (T, ∀T.C) for each transitive T ⊒ R."""
+        """What a universal ∀R.C adds to its neighbours, as (role, concept):
+        (R, C), then (T, ∀T.C) for each transitive T ⊒ R."""
         found = self.propagations[i]
         if found is None:
             role, filler = self.roles[i], self.exprs[i].filler
-            found = self.propagations[i] = tuple(
+            found = self.propagations[i] = ((role, self.args[i][0]),) + tuple(
                 (t, self.concept(Universal(self.role_exprs[t], filler)))
                 for t in self.transitive if role in self.role_sups[t])
         return found
@@ -309,12 +312,12 @@ class _Graph:
 
     Labels are dicts from id to the entry's dependency set, and each edge
     carries the set of the existential (or assertion) that made it. Besides
-    the graph itself it holds the agenda: `todo` for the fixpoint rules, and
-    heaps of (node, rank, id) for the disjunctions, universals and
+    the graph itself it holds the agenda: `todo` for the deterministic
+    rules, and heaps of (node, rank, id) for the disjunctions and
     existentials that may still fire."""
 
     __slots__ = ("table", "work", "labels", "frozen", "parents", "out_edges",
-                 "in_edges", "alls", "todo", "choices", "universals", "existentials")
+                 "in_edges", "alls", "todo", "choices", "existentials")
 
     def __init__(self, table: ConceptTable, work: _Work):
         self.table = table
@@ -327,7 +330,6 @@ class _Graph:
         self.alls: list[list[int]] = []  # each node's universals
         self.todo: list[tuple[int, int]] = []
         self.choices: list[tuple[int, str, int]] = []
-        self.universals: list[tuple[int, str, int]] = []
         self.existentials: list[tuple[int, str, int]] = []
 
     def copy(self) -> "_Graph":
@@ -345,7 +347,6 @@ class _Graph:
         g.alls = [list(a) for a in self.alls]
         g.todo = list(self.todo)
         g.choices = list(self.choices)
-        g.universals = list(self.universals)
         g.existentials = list(self.existentials)
         return g
 
@@ -368,15 +369,15 @@ class _Graph:
 
     def add_edge(self, source: int, target: int, role: int, deps: int) -> None:
         """Link `source` to `target` by the named role `role`. The new
-        neighbours wake the universals at both ends, and the source and
-        target take the domain constraints of the role and its inverse."""
+        neighbours put the universals at both ends back on the agenda, and
+        the source and target take the domain constraints of the role and
+        its inverse."""
         table = self.table
         inverse = table.role_inverse[role]
         self.out_edges[source].append((role, target, deps))
         self.in_edges[target].append((inverse, source, deps))
         for node, r in ((source, role), (target, inverse)):
-            for universal in self.alls[node]:
-                heappush(self.universals, (node, table.ranks[universal], universal))
+            self.todo += [(node, universal) for universal in self.alls[node]]
             for concept in table.domain_constraints(r):
                 self.add(node, concept, deps)
 
@@ -457,8 +458,9 @@ class _Tableau:
     # -- saturation -------------------------------------------------------------
 
     def _expand(self, g: _Graph) -> None:
-        """Run conjunctions and unfolding to a fixpoint off the agenda, and
-        file each new disjunction, universal and existential."""
+        """Run the deterministic rules to a fixpoint off the agenda, and file
+        each new disjunction and existential. A universal adds its filler and
+        its transitive propagations to every matching neighbour at once."""
         table = self.table
         kinds, args, labels, todo = table.kinds, table.args, g.labels, g.todo
         while todo:
@@ -475,8 +477,13 @@ class _Tableau:
             elif kind == OR:
                 heappush(g.choices, (node, table.rank(concept), concept))
             elif kind == ALL:
-                g.alls[node].append(concept)
-                heappush(g.universals, (node, table.rank(concept), concept))
+                alls = g.alls[node]
+                if concept not in alls:
+                    alls.append(concept)
+                deps = labels[node][concept]
+                for role, filler in table.propagation(concept):
+                    for target, edge in self._neighbours(g, node, role):
+                        g.add(target, filler, deps | edge)
             elif kind == SOME:
                 heappush(g.existentials, (node, table.rank(concept), concept))
 
@@ -491,30 +498,6 @@ class _Tableau:
                 return node, concept
             heappop(heap)
         return None
-
-    def _apply_universal(self, g: _Graph, node: int, concept: int) -> bool:
-        table = self.table
-        filler = table.args[concept][0]
-        deps = g.labels[node][concept]
-        for target, edge in self._neighbours(g, node, table.roles[concept]):
-            if g.add(target, filler, deps | edge):
-                return True
-        for trans, propagated in table.propagation(concept):
-            for target, edge in self._neighbours(g, node, trans):
-                if g.add(target, propagated, deps | edge):
-                    return True
-        return False
-
-    def _fire_universal(self, g: _Graph) -> bool:
-        """Make one addition for the first universal that has one left; a
-        universal with none leaves the heap until its node gets an edge."""
-        heap = g.universals
-        while heap:
-            node, _, concept = heap[0]
-            if self._apply_universal(g, node, concept):
-                return True
-            heappop(heap)
-        return False
 
     def _fire_existential(self, g: _Graph) -> bool:
         """Make a successor for the first unwitnessed existential on a node
@@ -555,17 +538,17 @@ class _Tableau:
                 heappush(heap, entry)
 
     def _saturate(self, g: _Graph) -> Optional[tuple[int, int]]:
-        """Run the deterministic rules in priority order. Returns the first
-        open (node, disjunction) once the fixpoint rules are quiet, or None
-        when the graph is complete. Raises _Clash."""
+        """Run the deterministic rules to a fixpoint, then fire one
+        existential, until there is an open disjunction or none is left to
+        fire. Returns the first open (node, disjunction), or None when the
+        graph is complete. Raises _Clash."""
         while True:
             self._expand(g)
             choice = self._open_choice(g)
             if choice is not None:
                 return choice
-            if self._fire_universal(g) or self._fire_existential(g):
-                continue
-            return None
+            if not self._fire_existential(g):
+                return None
 
     def search(self, initial: _Graph) -> Optional[_Graph]:
         """Backtracking over disjunction choices, left to right, that jumps

@@ -56,6 +56,27 @@ def test_check_missing_file(capsys):
     assert "missing-file.ofn" in err
 
 
+def test_check_directory_exit_2(capsys, tmp_path):
+    code, out, err = invoke(capsys, "check", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert str(tmp_path) in err
+
+
+def test_probe_file_that_is_a_directory_exit_2(capsys, ofn, tmp_path):
+    code, out, err = invoke(capsys, "probe", ofn, "--probes", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert str(tmp_path) in err
+
+
+def test_site_out_that_is_a_file_exit_2(capsys, ofn, tmp_path):
+    taken = tmp_path / "site"
+    taken.write_text("not a directory")
+    code, out, err = invoke(capsys, "site", ofn, "--out", str(taken))
+    assert (code, out) == (2, "")
+    assert str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_check_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.ofn"
     bad.write_text("Ontology(oops")

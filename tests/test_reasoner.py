@@ -742,26 +742,40 @@ def test_step_limit_counts_labels_nodes_and_copies():
 
 
 def test_seed_7_full_ontology_finishes():
-    # With backjumping the check ends after 8,349 steps, under a hundredth
-    # of the default step limit.
+    # With backjumping, and every deterministic rule run before a choice,
+    # the check ends after 7,839 steps, under a hundredth of the default
+    # step limit.
     ontology = random_full_ontology(random.Random(7))
-    assert is_consistent(ontology, ReasonerLimits(max_steps=8_349)) is True
-    with pytest.raises(ResourceLimitExceeded, match=r"after 8349 steps"):
-        is_consistent(ontology, ReasonerLimits(max_steps=8_348))
+    assert is_consistent(ontology, ReasonerLimits(max_steps=7_839)) is True
+    with pytest.raises(ResourceLimitExceeded, match=r"after 7839 steps"):
+        is_consistent(ontology, ReasonerLimits(max_steps=7_838))
 
 
 def test_many_diseases_in_one_abox_take_polynomial_work():
     # Each disease node chooses Chronic ⊔ Acute and its absorbed Bacterial
     # definition; a clash in one disease's branch must not backtrack
     # through the other diseases' choices.
-    steps = {8: 218, 16: 548}
+    steps = {8: 168, 16: 336, 32: 672}
     for count, exact in steps.items():
         ontology, expected = disease_abox_ontology(random.Random(1), count)
         assert is_consistent(ontology, ReasonerLimits(max_steps=exact)) is True
         with pytest.raises(ResourceLimitExceeded, match=rf"after {exact} steps"):
             is_consistent(ontology, ReasonerLimits(max_steps=exact - 1))
         assert realize(ontology) == expected
-    assert steps[16] <= 4 * steps[8]
+    assert steps[16] <= 2 * steps[8] and steps[32] <= 2 * steps[16]
+
+
+def test_many_diseases_in_one_abox_make_two_copies_each():
+    # ∀ runs before the next choice opens, so a bacterial disease's first
+    # operand, ∀causedBy.¬Bacteria, clashes at once, and the backjump redoes
+    # no other disease's choice: two copies per disease. A run takes 21
+    # steps per disease (see the test above), so a limit one step short
+    # reports every copy it made.
+    for count in (8, 16, 32):
+        ontology, _ = disease_abox_ontology(random.Random(1), count)
+        with pytest.raises(ResourceLimitExceeded,
+                           match=rf"nodes created, {2 * count} graph copies$"):
+            is_consistent(ontology, ReasonerLimits(max_steps=21 * count - 1))
 
 
 def test_individual_free_ontology_with_unsatisfiable_top():
