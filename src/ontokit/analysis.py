@@ -239,7 +239,7 @@ def _role_fillers(
                 fillers.add(axiom.object)
             if axiom.object == subject and implies(InverseRole(axiom.role)):
                 fillers.add(axiom.subject)
-    return tuple(sorted(fillers, key=lambda iri: iri.value))
+    return tuple(sorted(fillers))
 
 
 def answer_competency_query(
@@ -279,5 +279,4 @@ def answer_competency_query(
         if subject not in known:
             raise UnknownEntityError(f"unknown concept: <{subject}>")
         subject = Named(subject)
-    return tuple(sorted(instances_of(subject, ontology, limits),
-                        key=lambda iri: iri.value))
+    return tuple(sorted(instances_of(subject, ontology, limits)))

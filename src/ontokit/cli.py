@@ -127,11 +127,10 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
 def _resolve_iri(ontology: Ontology, name: str) -> Iri:
     if name.startswith("http://") or name.startswith("https://"):
         return Iri(name)
-    matches = sorted({e.iri for e in signature(ontology) if e.iri.fragment == name},
-                     key=lambda iri: iri.value)
-    if not matches:
+    match = min((e.iri for e in signature(ontology) if e.iri.fragment == name), default=None)
+    if match is None:
         raise UnknownEntityError(f"unknown entity name: {name}")
-    return matches[0]
+    return match
 
 
 def _taxonomy_payload(taxonomy: Taxonomy) -> dict:
@@ -139,7 +138,7 @@ def _taxonomy_payload(taxonomy: Taxonomy) -> dict:
     for index, members in enumerate(taxonomy.groups):
         kind = {Taxonomy.TOP: "top", Taxonomy.BOTTOM: "bottom"}.get(index, "named")
         groups.append({"id": index, "kind": kind,
-                       "members": [iri.value for iri in members]})
+                       "members": list(members)})
     links = [{"child": child, "parent": parent} for child, parent in taxonomy.edges]
     return {"groups": groups, "links": links}
 
@@ -208,11 +207,11 @@ def _cmd_diff(args) -> int:
     if not lines:
         lines = ["no differences"]
     payload = {
-        "addedParentLinks": [{"child": c.value, "parent": p.value}
+        "addedParentLinks": [{"child": c, "parent": p}
                              for c, p in diff.added_parent_links],
-        "removedParentLinks": [{"child": c.value, "parent": p.value}
+        "removedParentLinks": [{"child": c, "parent": p}
                                for c, p in diff.removed_parent_links],
-        "newEquivalences": [{"first": a.value, "second": b.value}
+        "newEquivalences": [{"first": a, "second": b}
                             for a, b in diff.new_equivalences],
     }
     _emit(args, lines, payload)
@@ -259,7 +258,7 @@ def _cmd_stats(args) -> int:
     ]
     lines = [f"{name}: {value}" for name, _, _, value in rows]
     payload: dict = {"counts": {key: value for _, key, _, value in rows}, "deviations": []}
-    reference = published_reference().get(ontology.iri.value)
+    reference = published_reference().get(ontology.iri)
     if reference:
         actual = {key: value for _, _, key, value in rows if key is not None}
         for key in sorted(reference):
@@ -292,9 +291,9 @@ def _cmd_query(args) -> int:
     lines = [iri.fragment for iri in results] or ["(no results)"]
     payload = {
         "kind": kind.value,
-        "subject": subject.value,
-        "role": role.value if role else None,
-        "results": [iri.value for iri in results],
+        "subject": subject,
+        "role": role,
+        "results": results,
     }
     _emit(args, lines, payload)
     return EXIT_OK
@@ -303,13 +302,13 @@ def _cmd_query(args) -> int:
 def _cmd_site(args) -> int:
     ontology = _load(args)
     limits = _limits(args)
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before any reasoning
     inferred = classify(ontology, limits)
     try:
         realization = entailed_types(ontology, limits)
     except InconsistentOntologyError:
         realization = {}
     documents = generate_site(ontology, inferred, inferred, realization)
-    os.makedirs(args.out, exist_ok=True)
     for doc in documents:
         with open(os.path.join(args.out, doc.relative_path), "w",
                   encoding="utf-8") as handle:

@@ -1,11 +1,11 @@
 """Immutable in-memory ontology model.
 
 Entities, concept and role expressions, axioms, and the Ontology value type,
-plus the signature/counting/usage queries everything else is built on. All
-types are plain frozen dataclasses: construction validates invariants, and no
-operation mutates its inputs. The only things written after construction are
-an Ontology's signature and the reasoner's compiled context, which are never
-compared or printed.
+plus the signature/counting/usage queries everything else is built on. An
+`Iri` is a validated `str`; every other type is a plain frozen dataclass.
+Construction validates invariants, and no operation mutates its inputs. The
+only things written after construction are an Ontology's signature and the
+reasoner's compiled context, which are never compared or printed.
 """
 
 from __future__ import annotations
@@ -32,28 +32,32 @@ class EntityNotInSignatureError(Exception):
 _WHITESPACE = re.compile(r"\s").search
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
-    """An absolute IRI. Equality and ordering are on the full text."""
+class Iri(str):
+    """An absolute IRI: its text, checked to be non-empty and free of
+    whitespace. Hashing, equality and ordering are `str`'s own, so an `Iri`
+    equals and hashes like its text."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.value or _WHITESPACE(self.value):
-            raise ValueError(f"invalid IRI: {self.value!r}")
+    def __new__(cls, value: str):
+        if not value or _WHITESPACE(value):
+            raise ValueError(f"invalid IRI: {value!r}")
+        return str.__new__(cls, value)
+
+    @property
+    def value(self) -> str:
+        """The text, as a plain `str`."""
+        return str(self)
 
     @property
     def fragment(self) -> str:
         """Text after '#', or the last path segment when there is no fragment."""
-        if "#" in self.value:
-            return self.value.rsplit("#", 1)[1]
-        return self.value.rstrip("/").rsplit("/", 1)[-1]
+        if "#" in self:
+            return self.rsplit("#", 1)[1]
+        return self.rstrip("/").rsplit("/", 1)[-1]
 
-    def __str__(self) -> str:
-        return self.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
+    def __repr__(self) -> str:
+        return f"Iri(value={str.__repr__(self)})"
 
 
 OWL_THING = Iri(OWL_NS + "Thing")
@@ -82,8 +86,8 @@ class Entity:
     kind: EntityKind
     iri: Iri
 
-    def sort_key(self) -> tuple[int, str]:
-        return (KIND_ORDER[self.kind], self.iri.value)
+    def sort_key(self) -> tuple[int, Iri]:
+        return (KIND_ORDER[self.kind], self.iri)
 
 
 # ---------------------------------------------------------------------------

@@ -247,9 +247,9 @@ class _Parser:
     Each IRI value is built once per document: every mention of it, in
     either spelling (`:A` or `<...#A>`), is the same `Iri` object, and every
     mention as a concept is the same `Named`, `Top` or `Bottom` leaf. The
-    dicts that hold them are keyed by text (a token's, or the IRI's own),
-    so a name read before costs a dict lookup and no hash of a model value,
-    and later lookups of equal values find identical objects.
+    dicts that hold them are keyed by text (a token's, or the IRI, which is
+    its own text), so a name read before costs one dict lookup, and later
+    lookups of equal values find identical objects.
     """
 
     def __init__(self, text: str):
@@ -258,13 +258,12 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.depth = 0
-        # IRI value -> Iri; the built-in constants are the document's own.
+        # IRI text -> Iri; the built-in constants are the document's own.
         self.iris: dict[str, Iri] = {iri.value: iri for iri in (OWL_THING, OWL_NOTHING, XSD_STRING)}
         # Token text of a prefixed name or an IRI reference -> Iri.
         self.names: dict[str, Iri] = {}
-        # IRI value -> its concept leaf.
-        self.leaves: dict[str, ConceptExpression] = {OWL_THING.value: Top(),
-                                                     OWL_NOTHING.value: Bottom()}
+        # Iri -> its concept leaf.
+        self.leaves: dict[Iri, ConceptExpression] = {OWL_THING: Top(), OWL_NOTHING: Bottom()}
         # Token text of a concept name -> its leaf.
         self.concepts: dict[str, ConceptExpression] = {}
 
@@ -422,9 +421,9 @@ class _Parser:
             kind = _kind(token)
             if kind is TokenKind.IRI_REF or kind is TokenKind.PNAME:
                 iri = self.parse_iri("concept IRI")
-                leaf = self.leaves.get(iri.value)
+                leaf = self.leaves.get(iri)
                 if leaf is None:
-                    leaf = self.leaves[iri.value] = Named(iri)
+                    leaf = self.leaves[iri] = Named(iri)
                 self.concepts[token] = leaf
                 return leaf
             if kind is not TokenKind.KEYWORD:
@@ -521,16 +520,16 @@ def render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
     then the lexicographically smallest prefix), else an <angle-bracket> IRI."""
     best: tuple[int, str] | None = None
     for prefix, expansion in prefixes.items():
-        if iri.value.startswith(expansion):
-            local = iri.value[len(expansion):]
+        if iri.startswith(expansion):
+            local = iri[len(expansion):]
             if _SAFE_LOCAL.fullmatch(local):
                 candidate = (-len(expansion), prefix)
                 if best is None or candidate < best:
                     best = candidate
     if best is None:
-        return f"<{iri.value}>"
+        return f"<{iri}>"
     prefix = best[1]
-    return f"{prefix}:{iri.value[len(prefixes[prefix]):]}"
+    return f"{prefix}:{iri[len(prefixes[prefix]):]}"
 
 
 class _Names(dict):
@@ -640,7 +639,7 @@ def serialize(ontology: Ontology) -> str:
     prefixes = ontology.prefix_map()
     lines = [f"Prefix({prefix}:=<{expansion}>)"
              for prefix, expansion in sorted(prefixes.items())]
-    lines.append(f"Ontology(<{ontology.iri.value}>")
+    lines.append(f"Ontology(<{ontology.iri}>")
     names = _Names(prefixes)
     rendered = sorted(
         (_axiom_group(axiom) + (_axiom_text(axiom, names),) for axiom in ontology.axioms)

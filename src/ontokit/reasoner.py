@@ -271,8 +271,7 @@ def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
                     exprs.add(inverse_of(role))
                     if isinstance(role, InverseRole):
                         uses_inverse = True
-    direct: dict[RoleExpression, set[RoleExpression]] = {
-        e: set() for e in sorted(exprs, key=repr)}
+    direct: dict[RoleExpression, set[RoleExpression]] = {e: set() for e in exprs}
     for sub, sup in base:
         direct[sub].add(sup)
     subsumers = _closure(direct)
@@ -332,7 +331,7 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     # Unique definitions only; names with several candidate axioms fall back
     # to general inclusions.
     definitions: dict[Iri, ConceptExpression] = {}
-    for name in sorted(candidates, key=lambda iri: iri.value):
+    for name in sorted(candidates):
         bodies = candidates[name]
         if len(bodies) == 1:
             definitions[name] = bodies[0]
@@ -359,7 +358,7 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
             stack.pop()
             state[name] = 2
 
-        for name in sorted(definitions, key=lambda iri: iri.value):
+        for name in sorted(definitions):
             visit(name, [])
         return cyclic
 
@@ -370,9 +369,9 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
 
     # Cyclic definitions are demoted the same way, and so is every
     # definition whose body can be absorbed.
-    for name in sorted(_cycle_names(), key=lambda iri: iri.value):
+    for name in sorted(_cycle_names()):
         demote(name)
-    for name in sorted(definitions, key=lambda iri: iri.value):
+    for name in sorted(definitions):
         if _primitive_conjunct(to_nnf(definitions[name]), definitions) is not None:
             demote(name)
 
@@ -458,7 +457,7 @@ def _individuals_of(ontology: Ontology) -> list[Iri]:
     for entity in signature(ontology):
         if entity.kind is EntityKind.INDIVIDUAL:
             found.add(entity.iri)
-    return sorted(found, key=lambda iri: iri.value)
+    return sorted(found)
 
 
 @dataclass
@@ -570,11 +569,8 @@ def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -
 
 
 def _named_concepts_of(ontology: Ontology) -> list[Iri]:
-    return sorted(
-        {e.iri for e in signature(ontology)
-         if e.kind is EntityKind.CONCEPT and e.iri not in BUILTIN_CONCEPTS},
-        key=lambda iri: iri.value,
-    )
+    return sorted({e.iri for e in signature(ontology)
+                   if e.kind is EntityKind.CONCEPT and e.iri not in BUILTIN_CONCEPTS})
 
 
 def instances_of(
@@ -660,8 +656,7 @@ def realize(
             lambda group: _abox_entails(abox, limits, individual, read, masks[group],
                                         taxonomy.members(group)[0]),
             taxonomy.parents_of, below)
-        names = sorted({name for group in found for name in taxonomy.members(group)},
-                       key=lambda iri: iri.value)
+        names = sorted({name for group in found for name in taxonomy.members(group)})
         result[individual] = tuple(names) or (OWL_THING,)
     return result
 
@@ -712,7 +707,7 @@ def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
                     direct[a].update(named_ops)
         told = _closure(direct)
         context.told = {name: told[name] for name in
-                        sorted(told, key=lambda name: (len(told[name]), name.value))}
+                        sorted(told, key=lambda name: (len(told[name]), name))}
     return dict(context.told)
 
 

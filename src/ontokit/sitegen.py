@@ -225,7 +225,7 @@ def _safe_name(fragment: str) -> str:
 
 def _page_paths(entities: tuple[Entity, ...]) -> dict[Entity, str]:
     by_name: dict[str, list[Entity]] = {}
-    for entity in sorted(entities, key=lambda e: (e.iri.value, e.sort_key())):
+    for entity in sorted(entities, key=lambda e: (e.iri, e.sort_key())):
         by_name.setdefault(_safe_name(entity.iri.fragment), []).append(entity)
     paths: dict[Entity, str] = {}
     for name, group in by_name.items():
@@ -309,7 +309,7 @@ class _Page:
         # Kind names and section labels are constants with nothing to escape.
         title = html.escape(iri.fragment)
         parts = [f"<h1>{title}</h1>\n"
-                 f"<p><code>{html.escape(iri.value)}</code> ({kind.value})</p>\n"
+                 f"<p><code>{html.escape(iri)}</code> ({kind.value})</p>\n"
                  '<p><a href="index.html">index</a></p>\n']
         labels = _INDIVIDUAL_LABELS if kind is EntityKind.INDIVIDUAL else _SECTION_LABELS
         for heading in sorted(self.sections):
@@ -403,7 +403,7 @@ def _index_document(ontology, inferred, entities, paths, anchors) -> SiteDocumen
         ("Individuals", counts.individuals),
         ("Data types", counts.datatypes),
     ]
-    title = html.escape(ontology.iri.value)
+    title = html.escape(ontology.iri)
     body = [f"<h1>{title}</h1>\n"]
     body.append("<h2>Entity counts</h2>\n<table>\n")
     body.extend(f"<tr><td>{label}</td><td>{value}</td></tr>\n" for label, value in rows)
@@ -423,7 +423,7 @@ def _index_document(ontology, inferred, entities, paths, anchors) -> SiteDocumen
         if not of_kind:
             continue
         body.append(f"<h2>{label}</h2>\n<ul>\n")
-        for entity in sorted(of_kind, key=lambda e: (e.iri.fragment, e.iri.value)):
+        for entity in sorted(of_kind, key=lambda e: (e.iri.fragment, e.iri)):
             # Paths are made of safe characters only. The IRI's anchor links
             # to the page of its first entity; a punned IRI's others differ.
             path = paths[entity]

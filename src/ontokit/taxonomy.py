@@ -50,7 +50,7 @@ class Taxonomy:
     _children = cached_property(lambda self: self._adjacent(1))
 
     def concepts(self) -> tuple[Iri, ...]:
-        return tuple(sorted(self._group_index, key=lambda iri: iri.value))
+        return tuple(sorted(self._group_index))
 
     def group_of(self, iri: Iri) -> int:
         return self._group_index[iri]
@@ -68,7 +68,7 @@ class Taxonomy:
         return self.groups[self.group_of(iri)]
 
     def _named(self, groups: Iterable[int]) -> tuple[Iri, ...]:
-        return tuple(sorted({m for g in groups for m in self.groups[g]}, key=lambda i: i.value))
+        return tuple(sorted({m for g in groups for m in self.groups[g]}))
 
     def parent_concepts_of(self, iri: Iri) -> tuple[Iri, ...]:
         """Named members of the direct parent groups."""
@@ -200,7 +200,7 @@ def build_taxonomy(
             else:
                 known[c] |= known[d]
 
-    order = sorted(range(len(names)), key=lambda i: names[i].value)
+    order = sorted(range(len(names)), key=names.__getitem__)
     group_of: dict[int, int] = {}  # a group's mask -> the group
     for i in order:
         group_of.setdefault(known[i], len(group_of) + 2)
@@ -215,7 +215,7 @@ def build_taxonomy(
         edges |= {(group, group_of[known[j]]) for j in _bits(above)} or {(group, Taxonomy.TOP)}
     parents = {parent for _, parent in edges}
     edges |= {(Taxonomy.BOTTOM, group) for group in group_of.values() if group not in parents}
-    return Taxonomy(groups=(tuple(sorted(top_names, key=lambda i: i.value)),
-                            tuple(sorted(bottom_names, key=lambda i: i.value)),
+    return Taxonomy(groups=(tuple(sorted(top_names)),
+                            tuple(sorted(bottom_names)),
                             *map(tuple, members)),
                     edges=tuple(sorted(edges)))

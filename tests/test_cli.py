@@ -77,6 +77,18 @@ def test_site_out_that_is_a_file_exit_2(capsys, ofn, tmp_path):
     assert taken.read_text() == "not a directory"
 
 
+def test_site_out_that_is_a_file_fails_before_reasoning(capsys, ofn, tmp_path, monkeypatch):
+    def no_reasoning(*args, **kwargs):
+        raise AssertionError("classify called before --out was checked")
+
+    monkeypatch.setattr(cli, "classify", no_reasoning)
+    taken = tmp_path / "site"
+    taken.write_text("not a directory")
+    code, out, err = invoke(capsys, "site", ofn, "--out", str(taken))
+    assert (code, out) == (2, "")
+    assert str(taken) in err
+
+
 def test_check_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.ofn"
     bad.write_text("Ontology(oops")

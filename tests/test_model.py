@@ -1,3 +1,6 @@
+import copy
+import pickle
+import random
 import re
 import sys
 
@@ -71,6 +74,59 @@ def test_iri_accepts_hash_percent_and_non_ascii_letters():
 def test_iri_fragment():
     assert iri("Disease").fragment == "Disease"
     assert Iri("http://example.org/things/Disease").fragment == "Disease"
+
+
+def test_iri_hashes_compares_and_sorts_with_str_own_methods():
+    # No Python-level identity code: every hash, == and < runs in C.
+    for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(Iri, name) is getattr(str, name), name
+    assert "__dict__" not in dir(Iri("http://x"))
+
+
+def test_iri_hashes_and_equals_like_its_text():
+    # So a set or dict of IRIs iterates in the order of their texts' one,
+    # under any hash seed.
+    for text in ("http://x", "http://x#A", "http://x/\xe9t\xe9#\u03b1"):
+        assert hash(Iri(text)) == hash(text)
+        assert Iri(text) == text and text == Iri(text)
+
+
+def test_iri_repr_is_unchanged():
+    assert repr(Iri("http://x#A")) == "Iri(value='http://x#A')"
+    assert repr(Iri("http://x/it's")) == 'Iri(value="http://x/it\'s")'
+    assert repr(Named(Iri("http://x#A"))) == "Named(iri=Iri(value='http://x#A'))"
+
+
+def test_iri_sort_is_the_sort_of_its_text():
+    rng = random.Random(17)
+    alphabet = "ab#/:%\xe9\u03b1Z0"
+    iris = [Iri("http://" + "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))))
+            for _ in range(200)]
+    assert sorted(iris) == sorted(iris, key=lambda i: i.value)
+
+
+def test_iri_value_keyword_and_plain_text():
+    made = Iri(value="http://x#A")
+    assert made == Iri("http://x#A")
+    assert type(made.value) is str and made.value == "http://x#A"
+    assert type(str(made)) is str and type(f"{made}") is str
+
+
+def test_iri_survives_pickle_and_copy():
+    original = Iri("http://x#A")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(original, protocol))
+        assert type(restored) is Iri and restored == original
+    for restored in (copy.copy(original), copy.deepcopy(original)):
+        assert type(restored) is Iri and restored == original
+
+
+def test_iri_attributes_cannot_be_set():
+    made = Iri("http://x#A")
+    with pytest.raises(AttributeError):
+        made.value = "http://y"
+    with pytest.raises(AttributeError):
+        made.other = 1
 
 
 def test_operand_arity_enforced():
