@@ -3,8 +3,9 @@
 Covers ALC plus role hierarchies, inverse roles, and transitive roles:
 concept satisfiability, subsumption, classification, ABox consistency,
 realization, and instance retrieval. The tableau uses lazy unfolding for
-definitional equivalences, absorption for inclusions whose left-hand side
-is or has as a conjunct a primitive name, and internalized disjunctions for
+definitional equivalences; absorption for inclusions whose left-hand side
+is or has as a conjunct a primitive name, or is an existential over one;
+edge triggers for domains and ranges; and internalized disjunctions for
 everything else.
 
 The tableau itself lives in `tableau.py`. Each compiled TBox carries a
@@ -164,12 +165,11 @@ class NormalizedTBox:
     `definitions` holds unfoldable equivalences (unique, acyclic); all other
     logical concept axioms live in `general_inclusions` as NNF pairs. The
     remaining fields are the evaluation form the tableau runs on, derived
-    from the general inclusions: membership-triggered additions for primitive
-    named left-hand sides, edge-triggered domain constraints, per-node
-    constraints from Top-LHS axioms, and internalized disjunctions for the
-    rest. `absorbed[P]` also holds `¬rest ⊔ rhs` for an inclusion
-    `P ⊓ rest ⊑ rhs` whose left-hand side has the primitive conjunct `P`
-    (binary absorption), so that disjunction only appears where `P` does.
+    from the general inclusions (see `normalize`): additions triggered by a
+    primitive name, edge triggers for domains `(R, C)` and ranges
+    `(R⁻, C)`, per-node constraints, and internalized disjunctions for the
+    rest. `uses_inverse`, set by any inverse role, role absorption's too,
+    makes the tableau block by equality.
     """
 
     definitions: dict[Iri, ConceptExpression]
@@ -197,13 +197,24 @@ def _roles_in(expr: ConceptExpression) -> Iterator[RoleExpression]:
             if isinstance(part, (Existential, Universal)))
 
 
-def _primitive_conjunct(expr: ConceptExpression, definitions: Container[Iri]) -> Optional[int]:
-    """Index of the first operand of an NNF intersection that is a name
-    without a definition (NNF has no built-in names), or None."""
-    if isinstance(expr, Intersection):
-        for i, op in enumerate(expr.operands):
+def _absorption(lhs: ConceptExpression, rhs: ConceptExpression,
+                definitions: Container[Iri]) -> Optional[tuple[Iri, ConceptExpression]]:
+    """Where the NNF inclusion `lhs ⊑ rhs` absorbs, as a primitive name (one
+    without a definition; NNF has no built-in names) and what the tableau
+    adds where that name is, or None. A primitive name adds `rhs`; an
+    intersection with the primitive conjunct `P` (the first in operand
+    order) adds `¬rest ⊔ rhs` at `P`; and `∃R.C ⊑ rhs`, with `C` either of
+    those, is `C ⊑ ∀R⁻.rhs` absorbed the same way."""
+    if isinstance(lhs, Named) and lhs.iri not in definitions:
+        return lhs.iri, rhs
+    if isinstance(lhs, Intersection):
+        for i, op in enumerate(lhs.operands):
             if isinstance(op, Named) and op.iri not in definitions:
-                return i
+                rest = lhs.operands[:i] + lhs.operands[i + 1:]
+                rest_expr = rest[0] if len(rest) == 1 else Intersection(rest)
+                return op.iri, Union((_nnf_complement(rest_expr), rhs))
+    if isinstance(lhs, Existential) and isinstance(lhs.filler, (Named, Intersection)):
+        return _absorption(lhs.filler, Universal(inverse_of(lhs.role), rhs), definitions)
     return None
 
 
@@ -260,9 +271,13 @@ def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
                 concepts = [axiom.sub, axiom.sup]
             elif isinstance(axiom, (EquivalentConcepts, DisjointConcepts)):
                 concepts = list(axiom.operands)
-            elif isinstance(axiom, (RoleDomain, RoleRange)):
+            elif isinstance(axiom, RoleDomain):
                 concepts = [axiom.concept]
                 exprs.add(NamedRole(axiom.role))
+            elif isinstance(axiom, RoleRange):
+                # A range is a domain constraint of the inverse role.
+                concepts = [axiom.concept]
+                exprs |= {NamedRole(axiom.role), InverseRole(axiom.role)}
             else:
                 concepts = [axiom.concept]
             for c in concepts:
@@ -290,13 +305,19 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     constraints, which every node must satisfy. An inclusion with a
     primitive named left-hand side is added where that name is; one whose
     left-hand side is an intersection with a primitive conjunct `P` (the
-    first in operand order) becomes `¬rest ⊔ rhs` added where `P` is. A
-    definition `A ≡ C` is demoted to `A ⊑ C` and `C ⊑ A` when `C` has such
-    a conjunct, so that both halves absorb and the tableau adds `A` wherever
-    `C` holds. Lazy unfolding never does that, so it could carry none of
-    `A`'s other inclusions, and the absence of `A` from a label would prove
-    nothing (see `_decided`). Multiple and cyclic definitions are demoted
-    the same way."""
+    first in operand order) becomes `¬rest ⊔ rhs` added where `P` is; and
+    `∃R.C ⊑ rhs`, with `C` either of those, becomes `C ⊑ ∀R⁻.rhs`,
+    absorbed the same way (role absorption), which makes the tableau block
+    by equality. Domains `∃R.⊤ ⊑ C` and ranges `⊤ ⊑ ∀R.C` become edge
+    triggers (Tsarkov & Horrocks, DL 2004). Each operand of a union
+    left-hand side is absorbed on its own, and the operands that do not
+    absorb stay one node constraint. A definition `A ≡ C` is demoted to
+    `A ⊑ C` and `C ⊑ A` when `C ⊑ A` absorbs as an intersection or an
+    existential, so that the tableau adds `A` wherever `C` holds. Lazy
+    unfolding never does that, so it could carry none of `A`'s other
+    inclusions, and the absence of `A` from a label would prove nothing
+    (see `_decided`). Multiple and cyclic definitions are demoted the same
+    way."""
     candidates: dict[Iri, list[ConceptExpression]] = {}
     raw_gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
     for axiom in ontology.axioms:
@@ -372,7 +393,9 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     for name in sorted(_cycle_names()):
         demote(name)
     for name in sorted(definitions):
-        if _primitive_conjunct(to_nnf(definitions[name]), definitions) is not None:
+        body = to_nnf(definitions[name])
+        if isinstance(body, (Intersection, Existential)) \
+                and _absorption(body, Named(name), definitions) is not None:
             demote(name)
 
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
@@ -384,19 +407,25 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     domain_triggers: list[tuple[RoleExpression, ConceptExpression]] = []
     node_constraints: list[ConceptExpression] = []
     for lhs, rhs in general:
-        if isinstance(lhs, Top):
-            node_constraints.append(rhs)
-        elif isinstance(lhs, Named) and lhs.iri not in definitions:
-            absorbed.setdefault(lhs.iri, []).append(rhs)
-        elif isinstance(lhs, Existential) and isinstance(lhs.filler, Top):
-            domain_triggers.append((lhs.role, rhs))
-        elif (i := _primitive_conjunct(lhs, definitions)) is not None:
-            rest = lhs.operands[:i] + lhs.operands[i + 1:]
-            rest_expr = rest[0] if len(rest) == 1 else Intersection(rest)
-            absorbed.setdefault(lhs.operands[i].iri, []).append(
-                Union((_nnf_complement(rest_expr), rhs)))
-        else:
-            node_constraints.append(Union((_nnf_complement(lhs), rhs)))
+        # Each operand of a union left-hand side is absorbed on its own;
+        # the operands that do not absorb stay one inclusion on every node.
+        rest = []
+        for part in lhs.operands if isinstance(lhs, Union) else (lhs,):
+            if isinstance(part, Top) and isinstance(rhs, Universal):  # a range
+                domain_triggers.append((inverse_of(rhs.role), rhs.filler))
+            elif isinstance(part, Existential) and isinstance(part.filler, Top):
+                domain_triggers.append((part.role, rhs))
+            elif (found := _absorption(part, rhs, definitions)) is not None:
+                absorbed.setdefault(found[0], []).append(found[1])
+                # An absorbed ∃R.C puts ∀R⁻.rhs on C's nodes, which subset
+                # blocking does not allow.
+                uses_inverse |= isinstance(part, Existential)
+            else:
+                rest.append(part)
+        if rest:
+            left = rest[0] if len(rest) == 1 else Union(tuple(rest))
+            node_constraints.append(
+                rhs if isinstance(left, Top) else Union((_nnf_complement(left), rhs)))
 
     return NormalizedTBox(
         definitions={name: to_nnf(body) for name, body in definitions.items()},
@@ -738,14 +767,15 @@ def _decided(label: dict[int, int], bits: dict[int, int], defined: int) -> tuple
     on a node has been applied wherever its premise holds. A defined name
     is unfolded lazily: the tableau adds its body when the name is in a
     label, never the name when its body holds. In the model the name holds
-    wherever its body does, so its absence proves nothing. The fixture's
-    `OrganismStructure ⊑ Infectious` is such a case. `normalize` keeps a
-    definition only when its body has no primitive conjunct; every other
-    one is demoted to two inclusions and counts as primitive: its
-    right-to-left half is absorbed into a primitive conjunct `P` of the
-    body, so at every node labelled `P` the tableau adds the name or
-    refutes the rest of the body, and the name holds exactly where it is
-    labelled."""
+    wherever its body does, so its absence proves nothing: with
+    `I ≡ ∀r.G` and `O ⊑ ∀r.G`, the label of `O` lacks `I` although
+    `O ⊑ I`. `normalize` keeps a definition only when its body does not
+    absorb; every other one is demoted to two inclusions and counts as
+    primitive: its right-to-left half is absorbed into a primitive name `P`
+    of the body, a conjunct or an existential's filler, so at every node
+    labelled `P` the tableau adds the name, to the node or to its
+    predecessors over the existential's role, or refutes the rest of the
+    body, and the name holds exactly where it is labelled."""
     known = present = 0
     for concept, deps in label.items():
         bit = bits.get(concept)

@@ -148,8 +148,15 @@ def test_nnf_preserves_structure():
 
 
 def test_normalize_extracts_fixture_definition(disease_tbox):
-    body = disease_tbox.definitions.get(iri("Infectious"))
-    assert body == Existential(NamedRole(iri("hasGenetics")), named("GeneticMaterial"))
+    # `Infectious ≡ ∃hasGenetics.GeneticMaterial` is demoted: its body
+    # absorbs into GeneticMaterial as `∀hasGenetics⁻.Infectious`.
+    has_genetics = NamedRole(iri("hasGenetics"))
+    assert disease_tbox.definitions == {}
+    assert (Existential(has_genetics, named("GeneticMaterial")), named("Infectious")) \
+        in disease_tbox.general_inclusions
+    assert disease_tbox.absorbed[iri("GeneticMaterial")] == (
+        Universal(InverseRole(iri("hasGenetics")), named("Infectious")),)
+    assert disease_tbox.node_constraints == ()
 
 
 def test_normalize_compiles_disjointness(disease_tbox):
@@ -742,20 +749,20 @@ def test_step_limit_counts_labels_nodes_and_copies():
 
 
 def test_seed_7_full_ontology_finishes():
-    # With backjumping, and every deterministic rule run before a choice,
-    # the check ends after 7,839 steps, under a hundredth of the default
-    # step limit.
+    # With backjumping, every deterministic rule run before a choice, and
+    # union left-hand sides split before absorption, the check ends after
+    # 3,143 steps, under a three-hundredth of the default step limit.
     ontology = random_full_ontology(random.Random(7))
-    assert is_consistent(ontology, ReasonerLimits(max_steps=7_839)) is True
-    with pytest.raises(ResourceLimitExceeded, match=r"after 7839 steps"):
-        is_consistent(ontology, ReasonerLimits(max_steps=7_838))
+    assert is_consistent(ontology, ReasonerLimits(max_steps=3_143)) is True
+    with pytest.raises(ResourceLimitExceeded, match=r"after 3143 steps"):
+        is_consistent(ontology, ReasonerLimits(max_steps=3_142))
 
 
 def test_many_diseases_in_one_abox_take_polynomial_work():
     # Each disease node chooses Chronic ⊔ Acute and its absorbed Bacterial
     # definition; a clash in one disease's branch must not backtrack
     # through the other diseases' choices.
-    steps = {8: 168, 16: 336, 32: 672}
+    steps = {8: 120, 16: 240, 32: 480}
     for count, exact in steps.items():
         ontology, expected = disease_abox_ontology(random.Random(1), count)
         assert is_consistent(ontology, ReasonerLimits(max_steps=exact)) is True
@@ -768,14 +775,14 @@ def test_many_diseases_in_one_abox_take_polynomial_work():
 def test_many_diseases_in_one_abox_make_two_copies_each():
     # ∀ runs before the next choice opens, so a bacterial disease's first
     # operand, ∀causedBy.¬Bacteria, clashes at once, and the backjump redoes
-    # no other disease's choice: two copies per disease. A run takes 21
+    # no other disease's choice: two copies per disease. A run takes 15
     # steps per disease (see the test above), so a limit one step short
     # reports every copy it made.
     for count in (8, 16, 32):
         ontology, _ = disease_abox_ontology(random.Random(1), count)
         with pytest.raises(ResourceLimitExceeded,
                            match=rf"nodes created, {2 * count} graph copies$"):
-            is_consistent(ontology, ReasonerLimits(max_steps=21 * count - 1))
+            is_consistent(ontology, ReasonerLimits(max_steps=15 * count - 1))
 
 
 def test_individual_free_ontology_with_unsatisfiable_top():

@@ -18,6 +18,7 @@ from ontokit.model import (
     Declaration,
     Entity,
     EntityKind,
+    EquivalentConcepts,
     Existential,
     Iri,
     Named,
@@ -25,6 +26,7 @@ from ontokit.model import (
     OWL_THING,
     SubConceptOf,
     Top,
+    Universal,
     make_ontology,
 )
 from ontokit.reasoner import (
@@ -263,16 +265,21 @@ def test_realize_equals_oracle_on_random_aboxes():
 # ---------------------------------------------------------------------------
 
 
-def test_witness_never_refutes_a_defined_name(disease, disease_tbox, disease_taxonomy):
-    # Lazy unfolding adds Infectious's body when Infectious is in a label,
-    # never Infectious when its body holds, so the witness of
-    # OrganismStructure lacks the name although the subsumption holds.
-    organism_structure = Iri(DISEASE_NS + "OrganismStructure")
-    infectious = Iri(DISEASE_NS + "Infectious")
-    witness = is_satisfiable(Named(organism_structure), disease_tbox).witness
-    assert infectious in disease_tbox.definitions
-    assert Named(infectious) not in witness.nodes[0].label
-    assert infectious in disease_taxonomy.ancestors_of(organism_structure)
+def test_witness_never_refutes_a_defined_name():
+    # Lazy unfolding adds I's body when I is in a label, never I when its
+    # body holds, so the witness of O lacks the name although O ⊑ ∀r.G ≡ I.
+    r = NamedRole(Iri(NS + "r"))
+    i, g, o = (Named(Iri(NS + name)) for name in "IGO")
+    ontology = make_ontology(
+        Iri(NS.rstrip("#")), (("", NS),),
+        [Declaration(Entity(EntityKind.CONCEPT, c.iri)) for c in (i, g, o)]
+        + [Declaration(Entity(EntityKind.OBJECT_ROLE, r.iri)),
+           EquivalentConcepts((i, Universal(r, g))), SubConceptOf(o, Universal(r, g))])
+    tbox = normalize(ontology)
+    witness = is_satisfiable(o, tbox).witness
+    assert i.iri in tbox.definitions
+    assert i not in witness.nodes[0].label
+    assert i.iri in classify(ontology).ancestors_of(o.iri)
 
 
 def test_classify_fixture_makes_few_satisfiability_tests(disease, monkeypatch):
@@ -286,16 +293,16 @@ def test_classify_fixture_makes_few_satisfiability_tests(disease, monkeypatch):
 
     monkeypatch.setattr(reasoner, "satisfiable", counting)
     classify(disease)
-    # The pre-pass makes one test per name and one for ⊤, 25 here, and 5
-    # more ask about the defined Infectious, which no label can entail or
-    # refute: ⊤ and four names, whose refutations settle the names they
-    # are below; the all-pairs builder made 574 in all.
+    # The pre-pass makes one test per name and one for ⊤, 25 here. Every
+    # name is primitive, so each label decides every name and no test
+    # follows; the all-pairs builder made 574 in all.
     assert len(calls) <= 30, len(calls)
 
 
 def test_classify_on_random_tboxes_makes_few_subsumption_tests(monkeypatch):
     # The draws of test_classify_equals_oracle_on_random_tboxes. The
-    # insertion builder made 189 subsumption tests on them, 70 about ⊤.
+    # insertion builder made 189 subsumption tests on them, 70 about ⊤;
+    # splitting union left-hand sides before absorption leaves 69 about ⊤.
     calls = []
     original = reasoner.is_subsumed_by
 
@@ -307,7 +314,7 @@ def test_classify_on_random_tboxes_makes_few_subsumption_tests(monkeypatch):
     rng = random.Random(SEED)
     for _ in range(300):
         classify(random_alc_ontology(rng)[0])
-    assert sum(isinstance(sub, Top) for sub in calls) == 70
+    assert sum(isinstance(sub, Top) for sub in calls) == 69
     assert len(calls) <= 170, len(calls)
 
 
@@ -428,10 +435,10 @@ def test_pruned_abox_retrieval_makes_fewer_abox_tests(monkeypatch):
     monkeypatch.setattr(reasoner, "_abox_labels", counting)
     names = len(told_subsumers(disease))
     entailed_types(disease)
-    # Giardia's label has its three primitive types with no dependencies
-    # and refutes every other primitive name, so only the defined
-    # Infectious needs a test. Without pruning there is one test per name.
-    assert len(tests) == 1 < names, len(tests)
+    # Giardia's label has its primitive types with no dependencies and
+    # refutes every other name, all of them primitive, so no name needs a
+    # test. Without pruning there is one test per name.
+    assert len(tests) == 0 < names, len(tests)
     tests.clear()
     assert instances_of(Named(Iri(DISEASE_NS + "Virus")), disease) == ()
     assert len(tests) == 0
