@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union as TypingUnion
 
 from .model import (
@@ -22,6 +21,7 @@ from .model import (
     Ontology,
     RoleAssertion,
     signature,
+    _Value,
 )
 from .reasoner import (
     DEFAULT_LIMITS,
@@ -62,8 +62,8 @@ def asserted_taxonomy(ontology: Ontology) -> Taxonomy:
     return build_taxonomy(list(told), [sum(map(bit.__getitem__, ups)) for ups in told.values()])
 
 
-@dataclass(frozen=True)
-class HierarchyDiff:
+class HierarchyDiff(_Value):
+    __slots__ = ()
     added_parent_links: tuple[tuple[Iri, Iri], ...]
     removed_parent_links: tuple[tuple[Iri, Iri], ...]
     new_equivalences: tuple[tuple[Iri, Iri], ...]
@@ -108,21 +108,22 @@ def _links_outside(one: Taxonomy, other: Taxonomy) -> Iterator[tuple[Iri, Iri]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(_Value):
     """A fresh concept name placed beneath the listed superclasses."""
 
+    __slots__ = ()
     name: str
     supers: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "supers", tuple(self.supers))
-        if len(self.supers) < 2:
+    def __new__(cls, name: str, supers: Iterable[str]):
+        supers = tuple(supers)
+        if len(supers) < 2:
             raise ValueError("a probe needs at least 2 superclasses")
+        return super().__new__(cls, name, supers)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(_Value):
+    __slots__ = ()
     probe: ProbeSpec
     satisfiable: bool
 
@@ -206,15 +207,17 @@ _ROLE_OF_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class CompetencyQuery:
+class CompetencyQuery(_Value):
+    __slots__ = ()
     kind: QueryKind
     subject: TypingUnion[Iri, ConceptExpression]
-    role: Optional[Iri] = None
+    role: Optional[Iri]
 
-    def __post_init__(self):
-        if (self.role is not None) != (self.kind is QueryKind.FILLERS_OF):
+    def __new__(cls, kind: QueryKind, subject: TypingUnion[Iri, ConceptExpression],
+                role: Optional[Iri] = None):
+        if (role is not None) != (kind is QueryKind.FILLERS_OF):
             raise ValueError("a role is given exactly when the kind is FillersOf")
+        return super().__new__(cls, kind, subject, role)
 
 
 def _role_fillers(

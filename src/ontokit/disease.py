@@ -10,7 +10,6 @@ source is silent or contradicts itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .analysis import ProbeSpec
 from .model import (
@@ -40,6 +39,7 @@ from .model import (
     XSD_NS,
     XSD_STRING,
     make_ontology,
+    _Value,
 )
 from .parser import render_axiom
 
@@ -58,8 +58,8 @@ class Provenance(enum.Enum):
     RECONSTRUCTION = "reconstruction"
 
 
-@dataclass(frozen=True)
-class FixtureLedgerEntry:
+class FixtureLedgerEntry(_Value):
+    __slots__ = ()
     axiom: Axiom
     kind: Provenance
     note: str

@@ -2,16 +2,19 @@
 
 Entities, concept and role expressions, axioms, and the Ontology value type,
 plus the signature/counting/usage queries everything else is built on. An
-`Iri` is a validated `str`; every other type is a plain frozen dataclass.
-Construction validates invariants, and no operation mutates its inputs. The
-only things written after construction are an Ontology's signature and the
-reasoner's compiled context, which are never compared or printed.
+`Iri` is a validated `str`. Entities, expressions, literals and axioms are
+`_Value` records: tuples of their type's name and their fields, which hash
+and compare in C. The Ontology is a frozen dataclass. Construction validates
+invariants, and no operation mutates its inputs. The only things written
+after construction are an Ontology's signature and the reasoner's compiled
+context, which are never compared or printed.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from collections import _tuplegetter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -80,9 +83,56 @@ class EntityKind(enum.Enum):
 
 KIND_ORDER = {kind: index for index, kind in enumerate(EntityKind)}
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Entity:
+
+class _Value(tuple):
+    """An immutable record: the tuple of its type's name and its fields.
+
+    A subclass sets `__slots__ = ()` and declares its fields as annotations;
+    each field is read by a `_tuplegetter`, as a namedtuple's is. Hashing,
+    equality and ordering are the tuple's own, in C, over a whole expression
+    tree. The leading name keeps types with equal fields apart and hashes
+    like its text, so a hash depends on the hash seed alone. The repr is
+    `Type(field=value, ...)`. A subclass whose fields have defaults or are
+    checked declares them in its own `__new__`, which Python binds."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must set __slots__ = ()")
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = names
+        for index, name in enumerate(names, 1):
+            setattr(cls, name, _tuplegetter(index, None))
+        cls._repr = f"{cls.__name__}({', '.join(name + '={!r}' for name in names)})".format
+
+    def __new__(cls, *fields, **named):
+        if named or len(fields) != len(cls.__match_args__):
+            fields = cls._bind(fields, named)
+        return _tuple_new(cls, (cls.__name__,) + fields)
+
+    @classmethod
+    def _bind(cls, fields: tuple, named: dict) -> tuple:
+        """The fields of a call that names some or gives the wrong number."""
+        names = cls.__match_args__
+        values = dict(zip(names, fields), **named)
+        if len(values) != len(fields) + len(named) or values.keys() != set(names):
+            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)}), "
+                            f"not {len(fields)} positional and {sorted(named)} by name")
+        return tuple(values[name] for name in names)
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return self._repr(*self[1:])
+
+
+class Entity(_Value):
+    __slots__ = ()
     kind: EntityKind
     iri: Iri
 
@@ -98,18 +148,19 @@ class Entity:
 class RoleExpression:
     """Base for role expressions: a named role or the inverse of a named role."""
 
+    __slots__ = ()
     iri: Iri
 
 
-@dataclass(frozen=True)
-class NamedRole(RoleExpression):
+class NamedRole(RoleExpression, _Value):
+    __slots__ = ()
     iri: Iri
 
 
-@dataclass(frozen=True)
-class InverseRole(RoleExpression):
+class InverseRole(RoleExpression, _Value):
     """The inverse of the named role `iri`; a double inverse is unrepresentable."""
 
+    __slots__ = ()
     iri: Iri
 
 
@@ -122,65 +173,71 @@ def inverse_of(role: RoleExpression) -> RoleExpression:
 class ConceptExpression:
     """Base for the concept language (finite expression trees)."""
 
-
-@dataclass(frozen=True)
-class Top(ConceptExpression):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bottom(ConceptExpression):
-    pass
+class Top(ConceptExpression, _Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Named(ConceptExpression):
+class Bottom(ConceptExpression, _Value):
+    __slots__ = ()
+
+
+class Named(ConceptExpression, _Value):
+    __slots__ = ()
     iri: Iri
 
 
-@dataclass(frozen=True)
-class Intersection(ConceptExpression):
+def _at_least_two(cls: type, operands: Iterable, noun: str) -> _Value:
+    operands = tuple(operands)
+    if len(operands) < 2:
+        raise ValueError(f"{cls.__name__} needs at least 2 {noun}")
+    return _tuple_new(cls, (cls.__name__, operands))
+
+
+class Intersection(ConceptExpression, _Value):
+    __slots__ = ()
     operands: tuple[ConceptExpression, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
-        if len(self.operands) < 2:
-            raise ValueError("Intersection needs at least 2 operands")
+    def __new__(cls, operands: Iterable[ConceptExpression]):
+        return _at_least_two(cls, operands, "operands")
 
 
-@dataclass(frozen=True)
-class Union(ConceptExpression):
+class Union(ConceptExpression, _Value):
+    __slots__ = ()
     operands: tuple[ConceptExpression, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
-        if len(self.operands) < 2:
-            raise ValueError("Union needs at least 2 operands")
+    def __new__(cls, operands: Iterable[ConceptExpression]):
+        return _at_least_two(cls, operands, "operands")
 
 
-@dataclass(frozen=True)
-class Complement(ConceptExpression):
+class Complement(ConceptExpression, _Value):
+    __slots__ = ()
     operand: ConceptExpression
 
 
-@dataclass(frozen=True)
-class Existential(ConceptExpression):
+class Existential(ConceptExpression, _Value):
+    __slots__ = ()
     role: RoleExpression
     filler: ConceptExpression
 
 
-@dataclass(frozen=True)
-class Universal(ConceptExpression):
+class Universal(ConceptExpression, _Value):
+    __slots__ = ()
     role: RoleExpression
     filler: ConceptExpression
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Value):
     """A data value; the datatype defaults to the plain-text type (xsd:string)."""
 
+    __slots__ = ()
     lexical: str
-    datatype: Iri = XSD_STRING
+    datatype: Iri
+
+    def __new__(cls, lexical: str, datatype: Iri = XSD_STRING):
+        return _tuple_new(cls, (cls.__name__, lexical, datatype))
 
 
 # ---------------------------------------------------------------------------
@@ -191,91 +248,89 @@ class Literal:
 class Axiom:
     """Base for all axiom kinds; instances are frozen and structurally comparable."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SubConceptOf(Axiom):
+
+class SubConceptOf(Axiom, _Value):
+    __slots__ = ()
     sub: ConceptExpression
     sup: ConceptExpression
 
 
-@dataclass(frozen=True)
-class EquivalentConcepts(Axiom):
+class EquivalentConcepts(Axiom, _Value):
+    __slots__ = ()
     operands: tuple[ConceptExpression, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
-        if len(self.operands) < 2:
-            raise ValueError("EquivalentConcepts needs at least 2 members")
+    def __new__(cls, operands: Iterable[ConceptExpression]):
+        return _at_least_two(cls, operands, "members")
 
 
-@dataclass(frozen=True)
-class DisjointConcepts(Axiom):
+class DisjointConcepts(Axiom, _Value):
+    __slots__ = ()
     operands: tuple[ConceptExpression, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
-        if len(self.operands) < 2:
-            raise ValueError("DisjointConcepts needs at least 2 members")
+    def __new__(cls, operands: Iterable[ConceptExpression]):
+        return _at_least_two(cls, operands, "members")
 
 
-@dataclass(frozen=True)
-class SubRoleOf(Axiom):
+class SubRoleOf(Axiom, _Value):
+    __slots__ = ()
     sub: Iri
     sup: Iri
 
 
-@dataclass(frozen=True)
-class InverseRoles(Axiom):
+class InverseRoles(Axiom, _Value):
+    __slots__ = ()
     first: Iri
     second: Iri
 
 
-@dataclass(frozen=True)
-class TransitiveRole(Axiom):
+class TransitiveRole(Axiom, _Value):
+    __slots__ = ()
     role: Iri
 
 
-@dataclass(frozen=True)
-class RoleDomain(Axiom):
-    role: Iri
-    concept: ConceptExpression
-
-
-@dataclass(frozen=True)
-class RoleRange(Axiom):
+class RoleDomain(Axiom, _Value):
+    __slots__ = ()
     role: Iri
     concept: ConceptExpression
 
 
-@dataclass(frozen=True)
-class ConceptAssertion(Axiom):
+class RoleRange(Axiom, _Value):
+    __slots__ = ()
+    role: Iri
+    concept: ConceptExpression
+
+
+class ConceptAssertion(Axiom, _Value):
+    __slots__ = ()
     concept: ConceptExpression
     individual: Iri
 
 
-@dataclass(frozen=True)
-class RoleAssertion(Axiom):
+class RoleAssertion(Axiom, _Value):
+    __slots__ = ()
     role: Iri
     subject: Iri
     object: Iri
 
 
-@dataclass(frozen=True)
-class DataAssertion(Axiom):
+class DataAssertion(Axiom, _Value):
+    __slots__ = ()
     role: Iri
     subject: Iri
     value: Literal
 
 
-@dataclass(frozen=True)
-class AnnotationAssertion(Axiom):
+class AnnotationAssertion(Axiom, _Value):
+    __slots__ = ()
     role: Iri
     subject: Iri
     value: Literal
 
 
-@dataclass(frozen=True)
-class Declaration(Axiom):
+class Declaration(Axiom, _Value):
+    __slots__ = ()
     entity: Entity
 
 
@@ -555,8 +610,8 @@ def declared_entities(ontology: Ontology) -> tuple[Entity, ...]:
     return signature(ontology)
 
 
-@dataclass(frozen=True)
-class EntityCounts:
+class EntityCounts(_Value):
+    __slots__ = ()
     concepts: int
     object_roles: int
     data_roles: int

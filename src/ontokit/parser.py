@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, NoReturn
 
 from .model import (
@@ -54,13 +53,14 @@ from .model import (
     Universal,
     XSD_STRING,
     make_ontology,
+    _Value,
 )
 
 MAX_NESTING = 512
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(_Value):
+    __slots__ = ()
     line: int
     column: int
 
@@ -96,8 +96,8 @@ class TokenKind(enum.Enum):
     EOF = "Eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Value):
+    __slots__ = ()
     kind: TokenKind
     text: str
     location: SourceLocation

@@ -48,6 +48,7 @@ from .model import (
     TransitiveRole,
     Union,
     Universal,
+    _Value,
     _counts_of,
     axiom_references,
     declared_entities,
@@ -80,8 +81,8 @@ class SectionHeading(enum.IntEnum):
     USAGE = enum.auto()
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(_Value):
+    __slots__ = ()
     total_links: int
     broken_links: int
     broken_list: tuple[tuple[str, str], ...]

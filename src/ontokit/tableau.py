@@ -46,6 +46,7 @@ from .model import (
     Union,
     Universal,
     inverse_of,
+    _Value,
 )
 
 
@@ -53,31 +54,33 @@ class ResourceLimitExceeded(Exception):
     """Node count, branch depth or total work went past the configured limits."""
 
 
-@dataclass(frozen=True)
-class ReasonerLimits:
-    max_nodes: int = 100_000
-    max_branch_depth: int = 10_000
+class ReasonerLimits(_Value):
+    __slots__ = ()
+    max_nodes: int
+    max_branch_depth: int
     # Steps of one tableau run: concepts added to labels, nodes created and
     # graph copies made.
-    max_steps: int = 1_000_000
+    max_steps: int
 
-    def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_branch_depth <= 0 or self.max_steps <= 0:
+    def __new__(cls, max_nodes: int = 100_000, max_branch_depth: int = 10_000,
+                max_steps: int = 1_000_000):
+        if max_nodes <= 0 or max_branch_depth <= 0 or max_steps <= 0:
             raise ValueError("reasoner limits must be strictly positive")
+        return super().__new__(cls, max_nodes, max_branch_depth, max_steps)
 
 
 DEFAULT_LIMITS = ReasonerLimits()
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(_Value):
+    __slots__ = ()
     id: int
     label: frozenset[ConceptExpression]
     parent: Optional[int]
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(_Value):
+    __slots__ = ()
     source: int
     target: int
     role: Iri

@@ -1,30 +1,47 @@
 import copy
+import os
+import pathlib
 import pickle
 import random
 import re
+import subprocess
 import sys
 
 import pytest
 
+from ontokit.analysis import CompetencyQuery, HierarchyDiff, ProbeResult, ProbeSpec, QueryKind
 from ontokit.model import (
     AnnotationAssertion,
+    Bottom,
+    Complement,
     ConceptAssertion,
+    DataAssertion,
     Declaration,
+    DisjointConcepts,
     Entity,
+    EntityCounts,
     EntityKind,
+    EntityNotInSignatureError,
     EquivalentConcepts,
     Existential,
     Intersection,
+    InverseRole,
+    InverseRoles,
     Iri,
     Literal,
     Named,
     NamedRole,
     Ontology,
+    RoleAssertion,
+    RoleDomain,
     RoleRange,
     SubConceptOf,
+    SubRoleOf,
+    Top,
+    TransitiveRole,
     UndeclaredEntityError,
-    EntityNotInSignatureError,
     Union,
+    Universal,
     XSD_STRING,
     add_axiom,
     add_axioms,
@@ -34,7 +51,10 @@ from ontokit.model import (
     signature,
     usages,
 )
-from ontokit.disease import DISEASE_NS, GIARDIA
+from ontokit.disease import DISEASE_NS, GIARDIA, FixtureLedgerEntry, Provenance
+from ontokit.parser import SourceLocation, Token, TokenKind
+from ontokit.sitegen import LinkReport
+from ontokit.tableau import GraphEdge, GraphNode, ReasonerLimits
 
 
 def iri(fragment):
@@ -384,3 +404,192 @@ def test_add_axioms_is_the_fold_of_add_axiom(disease):
     assert add_axioms(lenient, lenient.axioms) is lenient
     with pytest.raises(UndeclaredEntityError):
         add_axioms(disease, extra)  # strict: v1 was never declared
+
+
+# ---------------------------------------------------------------------------
+# The value types: reprs, equality, pickling, immutability and arguments
+# ---------------------------------------------------------------------------
+
+
+def _values():
+    """One instance of each immutable record type, each paired with its repr
+    as recorded when the records were frozen dataclasses. `normalize` sorts
+    by repr and the tableau breaks ties by it, so these must not move."""
+    A, B, R, S, I, J = (Iri("http://x#" + f) for f in ("A", "B", "r", "s", "i", "j"))
+    a, b, r = Named(A), Named(B), NamedRole(R)
+    probe = ProbeSpec("P", ("A", "B"))
+    x = "Iri(value='http://x#{}')".format
+    na = f"Named(iri={x('A')})"
+    nb = f"Named(iri={x('B')})"
+    text = "Iri(value='http://www.w3.org/2001/XMLSchema#string')"
+    return [
+        (Entity(EntityKind.CONCEPT, A), f"Entity(kind=<EntityKind.CONCEPT: 'Class'>, iri={x('A')})"),
+        (r, f"NamedRole(iri={x('r')})"),
+        (InverseRole(R), f"InverseRole(iri={x('r')})"),
+        (Top(), "Top()"),
+        (Bottom(), "Bottom()"),
+        (a, na),
+        (Intersection((a, b)), f"Intersection(operands=({na}, {nb}))"),
+        (Union((a, Top())), f"Union(operands=({na}, Top()))"),
+        (Complement(a), f"Complement(operand={na})"),
+        (Existential(r, b), f"Existential(role=NamedRole(iri={x('r')}), filler={nb})"),
+        (Universal(InverseRole(R), Complement(b)),
+         f"Universal(role=InverseRole(iri={x('r')}), filler=Complement(operand={nb}))"),
+        (Literal("x"), f"Literal(lexical='x', datatype={text})"),
+        (Literal("it's", A), f"Literal(lexical=\"it's\", datatype={x('A')})"),
+        (SubConceptOf(a, b), f"SubConceptOf(sub={na}, sup={nb})"),
+        (EquivalentConcepts((a, b)), f"EquivalentConcepts(operands=({na}, {nb}))"),
+        (DisjointConcepts((a, Bottom())), f"DisjointConcepts(operands=({na}, Bottom()))"),
+        (SubRoleOf(R, S), f"SubRoleOf(sub={x('r')}, sup={x('s')})"),
+        (InverseRoles(R, S), f"InverseRoles(first={x('r')}, second={x('s')})"),
+        (TransitiveRole(R), f"TransitiveRole(role={x('r')})"),
+        (RoleDomain(R, a), f"RoleDomain(role={x('r')}, concept={na})"),
+        (RoleRange(R, b), f"RoleRange(role={x('r')}, concept={nb})"),
+        (ConceptAssertion(a, I), f"ConceptAssertion(concept={na}, individual={x('i')})"),
+        (RoleAssertion(R, I, J), f"RoleAssertion(role={x('r')}, subject={x('i')}, object={x('j')})"),
+        (DataAssertion(R, I, Literal("1")), f"DataAssertion(role={x('r')}, subject={x('i')}, "
+                                            f"value=Literal(lexical='1', datatype={text}))"),
+        (AnnotationAssertion(S, A, Literal("n")), f"AnnotationAssertion(role={x('s')}, subject="
+                                                  f"{x('A')}, value=Literal(lexical='n', "
+                                                  f"datatype={text}))"),
+        (Declaration(Entity(EntityKind.INDIVIDUAL, I)),
+         f"Declaration(entity=Entity(kind=<EntityKind.INDIVIDUAL: 'NamedIndividual'>, "
+         f"iri={x('i')}))"),
+        (EntityCounts(1, 2, 3, 4, 5, 6), "EntityCounts(concepts=1, object_roles=2, data_roles=3, "
+                                         "annotation_roles=4, individuals=5, datatypes=6)"),
+        (SourceLocation(3, 7), "SourceLocation(line=3, column=7)"),
+        (Token(TokenKind.KEYWORD, "Ontology", SourceLocation(1, 1)),
+         "Token(kind=<TokenKind.KEYWORD: 'Keyword'>, text='Ontology', "
+         "location=SourceLocation(line=1, column=1))"),
+        (ReasonerLimits(max_steps=5),
+         "ReasonerLimits(max_nodes=100000, max_branch_depth=10000, max_steps=5)"),
+        (GraphNode(0, frozenset({a}), None), f"GraphNode(id=0, label=frozenset({{{na}}}), "
+                                             "parent=None)"),
+        (GraphEdge(0, 1, R), f"GraphEdge(source=0, target=1, role={x('r')})"),
+        (HierarchyDiff(((A, B),), (), ((A, B),)),
+         f"HierarchyDiff(added_parent_links=(({x('A')}, {x('B')}),), removed_parent_links=(), "
+         f"new_equivalences=(({x('A')}, {x('B')}),))"),
+        (probe, "ProbeSpec(name='P', supers=('A', 'B'))"),
+        (ProbeResult(probe, True),
+         "ProbeResult(probe=ProbeSpec(name='P', supers=('A', 'B')), satisfiable=True)"),
+        (CompetencyQuery(kind=QueryKind.SYMPTOMS_OF, subject=A),
+         f"CompetencyQuery(kind=<QueryKind.SYMPTOMS_OF: 'SymptomsOf'>, subject={x('A')}, "
+         "role=None)"),
+        (CompetencyQuery(QueryKind.FILLERS_OF, a, R),
+         f"CompetencyQuery(kind=<QueryKind.FILLERS_OF: 'FillersOf'>, subject={na}, "
+         f"role={x('r')})"),
+        (LinkReport(3, 1, (("a.html", "b.html"),)),
+         "LinkReport(total_links=3, broken_links=1, broken_list=(('a.html', 'b.html'),))"),
+        (FixtureLedgerEntry(SubConceptOf(a, b), Provenance.SOURCE_TEXT, "note"),
+         f"FixtureLedgerEntry(axiom=SubConceptOf(sub={na}, sup={nb}), "
+         "kind=<Provenance.SOURCE_TEXT: 'source-text'>, note='note')"),
+    ]
+
+
+def test_value_reprs_are_unchanged():
+    values = _values()
+    for value, recorded in values:
+        assert repr(value) == recorded
+    assert len({type(value) for value, _ in values}) == 37
+
+
+def test_values_of_different_types_with_equal_fields_differ():
+    a, b = named("A"), named("B")
+    pairs = [(named("A"), NamedRole(iri("A"))), (Intersection((a, b)), Union((a, b))),
+             (SubRoleOf(iri("r"), iri("s")), InverseRoles(iri("r"), iri("s")))]
+    for one, other in pairs:
+        assert one != other and not one == other
+    assert len({value for pair in pairs for value in pair}) == 6
+
+
+def test_values_survive_pickle_and_copy():
+    for original, recorded in _values():
+        restored = [pickle.loads(pickle.dumps(original, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        restored += [copy.copy(original), copy.deepcopy(original)]
+        for value in restored:
+            assert type(value) is type(original) and value == original
+            assert hash(value) == hash(original) and repr(value) == recorded
+
+
+def test_value_attributes_cannot_be_set():
+    for value, _ in _values():
+        with pytest.raises(AttributeError):
+            value.other = 1
+    with pytest.raises(AttributeError):
+        named("A").iri = iri("B")
+    with pytest.raises(AttributeError):
+        Literal("x").datatype = XSD_STRING
+
+
+def test_value_arguments_are_checked_and_defaulted():
+    for make in (Named, lambda: Named(iri("A"), iri("B")), lambda: Existential(NamedRole(iri("r"))),
+                 lambda: Top(1), lambda: SourceLocation(1), lambda: SourceLocation(1, 2, 3),
+                 lambda: Named(iri("A"), iri=iri("A")), lambda: Named(other=iri("A")),
+                 lambda: Literal(), lambda: Intersection()):
+        with pytest.raises(TypeError):
+            make()
+    assert Literal("x") == Literal("x", XSD_STRING) == Literal(lexical="x")
+    assert Literal("x").datatype is XSD_STRING
+    assert Named(iri=iri("A")) == named("A")
+    limits = ReasonerLimits(max_steps=5)
+    assert (limits.max_nodes, limits.max_branch_depth, limits.max_steps) == (100_000, 10_000, 5)
+    assert ReasonerLimits() == ReasonerLimits(100_000, 10_000, 1_000_000)
+    query = CompetencyQuery(kind=QueryKind.SYMPTOMS_OF, subject=iri("Giardiasis"))
+    assert query.role is None and query.subject == iri("Giardiasis")
+
+
+def test_value_validation_keeps_its_messages():
+    a = named("A")
+    for make, message in [
+            (lambda: Intersection((a,)), "Intersection needs at least 2 operands"),
+            (lambda: Union([a]), "Union needs at least 2 operands"),
+            (lambda: EquivalentConcepts(operands=(a,)), "EquivalentConcepts needs at least 2 members"),
+            (lambda: DisjointConcepts(()), "DisjointConcepts needs at least 2 members"),
+            (lambda: ReasonerLimits(max_nodes=0), "reasoner limits must be strictly positive"),
+            (lambda: ReasonerLimits(1, 1, -1), "reasoner limits must be strictly positive"),
+            (lambda: ProbeSpec("P", ["A"]), "a probe needs at least 2 superclasses"),
+            (lambda: CompetencyQuery(QueryKind.FILLERS_OF, a),
+             "a role is given exactly when the kind is FillersOf"),
+            (lambda: CompetencyQuery(QueryKind.SYMPTOMS_OF, a, iri("r")),
+             "a role is given exactly when the kind is FillersOf")]:
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == message
+    # Operands and superclasses given as any iterable are kept as tuples.
+    assert Intersection([a, named("B")]).operands == (a, named("B"))
+    assert type(Union(iter([a, a])).operands) is tuple
+    assert ProbeSpec("P", ["A", "B"]).supers == ("A", "B")
+
+
+_DATACLASSES_AFTER_IMPORT = """
+import dataclasses, sys
+import ontokit, ontokit.cli
+print(" ".join(sorted(
+    f"{name}.{cls.__name__}" for name, module in sys.modules.items()
+    if name.partition(".")[0] == "ontokit"
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls))))
+"""
+
+
+def test_only_the_records_that_need_dataclass_features_are_dataclasses():
+    # Each dataclass execs generated methods when ontokit is imported, which
+    # every CLI call pays for. These keep one: a `cached_property` needs an
+    # instance dict, `dataclasses.replace` is called on a Taxonomy and a
+    # SiteDocument, and the rest are mutable or compare by a custom `__eq__`.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _DATACLASSES_AFTER_IMPORT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "ontokit.model.Ontology",
+        "ontokit.reasoner.NormalizedTBox",
+        "ontokit.reasoner._CompiledABox",
+        "ontokit.reasoner._Context",
+        "ontokit.sitegen.SiteDocument",
+        "ontokit.tableau.CompletionGraph",
+        "ontokit.tableau.SatResult",
+        "ontokit.taxonomy.Taxonomy",
+    ]

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -13,6 +12,7 @@ from ontokit.model import (
     SubConceptOf,
     Top,
     UndeclaredEntityError,
+    _Value,
 )
 from ontokit.parser import (
     ParseError,
@@ -306,13 +306,15 @@ DataPropertyAssertion(:d :i "1"^^xsd:string)
 
 
 def _parts(value):
-    """`value` and every value inside it, through dataclass fields and tuples."""
+    """`value` and every value inside it, through record fields and tuples.
+    A record is a tuple too, but only its fields are walked, not the type
+    name it starts with."""
     stack = [value]
     while stack:
         value = stack.pop()
         yield value
-        if dataclasses.is_dataclass(value):
-            stack.extend(getattr(value, f.name) for f in dataclasses.fields(value))
+        if isinstance(value, _Value):
+            stack.extend(getattr(value, name) for name in value.__match_args__)
         elif isinstance(value, tuple):
             stack.extend(value)
 
@@ -321,7 +323,9 @@ def test_equal_iris_within_one_parse_are_one_object():
     from ontokit.model import Named, XSD_STRING
     ontology = parse(SHARED_NAMES)
     shared: dict = {}
-    for part in _parts((ontology.iri, ontology.axioms)):
+    parts = list(_parts((ontology.iri, ontology.axioms)))
+    assert not {"Named", "SubConceptOf", "Literal"} & {p for p in parts if type(p) is str}
+    for part in parts:
         if isinstance(part, Iri):
             key = part.value
         elif isinstance(part, Named):
