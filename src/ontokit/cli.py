@@ -28,12 +28,12 @@ from .analysis import (
     parse_probe_file,
     run_probes,
 )
-from .disease import published_reference
 from .model import (
     Iri,
     Ontology,
     UndeclaredEntityError,
     compute_counts,
+    published_reference,
     signature,
 )
 from .parser import ParseError, parse

@@ -4,7 +4,10 @@ A worked example shipped both as a programmatic builder and as fixture files
 (`fixtures/disease.ofn`, `fixtures/table1.probes`, `fixtures/ledger`). Every
 axiom carries a provenance entry: either a verbatim quote from the source
 description of the ontology, or the rationale for a reconstruction where the
-source is silent or contradicts itself.
+source is silent or contradicts itself. The ontology's IRI and its published
+entity counts (`DISEASE_IRI`, `PUBLISHED_COUNTS`, `published_reference`)
+live in `ontokit.model`, so that `stats` needs no builder, and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .model import (
     Axiom,
     ConceptAssertion,
     DataAssertion,
+    DISEASE_IRI,
     Declaration,
     DisjointConcepts,
     Entity,
@@ -30,6 +34,7 @@ from .model import (
     NamedRole,
     Ontology,
     OWL_NS,
+    PUBLISHED_COUNTS,
     RoleDomain,
     RoleRange,
     SubConceptOf,
@@ -39,11 +44,11 @@ from .model import (
     XSD_NS,
     XSD_STRING,
     make_ontology,
+    published_reference,
     _Value,
 )
 from .parser import render_axiom
 
-DISEASE_IRI = "http://www.disintel.lk/ontologies/disease.owl"
 DISEASE_NS = DISEASE_IRI + "#"
 
 PREFIXES = (
@@ -318,25 +323,6 @@ def table1_probes() -> list[ProbeSpec]:
         ProbeSpec("ProbeType2", ("External", "Internal")),
         ProbeSpec("ProbeType3", ("AreaStructure", "OrganismStructure")),
     ]
-
-
-#: Entity counts reported by the published description of this ontology.
-#: The class count follows the published convention of including the built-in
-#: top concept; this build derives 24 named concepts (25 with top) and 9
-#: object properties from the source text, so `stats` reports the deviation.
-PUBLISHED_COUNTS = {
-    "concepts_including_top": 26,
-    "object_roles": 10,
-    "data_roles": 1,
-    "annotation_roles": 1,
-    "individuals": 1,
-    "datatypes": 1,
-}
-
-
-def published_reference() -> dict[str, dict[str, int]]:
-    """Published entity counts keyed by ontology IRI, for `stats` deviation notes."""
-    return {DISEASE_IRI: dict(PUBLISHED_COUNTS)}
 
 
 def render_ledger(ontology: Ontology | None = None) -> str:

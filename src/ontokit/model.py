@@ -4,10 +4,11 @@ Entities, concept and role expressions, axioms, and the Ontology value type,
 plus the signature/counting/usage queries everything else is built on. An
 `Iri` is a validated `str`. Entities, expressions, literals and axioms are
 `_Value` records: tuples of their type's name and their fields, which hash
-and compare in C. The Ontology is a frozen dataclass. Construction validates
-invariants, and no operation mutates its inputs. The only things written
-after construction are an Ontology's signature and the reasoner's compiled
-context, which are never compared or printed.
+and compare in C. The Ontology is a plain frozen class whose equality ignores
+order. Construction validates invariants, and no operation mutates its
+inputs. The only things written after construction are an Ontology's
+signature and the reasoner's compiled context, which are never compared or
+printed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import enum
 import re
 from collections import _tuplegetter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
@@ -95,14 +95,18 @@ class _Value(tuple):
     tree. The leading name keeps types with equal fields apart and hashes
     like its text, so a hash depends on the hash seed alone. The repr is
     `Type(field=value, ...)`. A subclass whose fields have defaults or are
-    checked declares them in its own `__new__`, which Python binds."""
+    checked declares them in its own `__new__`, which Python binds. A
+    subclass made with `cached=True` sets no `__slots__`, so its instances
+    keep a dict for what is not a field: values a `cached_property` computes
+    once, or what a verdict carries beside its fields. No attribute can be
+    assigned or deleted."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, cached: bool = False):
         super().__init_subclass__()
-        if "__slots__" not in cls.__dict__:
-            raise TypeError(f"{cls.__name__} must set __slots__ = ()")
+        if ("__slots__" in cls.__dict__) == cached:
+            raise TypeError(f"{cls.__name__} must set __slots__ = () unless made with cached=True")
         names = tuple(cls.__dict__.get("__annotations__", ()))
         cls.__match_args__ = names
         for index, name in enumerate(names, 1):
@@ -129,6 +133,12 @@ class _Value(tuple):
 
     def __repr__(self) -> str:
         return self._repr(*self[1:])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Entity(_Value):
@@ -417,38 +427,45 @@ def axiom_references(axiom: Axiom) -> Iterator[tuple[Optional[EntityKind], Iri]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Ontology:
     """A set of axioms over declared entities, with a prefix map.
 
     Axiom storage is an ordered set: insertion order is preserved and
     duplicates are dropped, so serialization and site generation stay
     deterministic. Structural equality ignores axiom order, prefix order,
-    and recorded warnings.
+    and recorded warnings. Fields cannot be assigned.
     """
 
-    iri: Iri
-    prefixes: tuple[tuple[str, str], ...] = ()
-    axioms: tuple[Axiom, ...] = ()
-    strict: bool = False
-    warnings: tuple[str, ...] = ()
-    # The signature as one set of IRIs per kind, handed over by the
-    # operation that built the instance (`make_ontology`, `add_axioms`) or
-    # made on first use, and `signature`'s sort of it; an operation that
-    # changes the axioms builds a new Ontology.
-    _entities: Optional[dict[EntityKind, set[Iri]]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _signature: Optional[tuple[Entity, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-    # What the reasoner compiles from this instance (`reasoner._context`),
-    # typed loosely so that this module imports nothing from the reasoner.
-    _reasoning: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False)
+    def __init__(self, iri: Iri, prefixes: Iterable[tuple[str, str]] = (),
+                 axioms: Iterable[Axiom] = (), strict: bool = False,
+                 warnings: Iterable[str] = ()):
+        vars(self).update(
+            iri=iri,
+            prefixes=tuple(sorted(dict(prefixes).items())),
+            axioms=tuple(axioms),
+            strict=strict,
+            warnings=tuple(warnings),
+            # The signature as one set of IRIs per kind, handed over by the
+            # operation that built the instance (`make_ontology`,
+            # `add_axioms`) or made on first use, and `signature`'s sort of
+            # it; an operation that changes the axioms builds a new Ontology.
+            _entities=None,
+            _signature=None,
+            # What the reasoner compiles from this instance
+            # (`reasoner._context`), typed loosely so that this module
+            # imports nothing from the reasoner.
+            _reasoning=None,
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefixes", tuple(sorted(dict(self.prefixes).items())))
-        object.__setattr__(self, "axioms", tuple(self.axioms))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"Ontology(iri={self.iri!r}, prefixes={self.prefixes!r}, "
+                f"axioms={self.axioms!r}, strict={self.strict!r}, warnings={self.warnings!r})")
 
     def prefix_map(self) -> dict[str, str]:
         return dict(self.prefixes)
@@ -644,6 +661,31 @@ def _counts_of(entities: Iterable[Entity]) -> EntityCounts:
         individuals=tally[EntityKind.INDIVIDUAL],
         datatypes=tally[EntityKind.DATATYPE],
     )
+
+
+#: The IRI of the bundled disease ontology (`ontokit.disease`), which keys
+#: the published counts below.
+DISEASE_IRI = "http://www.disintel.lk/ontologies/disease.owl"
+
+#: Entity counts reported by the published description of the disease
+#: ontology. The class count follows the published convention of including
+#: the built-in top concept; the bundled build derives 24 named concepts (25
+#: with top) and 9 object properties from the source text, so `stats`
+#: reports the deviation. They live here, beside the counts they are
+#: compared with, so that the CLI does not import the ontology's builder.
+PUBLISHED_COUNTS = {
+    "concepts_including_top": 26,
+    "object_roles": 10,
+    "data_roles": 1,
+    "annotation_roles": 1,
+    "individuals": 1,
+    "datatypes": 1,
+}
+
+
+def published_reference() -> dict[str, dict[str, int]]:
+    """Published entity counts keyed by ontology IRI, for `stats` deviation notes."""
+    return {DISEASE_IRI: dict(PUBLISHED_COUNTS)}
 
 
 def usages(entity: Entity, ontology: Ontology) -> tuple[Axiom, ...]:

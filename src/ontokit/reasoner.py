@@ -39,7 +39,6 @@ instance with none, and a copy or an unpickled instance starts without one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -78,6 +77,7 @@ from .model import (
     inverse_of,
     signature,
     subexpressions,
+    _Value,
 )
 from .tableau import (  # the witness types, limits and graph are also reached from here
     DEFAULT_LIMITS,
@@ -158,8 +158,7 @@ def _nnf_complement(expr: ConceptExpression) -> ConceptExpression:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NormalizedTBox:
+class NormalizedTBox(_Value, cached=True):
     """Compiled TBox.
 
     `definitions` holds unfoldable equivalences (unique, acyclic); all other
@@ -203,14 +202,18 @@ def _absorption(lhs: ConceptExpression, rhs: ConceptExpression,
     without a definition; NNF has no built-in names) and what the tableau
     adds where that name is, or None. A primitive name adds `rhs`; an
     intersection with the primitive conjunct `P` (the first in operand
-    order) adds `¬rest ⊔ rhs` at `P`; and `∃R.C ⊑ rhs`, with `C` either of
-    those, is `C ⊑ ∀R⁻.rhs` absorbed the same way."""
+    order) adds `¬rest ⊔ rhs` at `P`, where `rest` is the other distinct
+    operands, or `rhs` itself when there are none (`P ⊓ P`); and
+    `∃R.C ⊑ rhs`, with `C` either of those, is `C ⊑ ∀R⁻.rhs` absorbed the
+    same way."""
     if isinstance(lhs, Named) and lhs.iri not in definitions:
         return lhs.iri, rhs
     if isinstance(lhs, Intersection):
-        for i, op in enumerate(lhs.operands):
+        for op in lhs.operands:
             if isinstance(op, Named) and op.iri not in definitions:
-                rest = lhs.operands[:i] + lhs.operands[i + 1:]
+                rest = tuple(dict.fromkeys(other for other in lhs.operands if other != op))
+                if not rest:
+                    return op.iri, rhs
                 rest_expr = rest[0] if len(rest) == 1 else Intersection(rest)
                 return op.iri, Union((_nnf_complement(rest_expr), rhs))
     if isinstance(lhs, Existential) and isinstance(lhs.filler, (Named, Intersection)):
@@ -489,7 +492,6 @@ def _individuals_of(ontology: Ontology) -> list[Iri]:
     return sorted(found)
 
 
-@dataclass
 class _Context:
     """What reasoning compiles from one Ontology instance, kept on it
     (`Ontology._reasoning`) and filled part by part on first use: the role
@@ -498,19 +500,24 @@ class _Context:
     complete before it is stored, so a call that reads it once sees a whole
     part."""
 
-    role_closure: Optional[tuple[dict, frozenset, bool]] = None
-    told: Optional[dict[Iri, frozenset[Iri]]] = None
-    abox: Optional[_CompiledABox] = None
+    __slots__ = ("role_closure", "told", "abox")
+
+    def __init__(self, role_closure: Optional[tuple[dict, frozenset, bool]] = None,
+                 told: Optional[dict[Iri, frozenset[Iri]]] = None,
+                 abox: Optional[_CompiledABox] = None):
+        self.role_closure = role_closure
+        self.told = told
+        self.abox = abox
 
 
-@dataclass
-class _CompiledABox:
+class _CompiledABox(_Value):
     """The compiled TBox and its `ConceptTable`, made together so that
     every label kept here reads the same ids; the sorted individuals; the
     NNF concept assertions and the role assertions on root indices; and the
     consistency check's labels of ids, with their dependency sets, per
     `ReasonerLimits`, None where there is no clash-free graph."""
 
+    __slots__ = ()
     tbox: NormalizedTBox
     table: ConceptTable
     individuals: list[Iri]

@@ -27,7 +27,6 @@ empty set follows from the input and the TBox alone.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Optional
@@ -46,6 +45,7 @@ from .model import (
     Union,
     Universal,
     inverse_of,
+    _tuple_new,
     _Value,
 )
 
@@ -86,8 +86,7 @@ class GraphEdge(_Value):
     role: Iri
 
 
-@dataclass(frozen=True)
-class CompletionGraph:
+class CompletionGraph(_Value, cached=True):
     """Frozen snapshot of the tableau working state returned as a witness."""
 
     nodes: tuple[GraphNode, ...]
@@ -100,15 +99,23 @@ class CompletionGraph:
         return {node.id: node for node in self.nodes}
 
 
-@dataclass(frozen=True)
-class SatResult:
-    """A verdict. A Satisfiable one keeps the final graph of its run: its
-    witness is frozen from it on first access, and `root_label` is the
-    root's label of ids with their dependency sets."""
+class SatResult(_Value, cached=True):
+    """A verdict, equal to another by its verdict alone. A Satisfiable one
+    keeps the final graph of its run: its witness is frozen from it on
+    first access, and `root_label` is the root's label of ids with their
+    dependency sets."""
 
     satisfiable: bool
-    _final: Optional[_Graph] = field(default=None, repr=False, compare=False)
-    _tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
+
+    def __new__(cls, satisfiable: bool, _final: Optional[_Graph] = None,
+                _tableau: Optional[_Tableau] = None):
+        # One is made per tableau run, so directly: two stores into the
+        # instance dict cost less than `super().__new__` and `update`.
+        result = _tuple_new(cls, (cls.__name__, satisfiable))
+        kept = vars(result)
+        kept["_final"] = _final
+        kept["_tableau"] = _tableau
+        return result
 
     def __bool__(self) -> bool:
         return self.satisfiable

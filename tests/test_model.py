@@ -562,6 +562,67 @@ def test_value_validation_keeps_its_messages():
     assert ProbeSpec("P", ["A", "B"]).supers == ("A", "B")
 
 
+# ---------------------------------------------------------------------------
+# The Ontology: construction, equality, immutability and copies
+# ---------------------------------------------------------------------------
+
+
+def test_ontology_construction_normalises_its_fields():
+    x = Iri("http://x")
+    a, b = (Declaration(Entity(EntityKind.CONCEPT, Iri("http://x#" + f))) for f in "AB")
+    by_name = Ontology(iri=x, prefixes=[("b", "http://b#"), ("a", "http://a#"), ("b", "http://c#")],
+                       axioms=iter([a, b]), strict=True, warnings=["w"])
+    assert by_name.iri is x
+    assert by_name.prefixes == (("a", "http://a#"), ("b", "http://c#"))
+    assert by_name.axioms == (a, b) and by_name.warnings == ("w",) and by_name.strict is True
+    assert by_name.prefix_map() == {"a": "http://a#", "b": "http://c#"}
+    default = Ontology(x)
+    assert (default.prefixes, default.axioms, default.strict, default.warnings) == ((), (), False, ())
+    assert repr(Ontology(x, [("b", "http://b#"), ("a", "http://a#")], [a], True, ["w"])) == (
+        "Ontology(iri=Iri(value='http://x'), prefixes=(('a', 'http://a#'), ('b', 'http://b#')), "
+        "axioms=(Declaration(entity=Entity(kind=<EntityKind.CONCEPT: 'Class'>, "
+        "iri=Iri(value='http://x#A'))),), strict=True, warnings=('w',))")
+    with pytest.raises(TypeError):
+        Ontology()
+    with pytest.raises(TypeError):
+        Ontology(x, other=())
+
+
+def test_ontology_equality_ignores_prefix_order_and_is_unhashable():
+    a = Declaration(Entity(EntityKind.CONCEPT, iri("A")))
+    b = Declaration(Entity(EntityKind.CONCEPT, iri("B")))
+    one = Ontology(Iri("http://x"), [("a", "http://a#"), ("b", "http://b#")], [a, b], False, ["w"])
+    other = Ontology(Iri("http://x"), [("b", "http://b#"), ("a", "http://a#")], [b, a], True)
+    assert one == other and not one != other
+    assert one != Ontology(Iri("http://y"), one.prefixes, one.axioms)
+    assert one != Ontology(one.iri, [("a", "http://a#")], one.axioms)
+    assert one != Ontology(one.iri, one.prefixes, [a])
+    assert one != (one.iri, one.prefixes, one.axioms) and one != "Ontology"
+    with pytest.raises(TypeError):
+        hash(one)
+
+
+def test_ontology_fields_cannot_be_assigned():
+    onto = make_ontology(Iri("http://x"), (), [ConceptAssertion(named("Virus"), iri("v1"))])
+    for name in ("iri", "axioms", "warnings", "other"):
+        with pytest.raises(AttributeError):
+            setattr(onto, name, ())
+    with pytest.raises(AttributeError):
+        del onto.axioms
+    assert onto.axioms == (ConceptAssertion(named("Virus"), iri("v1")),)
+
+
+def test_ontology_survives_pickle_and_copy(disease):
+    signature(disease)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(disease, protocol))
+        assert type(restored) is Ontology and restored == disease
+        assert repr(restored) == repr(disease) and restored.strict is disease.strict
+        assert signature(restored) == signature(disease)
+    for restored in (copy.copy(disease), copy.deepcopy(disease)):
+        assert restored == disease and repr(restored) == repr(disease)
+
+
 _DATACLASSES_AFTER_IMPORT = """
 import dataclasses, sys
 import ontokit, ontokit.cli
@@ -575,21 +636,14 @@ print(" ".join(sorted(
 
 def test_only_the_records_that_need_dataclass_features_are_dataclasses():
     # Each dataclass execs generated methods when ontokit is imported, which
-    # every CLI call pays for. These keep one: a `cached_property` needs an
-    # instance dict, `dataclasses.replace` is called on a Taxonomy and a
-    # SiteDocument, and the rest are mutable or compare by a custom `__eq__`.
+    # every CLI call pays for. Only these two stay dataclasses, because the
+    # benchmark's tests (perfbench/test_perfbench.py) call
+    # `dataclasses.replace` on a Taxonomy and a SiteDocument. Records that
+    # compute a value once keep it in an instance dict (`_Value` with
+    # `cached=True`); the Ontology is a plain class with its own `__eq__`.
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", _DATACLASSES_AFTER_IMPORT],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [
-        "ontokit.model.Ontology",
-        "ontokit.reasoner.NormalizedTBox",
-        "ontokit.reasoner._CompiledABox",
-        "ontokit.reasoner._Context",
-        "ontokit.sitegen.SiteDocument",
-        "ontokit.tableau.CompletionGraph",
-        "ontokit.tableau.SatResult",
-        "ontokit.taxonomy.Taxonomy",
-    ]
+    assert done.stdout.split() == ["ontokit.sitegen.SiteDocument", "ontokit.taxonomy.Taxonomy"]

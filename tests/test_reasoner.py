@@ -1,7 +1,9 @@
+import pickle
 import random
 
 import pytest
 
+from ontokit import reasoner, tableau
 from ontokit.model import (
     Axiom,
     Bottom,
@@ -33,9 +35,12 @@ from ontokit.model import (
 )
 from ontokit.parser import serialize
 from ontokit.reasoner import (
+    CompletionGraph,
+    GraphNode,
     InconsistentOntologyError,
     ReasonerLimits,
     ResourceLimitExceeded,
+    SatResult,
     Taxonomy,
     UnsupportedAxiomError,
     classify,
@@ -275,6 +280,78 @@ def test_witness_is_returned_for_satisfiable(disease_tbox):
     assert verdict.witness is not None
     root = verdict.witness.nodes[0]
     assert named("Virus") in root.label
+
+
+def test_sat_result_is_its_verdict(disease, monkeypatch):
+    frozen = []
+    freeze = tableau._Tableau.freeze
+    monkeypatch.setattr(tableau._Tableau, "freeze",
+                        lambda self, graph: frozen.append(graph) or freeze(self, graph))
+    tbox = normalize(disease)
+    yes = is_satisfiable(named("Virus"), tbox)
+    no = is_satisfiable(Bottom(), tbox)
+    # Equal, hashed and printed by the verdict alone, not by the graph kept.
+    assert yes == is_satisfiable(named("Bacteria"), tbox) == SatResult(True)
+    assert no == SatResult(False) and yes != no
+    assert hash(yes) == hash(SatResult(True))
+    assert (repr(yes), repr(no)) == ("SatResult(satisfiable=True)", "SatResult(satisfiable=False)")
+    assert bool(yes) is True and bool(no) is False
+    assert no.witness is None and no.root_label is None and SatResult(True).witness is None
+    # The witness is frozen from the final graph on first access, once.
+    assert frozen == []
+    witness = yes.witness
+    assert yes.witness is witness and len(frozen) == 1
+    assert tbox.table.ids[named("Virus")] in yes.root_label
+    for name, value in (("satisfiable", False), ("witness", None), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(yes, name, value)
+
+
+def test_completion_graph_equality_and_node_index(disease):
+    witness = is_satisfiable(named("Infectious"), normalize(disease)).witness
+    again = is_satisfiable(named("Infectious"), normalize(disease)).witness
+    assert len(witness.nodes) == 3 and len(witness.edges) == 2
+    assert witness == again and witness is not again and hash(witness) == hash(again)
+    rebuilt = CompletionGraph(nodes=witness.nodes, edges=witness.edges,
+                              blocking=witness.blocking, clash=witness.clash)
+    assert rebuilt == witness and repr(rebuilt) == repr(witness)
+    assert witness != CompletionGraph(witness.nodes, witness.edges, witness.blocking, True)
+    assert witness != CompletionGraph(witness.nodes[:1], (), (), False)
+    assert witness.node_by_id is witness.node_by_id
+    assert witness.node_by_id == {node.id: node for node in witness.nodes}
+    assert repr(CompletionGraph((GraphNode(0, frozenset({named("Virus")}), None),), (), (), False)) \
+        == ("CompletionGraph(nodes=(GraphNode(id=0, label=frozenset({Named(iri=Iri(value="
+            f"'{DISEASE_NS}Virus'))}}), parent=None),), edges=(), blocking=(), clash=False)")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(witness, protocol))
+        assert type(restored) is CompletionGraph and restored == witness
+        assert restored.node_by_id == witness.node_by_id
+    with pytest.raises(AttributeError):
+        witness.clash = True
+
+
+def test_normalized_tbox_builds_its_table_once(disease, monkeypatch):
+    built = []
+    table = reasoner.ConceptTable
+    monkeypatch.setattr(reasoner, "ConceptTable", lambda tbox: built.append(tbox) or table(tbox))
+    tbox = normalize(disease)
+    assert built == []  # compiling costs nothing until the tableau runs
+    first = tbox.table
+    is_satisfiable(named("Virus"), tbox)
+    is_subsumed_by(named("Virus"), named("Infectious"), tbox)
+    assert tbox.table is first and built == [tbox]
+    # Equality and the repr are the fields': a built table is neither.
+    fresh = normalize(disease)
+    assert fresh == tbox and repr(fresh) == repr(tbox) and built == [tbox]
+    a, b = Named(t("A")), Named(t("B"))
+    assert repr(normalize(make_ontology(Iri("http://x"), axioms=[SubConceptOf(a, b)]))) == (
+        f"NormalizedTBox(definitions={{}}, negated_definitions={{}}, general_inclusions="
+        f"((Named(iri=Iri(value='{NS}A')), Named(iri=Iri(value='{NS}B'))),), "
+        f"role_subsumers={{}}, transitive_roles=frozenset(), absorbed={{Iri(value='{NS}A'): "
+        f"(Named(iri=Iri(value='{NS}B')),)}}, domain_triggers=(), node_constraints=(), "
+        f"uses_inverse=False)")
+    with pytest.raises(AttributeError):
+        tbox.uses_inverse = True
 
 
 # ---------------------------------------------------------------------------

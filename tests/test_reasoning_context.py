@@ -161,10 +161,13 @@ def test_context_lives_and_dies_with_its_instance():
 def test_reasoned_instances_copy_and_pickle():
     onto = build_disease_ontology()
     expected = realize(onto)
-    for other in (copy.deepcopy(onto), pickle.loads(pickle.dumps(onto)), copy.copy(onto)):
+    pickled = [pickle.loads(pickle.dumps(onto, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (copy.deepcopy(onto), *pickled, copy.copy(onto)):
         assert other == onto
         assert other._reasoning is None
         assert realize(other) == expected
+    assert onto._reasoning is not None  # the copies took nothing from it
     tbox = normalize(onto)
     verdict = is_satisfiable(Named(Iri(DISEASE_NS + "Infectious")), tbox)
     for other in (copy.deepcopy(tbox), pickle.loads(pickle.dumps(tbox))):

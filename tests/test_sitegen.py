@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import html
 import random
 
 from ontokit import model, sitegen
@@ -109,6 +110,19 @@ def test_render_escapes_html():
     weird = Named(Iri("http://x#A<b>"))
     assert "<b>" not in render_expression(weird)
     assert "&lt;b&gt;" in render_expression(weird)
+
+
+def test_escape_makes_html_escapes_replacements():
+    # The site escapes text without importing `html`; the output must be
+    # `html.escape`'s, byte for byte, `&` replaced first.
+    rng = random.Random(11)
+    alphabet = "&<>\"'a #;é∃⊓日\u00a0\U0001f600"
+    texts = ["", "plain", "&amp;", "a & b < c > d", "<a href=\"x\">it's</a>", "&<>\"'",
+             "Ménière's ∃r.⊤ 日本 &#x27;", Iri("http://x#A&B<'\">")]
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    for text in texts:
+        assert sitegen._escape(text) == html.escape(text) == html.escape(text, quote=True)
+        assert type(sitegen._escape(text)) is str
 
 
 # ---------------------------------------------------------------------------

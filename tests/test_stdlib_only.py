@@ -28,3 +28,29 @@ def test_every_module_imports_with_the_standard_library_alone():
                                       if p.stem != "__init__")
     outside = set(loaded) - set(sys.stdlib_module_names) - {"ontokit", "__main__"}
     assert not outside, sorted(outside)
+
+
+_MODULES_AFTER_CLI_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ontokit, ontokit.cli
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_importing_the_cli_loads_only_what_it_runs():
+    # Every CLI call pays for its imports. `html` is not needed to escape
+    # the site's text, and the published counts that `stats` compares with
+    # live in the model, so neither `html` nor the bundled ontology's
+    # builder (`ontokit.disease`) is loaded. As above, -S keeps start-up
+    # imports out; the warning options are passed on, so a warning raised
+    # while the records are made fails under -W error.
+    done = subprocess.run([sys.executable, "-S", *(f"-W{option}" for option in sys.warnoptions),
+                           "-c", _MODULES_AFTER_CLI_IMPORT, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert not loaded & {"html", "html.entities", "ontokit.disease"}
+    assert {name for name in loaded if name.partition(".")[0] == "ontokit"} == {
+        "ontokit", "ontokit.analysis", "ontokit.cli", "ontokit.model", "ontokit.parser",
+        "ontokit.reasoner", "ontokit.sitegen", "ontokit.tableau", "ontokit.taxonomy"}

@@ -9,8 +9,10 @@ must leave the digest as it is. A change of the normal form the tableau
 runs on (what `normalize` absorbs) changes the witnesses but not the
 verdicts: the verdict digest covers the verdict lines alone, and every
 witness must pass the independent saturation check. The witness digest was
-recorded after ranges and existential left-hand sides became absorbed, the
-verdict digest before; neither depends on PYTHONHASHSEED.
+recorded after binary absorption stopped keeping a repeated conjunct (alc-1
+and alc-13 have `A ⊓ A` inside a union on one side of an equivalence), the
+verdict digest before ranges and existential left-hand sides became
+absorbed; neither depends on PYTHONHASHSEED.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ from modelsearch import verify_saturated
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "disease.ofn"
 
-WITNESS_DIGEST = "a82bbe94c4e5918e5bc65d8da1c1bcb1a032ebdbc6bcc9f5d52b00f9369a9f20"
+WITNESS_DIGEST = "1fd50d4776103220a401ed6585d8cf9bd79bad09a3175f7ef168475104b7e84f"
 VERDICT_DIGEST = "e3b28a6ce29e024ba751561cb58b119fa66b20171c966623030d54116f4c7ac5"
 
 
