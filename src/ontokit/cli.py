@@ -309,10 +309,18 @@ def _cmd_site(args) -> int:
     except InconsistentOntologyError:
         realization = {}
     documents = generate_site(ontology, inferred, inferred, realization)
+    # Each page is written over its old bytes and then cut to length, rather
+    # than opened with "w": truncating a page to zero before rewriting it is
+    # ext4's replace-via-truncate pattern, which allocates and starts
+    # writeback at close, and re-publishing into the same directory is the
+    # usual call. The bytes and the mode (0o666 minus the umask) are those
+    # "w" would give; a publish cut short is mended by running it again.
     for doc in documents:
-        with open(os.path.join(args.out, doc.relative_path), "w",
-                  encoding="utf-8") as handle:
-            handle.write(doc.body)
+        fd = os.open(os.path.join(args.out, doc.relative_path),
+                     os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as handle:
+            handle.write(doc.body.encode("utf-8"))
+            handle.truncate()
     report = verify_links(documents)
     lines = [
         f"wrote {len(documents)} documents to {args.out}",

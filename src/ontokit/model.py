@@ -71,8 +71,10 @@ XSD_STRING = Iri(XSD_NS + "string")
 BUILTIN_CONCEPTS = frozenset({OWL_THING, OWL_NOTHING})
 
 
-class EntityKind(enum.Enum):
-    # Values double as the functional-syntax declaration keywords.
+class EntityKind(str, enum.Enum):
+    # Values double as the functional-syntax declaration keywords. The str
+    # mixin hashes and compares a kind in C, as its keyword string: a kind
+    # equals its keyword and orders like it.
     CONCEPT = "Class"
     OBJECT_ROLE = "ObjectProperty"
     DATA_ROLE = "DataProperty"

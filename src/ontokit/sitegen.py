@@ -35,6 +35,7 @@ from .model import (
     InverseRole,
     InverseRoles,
     Iri,
+    KIND_ORDER,
     Named,
     Ontology,
     RoleAssertion,
@@ -232,7 +233,7 @@ def _safe_name(fragment: str) -> str:
 
 def _page_paths(entities: tuple[Entity, ...]) -> dict[Entity, str]:
     by_name: dict[str, list[Entity]] = {}
-    for entity in sorted(entities, key=lambda e: (e.iri, e.sort_key())):
+    for entity in sorted(entities, key=lambda e: (e.iri, KIND_ORDER[e.kind])):
         by_name.setdefault(_safe_name(entity.iri.fragment), []).append(entity)
     paths: dict[Entity, str] = {}
     for name, group in by_name.items():

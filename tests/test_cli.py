@@ -408,6 +408,64 @@ def test_site_runs_are_byte_identical(capsys, ofn, tmp_path):
         assert other.read_bytes() == path.read_bytes()
 
 
+def test_site_republish_over_longer_stale_pages_matches_a_fresh_publish(capsys, ofn, tmp_path):
+    fresh = tmp_path / "fresh"
+    assert invoke(capsys, "site", ofn, "--out", str(fresh))[0] == 0
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for path in fresh.iterdir():  # index.html among them
+        (stale / path.name).write_bytes(b"stale " * (len(path.read_bytes()) + 100))
+    code, out, _ = invoke(capsys, "site", ofn, "--out", str(stale))
+    assert code == 0
+    assert "0 broken" in out
+    assert sorted(p.name for p in stale.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in fresh.iterdir():
+        assert (stale / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_site_republish_truncates_no_page_to_zero(capsys, ofn, tmp_path, monkeypatch):
+    out_dir = tmp_path / "site"
+    assert invoke(capsys, "site", ofn, "--out", str(out_dir))[0] == 0
+    pages = sorted(p.name for p in out_dir.iterdir())
+    opened = []
+    truncated = []  # opened with O_TRUNC, or by path in a "w" mode
+    os_open = os.open
+
+    def record(path, truncates):
+        if os.path.dirname(path) == str(out_dir):
+            opened.append(os.path.basename(path))
+            if truncates:
+                truncated.append(os.path.basename(path))
+
+    def recording_os_open(path, flags, *args, **kwargs):
+        record(path, flags & os.O_TRUNC)
+        return os_open(path, flags, *args, **kwargs)
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            record(file, "w" in mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_os_open)
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    code, out, _ = invoke(capsys, "site", ofn, "--out", str(out_dir))
+    monkeypatch.undo()
+    assert code == 0
+    # One open per document, none of which cuts the old page to zero.
+    assert sorted(opened) == pages
+    assert truncated == []
+
+
+def test_site_page_path_that_is_a_directory_exit_2(capsys, ofn, tmp_path):
+    out_dir = tmp_path / "site"
+    taken = out_dir / "Disease.html"
+    taken.mkdir(parents=True)
+    code, out, err = invoke(capsys, "site", ofn, "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert str(taken) in err
+    assert taken.is_dir()
+
+
 def test_same_argv_same_stdout(capsys, ofn):
     _, first, _ = invoke(capsys, "classify", ofn)
     _, second, _ = invoke(capsys, "classify", ofn)

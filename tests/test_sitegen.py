@@ -523,8 +523,8 @@ def test_asserted_taxonomy_then_site_sort_the_signature_once(monkeypatch):
     monkeypatch.setattr(Entity, "sort_key", counting)
     taxonomy = asserted_taxonomy(ontology)
     generate_site(ontology, taxonomy, taxonomy)
-    # One sort of the signature, and one of the page names.
-    assert calls["sort_key"] == 2 * n_entities
+    # One sort of the signature; the page names sort by IRI and kind order.
+    assert calls["sort_key"] == n_entities
 
 
 def test_strict_site_sorts_the_declared_entities_once(fixture_dir, monkeypatch):
@@ -541,5 +541,6 @@ def test_strict_site_sorts_the_declared_entities_once(fixture_dir, monkeypatch):
 
     monkeypatch.setattr(Entity, "sort_key", counting)
     generate_site(ontology, taxonomy, taxonomy)
-    # One sort of the declared entities, and one of the page names.
-    assert calls["sort_key"] == 2 * n_entities
+    # One sort of the declared entities; the page names sort by IRI and
+    # kind order.
+    assert calls["sort_key"] == n_entities
