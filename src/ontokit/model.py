@@ -124,11 +124,15 @@ class _Value(tuple):
     def _bind(cls, fields: tuple, named: dict) -> tuple:
         """The fields of a call that names some or gives the wrong number."""
         names = cls.__match_args__
-        values = dict(zip(names, fields), **named)
-        if len(values) != len(fields) + len(named) or values.keys() != set(names):
-            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)}), "
-                            f"not {len(fields)} positional and {sorted(named)} by name")
-        return tuple(values[name] for name in names)
+        # With the count right, a field given twice or an unknown one leaves
+        # a field after the positional ones unnamed.
+        if len(fields) + len(named) == len(names):
+            try:
+                return fields + tuple(map(named.__getitem__, names[len(fields):]))
+            except KeyError:
+                pass
+        raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)}), "
+                        f"not {len(fields)} positional and {sorted(named)} by name")
 
     def __getnewargs__(self) -> tuple:
         return self[1:]

@@ -39,7 +39,8 @@ instance with none, and a copy or an unpickled instance starts without one.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property, reduce
+from operator import and_, or_
 from typing import Container, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -92,7 +93,7 @@ from .tableau import (  # the witness types, limits and graph are also reached f
     abox_labels,
     satisfiable,
 )
-from .taxonomy import Taxonomy, build_taxonomy, most_specific
+from .taxonomy import Taxonomy, _bits, build_taxonomy, close_subsumers
 
 
 class InconsistentOntologyError(Exception):
@@ -664,36 +665,85 @@ def entailed_types(
 def realize(
     ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS
 ) -> dict[Iri, tuple[Iri, ...]]:
-    """Most specific named concepts per individual (an antichain in the
-    inferred taxonomy). An individual with no entailed named concept maps to
-    the built-in top concept.
+    """Most specific named concepts per individual: its entailed named
+    types that no other of them is strictly below, sorted, or the built-in
+    top concept when it has none. It classifies nothing.
 
-    Each individual descends the inferred taxonomy from ⊤
-    (`most_specific`), with an ABox entailment test for each group: a group
-    is tested only once the individual belongs to all of its parents. The individual's node in the consistency check's
-    completion graph answers without a test where it can (`_abox_entails`)."""
+    One `_reading` of every name reads each individual's node in the
+    consistency check's completion graph (`_decided`): the names it is
+    known to be in, the names only a test can tell, and none else. Only
+    these candidates, over all individuals, take part in subsumption. Each
+    gets one satisfiability run, read the same way and with its told
+    subsumers (`_subsumers_read`, as in `classify`'s pre-pass), and
+    `close_subsumers` tests only the pairs that leaves open. An
+    unsatisfiable candidate is dropped, and one known to be below a name
+    that no individual can have is entailed for none.
+
+    Each individual then visits the candidates' equivalence groups, strict
+    subsumers first. A group is entailed when a member is known and
+    refuted when a member is outside. An undecided group is tested once,
+    on its first member, and only once all its strict subsumers are
+    entailed, so a failure prunes everything below it, as the enhanced
+    traversal of Baader et al. (1994) does. An undecided group with no
+    strict subsumer passes without a test when it is equivalent to ⊤, and
+    ⊤ runs only when such a group needs it."""
     abox, labels = _consistent_abox(ontology, limits)
-    taxonomy = _classify(ontology, abox.tbox, limits)
+    tbox = abox.tbox
+    told = told_subsumers(ontology)
+    names = list(told)
+    reading = _reading(names, tbox)
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    reads = [_decided(label, *reading) for label in labels.values()]
+    # A name equivalent to ⊤ holds in every model, so no label refutes it.
+    unrefuted = reduce(and_, (known | undecided for known, undecided in reads), -1)
 
-    def below(group: int) -> list[int]:
-        return [c for c in taxonomy.children_of(group) if c != Taxonomy.BOTTOM]
+    subsumers = [1 << i for i in range(len(names))]  # known, of the candidates
+    possible = [0] * len(names)
+    candidates = 0
+    for i in _bits(reduce(or_, (known | undecided for known, undecided in reads), 0)):
+        root = is_satisfiable(Named(names[i]), tbox, limits).root_label
+        if root is not None:
+            subsumers[i], possible[i] = _subsumers_read(root, told[names[i]], reading, bit)
+            unrefuted &= subsumers[i] | possible[i]
+            candidates |= 1 << i
+    # A pair whose subsumer is no candidate is refuted untested. Where that
+    # is wrong, or close_subsumers derives a wrong refutation from it, the
+    # subsumee is below a name that no individual has, so it is entailed for
+    # none: the subsumers of every name that can be entailed stay exact. The
+    # known ones outside the candidates stay too, and bar their subsumees.
+    closed = close_subsumers(names, subsumers, [mask & candidates for mask in possible],
+                             lambda c, d: is_subsumed_by(Named(c), Named(d), tbox, limits))
+    groups: dict[int, int] = {}  # a group's subsumers -> its members
+    for i in _bits(candidates):
+        groups[closed[i]] = groups.get(closed[i], 0) | 1 << i
+    # Strict subsumers first; a group is tested on its first member.
+    ordered = [(up & ~members, members, names[(members & -members).bit_length() - 1])
+               for up, members in sorted(groups.items(), key=lambda group: group[0].bit_count())]
 
-    # One reading of every name, each group's members on consecutive bits.
-    reading = _reading([name for members in taxonomy.groups for name in members], abox.tbox)
-    masks, offset = [], 0
-    for members in taxonomy.groups:
-        masks.append(((1 << len(members)) - 1) << offset)
-        offset += len(members)
+    @cache
+    def top_reading() -> tuple[int, int]:
+        return _decided(is_satisfiable(Top(), tbox, limits).root_label, *reading)
+
+    @cache
+    def is_top(first: Iri) -> bool:
+        if not unrefuted & bit[first]:
+            return False
+        known, undecided = top_reading()
+        return bool(known & bit[first] or undecided & bit[first]
+                    and is_subsumed_by(Top(), Named(first), tbox, limits))
+
     result: dict[Iri, tuple[Iri, ...]] = {}
-    for individual, label in labels.items():
-        read = _decided(label, *reading)
-        found = most_specific(
-            Taxonomy.TOP,
-            lambda group: _abox_entails(abox, limits, individual, read, masks[group],
-                                        taxonomy.members(group)[0]),
-            taxonomy.parents_of, below)
-        names = sorted({name for group in found for name in taxonomy.members(group)})
-        result[individual] = tuple(names) or (OWL_THING,)
+    for individual, (known, undecided) in zip(labels, reads):
+        entailed = above = 0
+        for strict, members, first in ordered:
+            if members & ~(known | undecided) or strict & ~entailed:
+                continue  # a member is refuted, or a strict subsumer is not entailed
+            if members & known or not strict and is_top(first) or _abox_labels(
+                    abox, limits, extra=[(individual, Complement(Named(first)))]) is None:
+                entailed |= members
+                above |= strict
+        found = sorted(names[i] for i in _bits(entailed & ~above))
+        result[individual] = tuple(found) or (OWL_THING,)
     return result
 
 
@@ -805,10 +855,7 @@ def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Tax
     is a told subsumer, possible where only a test can tell. ⊤'s run
     decides "⊤ ⊑ d" the same way. The builder closes the known subsumers
     and tests only the possible pairs it cannot settle from them."""
-    return _classify(ontology, _compiled(ontology).tbox, limits)
-
-
-def _classify(ontology: Ontology, tbox: NormalizedTBox, limits: ReasonerLimits) -> Taxonomy:
+    tbox = _compiled(ontology).tbox
     told = told_subsumers(ontology)
     label = {name: is_satisfiable(Named(name), tbox, limits).root_label for name in told}
     bottom = [name for name in told if label[name] is None]
@@ -826,11 +873,17 @@ def _classify(ontology: Ontology, tbox: NormalizedTBox, limits: ReasonerLimits) 
         names = [name for name in names if name not in top]
     bit = {name: 1 << i for i, name in enumerate(names)}
     reading = _reading(names, tbox)
-    known, possible = [], []
-    for name in names:
-        entailed, undecided = _decided(label[name], *reading)
-        told_mask = sum(bit.get(up, 0) for up in told[name])
-        known.append(entailed | told_mask)
-        possible.append(undecided & ~told_mask)
-    return build_taxonomy(names, known, possible, lambda c, d: subsumed(Named(c), d),
-                          top_names=top, bottom_names=bottom)
+    rows = [_subsumers_read(label[name], told[name], reading, bit) for name in names]
+    return build_taxonomy(names, [known for known, _ in rows], [possible for _, possible in rows],
+                          lambda c, d: subsumed(Named(c), d), top_names=top, bottom_names=bottom)
+
+
+def _subsumers_read(label: dict[int, int], told: Iterable[Iri], reading: tuple[dict[int, int], int],
+                    bit: dict[Iri, int]) -> tuple[int, int]:
+    """A name's known and possible subsumers, as bitsets over `bit`, read
+    off the root label of its satisfiability run and its `told`
+    subsumers: known where the label entails a name or it is told,
+    possible where only a test can tell."""
+    entailed, undecided = _decided(label, *reading)
+    told_mask = sum(bit.get(up, 0) for up in told)
+    return entailed | told_mask, undecided & ~told_mask

@@ -6,8 +6,8 @@ inferred tree (`reasoner.classify`) and the asserted tree
 (`analysis.asserted_taxonomy`): it closes each name's known subsumers, as
 int bitsets over a name index, tests only the pairs they leave undecided,
 and reduces the closed sets to the DAG, with no search per name.
-`most_specific` is the top-down search `reasoner.realize` runs over a
-finished taxonomy.
+`close_subsumers` is its first half, which `reasoner.realize` also runs,
+over the names an individual can have.
 """
 
 from __future__ import annotations
@@ -111,32 +111,6 @@ class Taxonomy:
         return frozenset(pairs)
 
 
-def most_specific(
-    root: int,
-    passes: Callable[[int], bool],
-    above: Callable[[int], Sequence[int]],
-    below: Callable[[int], Iterable[int]],
-) -> list[int]:
-    """The nodes of a finished DAG, walked down from `root`, that pass
-    `passes` and have no passing node directly `below` them; `root` passes
-    by assumption. `reasoner.realize` runs it over the inferred taxonomy.
-
-    Enhanced traversal (Baader, Hollunder, Nebel, Profitlich & Franconi
-    1994). `passes` must be closed upwards: a node that passes has only
-    passing nodes `above` it. So a node is tested only once every node
-    directly above it has passed, and one failure prunes all below it."""
-    passing = {root}
-    waiting: dict[int, int] = {}  # node -> the nodes above it not yet passed
-    frontier = [root]
-    while frontier:
-        for node in below(frontier.pop()):
-            waiting[node] = waiting.get(node, len(above(node))) - 1
-            if not waiting[node] and passes(node):
-                passing.add(node)
-                frontier.append(node)
-    return sorted(node for node in passing if not passing.intersection(below(node)))
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of `mask`, lowest first."""
     while mask:
@@ -156,33 +130,27 @@ def _close(masks: list[int]) -> None:
             changed = changed or masks[i] != mask
 
 
-def build_taxonomy(
+def close_subsumers(
     names: Sequence[Iri],
     known: Sequence[int],
     possible: Sequence[int] = (),
     test: Optional[Callable[[Iri, Iri], bool]] = None,
-    top_names: Iterable[Iri] = (),
-    bottom_names: Iterable[Iri] = (),
-) -> Taxonomy:
-    """The reduced DAG of equivalence groups of a subsumption preorder over
-    named concepts; the one builder of the inferred and the asserted trees.
+) -> list[int]:
+    """Each name's subsumers among `names`, as closed int bitsets over their
+    index, from a preorder given in part.
 
-    The preorder comes as int bitsets over the index of `names`, which
-    leaves out `top_names` and `bottom_names` (the ⊤ and ⊥ groups): bit d
-    of `known[c]` says that names[c] ⊑ names[d], and each name has its own
-    bit; bit d of `possible[c]` that only `test(names[c], names[d])` can
-    tell; every other pair is refuted. As in Glimm, Horrocks, Motik,
-    Shearer & Stoilos (2012), the builder keeps each name's known and
-    possible subsumers and tests only what it cannot read off them. It
-    closes the known masks transitively, then resolves each possible pair
-    (c, d) not known by then, c from the most known subsumers down and d
-    ancestors first. A pair is refuted without a test when a known
-    subsumer of d is refuted for c, or d is refuted for a known subsumee
-    of c; otherwise the test decides, and a yes gives c all of d's known
-    subsumers. No pair is tested twice. Every pair is then known or
-    refuted, so the masks are closed, and they reduce to the DAG: names
-    with equal masks are one group, and a group's parents are its minimal
-    strict subsumers, or ⊤."""
+    Bit d of `known[c]` says that names[c] ⊑ names[d], and each name has
+    its own bit; bit d of `possible[c]` that only `test(names[c], names[d])`
+    can tell; every other pair is refuted. As in Glimm, Horrocks, Motik,
+    Shearer & Stoilos (2012), it keeps each name's known and possible
+    subsumers and tests only what it cannot read off them. It closes the
+    known masks transitively, then resolves each possible pair (c, d) not
+    known by then, c from the most known subsumers down and d ancestors
+    first. A pair is refuted without a test when a known subsumer of d is
+    refuted for c, or d is refuted for a known subsumee of c; otherwise the
+    test decides, and a yes gives c all of d's known subsumers. No pair is
+    tested twice. Every pair is then known or refuted, so the masks are
+    closed."""
     known = list(known)
     _close(known)
     refuted = [~(k | p) for k, p in zip(known, possible)]
@@ -199,6 +167,26 @@ def build_taxonomy(
                 outside[d] |= known[c]
             else:
                 known[c] |= known[d]
+    return known
+
+
+def build_taxonomy(
+    names: Sequence[Iri],
+    known: Sequence[int],
+    possible: Sequence[int] = (),
+    test: Optional[Callable[[Iri, Iri], bool]] = None,
+    top_names: Iterable[Iri] = (),
+    bottom_names: Iterable[Iri] = (),
+) -> Taxonomy:
+    """The reduced DAG of equivalence groups of a subsumption preorder over
+    named concepts; the one builder of the inferred and the asserted trees.
+
+    The preorder comes as `close_subsumers` takes it, over the index of
+    `names`, which leaves out `top_names` and `bottom_names` (the ⊤ and ⊥
+    groups). The closed masks reduce to the DAG: names with equal masks
+    are one group, and a group's parents are its minimal strict
+    subsumers, or ⊤."""
+    known = close_subsumers(names, known, possible, test)
 
     order = sorted(range(len(names)), key=names.__getitem__)
     group_of: dict[int, int] = {}  # a group's mask -> the group

@@ -539,6 +539,27 @@ def test_value_arguments_are_checked_and_defaulted():
     assert query.role is None and query.subject == iri("Giardiasis")
 
 
+def test_value_fields_bind_by_name_in_any_order():
+    r, s, o = iri("r"), iri("s"), iri("o")
+    expected = RoleAssertion(r, s, o)
+    for make in (lambda: RoleAssertion(role=r, subject=s, object=o),
+                 lambda: RoleAssertion(object=o, role=r, subject=s),
+                 lambda: RoleAssertion(r, object=o, subject=s),
+                 lambda: RoleAssertion(r, s, object=o)):
+        assert make() == expected and make().object == o
+    for make, given in [
+            (lambda: RoleAssertion(r, s), "2 positional and [] by name"),
+            (lambda: RoleAssertion(r, subject=s), "1 positional and ['subject'] by name"),
+            (lambda: RoleAssertion(r, s, target=o), "2 positional and ['target'] by name"),
+            (lambda: RoleAssertion(r, s, o, other=o), "3 positional and ['other'] by name"),
+            (lambda: RoleAssertion(r, s, role=r), "2 positional and ['role'] by name"),
+            (lambda: RoleAssertion(r, s, o, r), "4 positional and [] by name")]:
+        with pytest.raises(TypeError) as raised:
+            make()
+        assert str(raised.value) == ("RoleAssertion() takes the fields (role, subject, object), "
+                                     f"not {given}")
+
+
 def test_value_validation_keeps_its_messages():
     a = named("A")
     for make, message in [

@@ -15,6 +15,7 @@ import random
 from ontokit import model, parser, reasoner, tableau, taxonomy
 from ontokit.analysis import asserted_taxonomy
 from ontokit.model import (
+    ConceptAssertion,
     Declaration,
     Entity,
     EntityKind,
@@ -44,6 +45,7 @@ from ontokit.taxonomy import Taxonomy, build_taxonomy
 from ontokit.disease import DISEASE_NS, GIARDIA, build_disease_ontology
 from genontology import (
     NS,
+    disease_abox_ontology,
     random_abox_ontology,
     random_alc_ontology,
     random_full_ontology,
@@ -450,8 +452,9 @@ def test_pruned_abox_retrieval_makes_fewer_abox_tests(monkeypatch):
 
 def test_realize_reads_the_names_once(monkeypatch):
     # Each query reads the individuals' labels over one `_reading` of its
-    # names, however many individuals and groups it visits; realize's
-    # classification makes its own readings.
+    # names, however many individuals and groups it visits; realize reads
+    # its candidates' satisfiability runs over that same reading, and
+    # classifies nothing.
     calls = []
     original = reasoner._reading
 
@@ -464,22 +467,17 @@ def test_realize_reads_the_names_once(monkeypatch):
     for ontology in [build_disease_ontology()] + [random_abox_ontology(rng) for _ in range(20)]:
         if not is_consistent(ontology):
             continue
-        calls.clear()
-        classify(ontology)
-        classified = len(calls)
-        calls.clear()
-        realize(ontology)
-        assert len(calls) == classified + 1, calls
-        calls.clear()
-        entailed_types(ontology)
-        assert len(calls) == 1
+        for query in (realize, entailed_types):
+            calls.clear()
+            query(ontology)
+            assert calls == [len(told_subsumers(ontology))], calls
         calls.clear()
         for name in told_subsumers(ontology):
             instances_of(Named(name), ontology)
         assert calls == [1] * len(told_subsumers(ontology))
     calls.clear()
     realize(build_disease_ontology())
-    assert len(calls) == 3  # two in the classification
+    assert len(calls) == 1
 
 
 def test_realize_compiles_the_tbox_once(monkeypatch):
@@ -495,3 +493,79 @@ def test_realize_compiles_the_tbox_once(monkeypatch):
     assert realize(disease)[GIARDIA] == (Iri(DISEASE_NS + "OrganismStructure"),)
     # The consistency check and the taxonomy share one compiled TBox.
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Realization decides subsumption only among the names an individual can have
+# ---------------------------------------------------------------------------
+
+
+def realize_work(ontology, monkeypatch):
+    """The ABox tests (`_abox_labels` with extra constraints) and the tableau
+    runs (`tableau._Work` instances) of one `realize` call, after the
+    consistency check it shares with the other queries."""
+    assert is_consistent(ontology)
+    tests, runs = [], []
+    original_labels, original_work = reasoner._abox_labels, tableau._Work.__init__
+
+    def labels(*args, **kwargs):
+        if kwargs.get("extra") is not None:
+            tests.append(1)
+        return original_labels(*args, **kwargs)
+
+    def work(self, limits):
+        original_work(self, limits)
+        runs.append(1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reasoner, "_abox_labels", labels)
+        patch.setattr(tableau._Work, "__init__", work)
+        realize(ontology)
+    return len(tests), len(runs)
+
+
+def test_realize_makes_no_more_abox_tests_than_the_taxonomy_descent(monkeypatch):
+    # The draws of test_pruned_abox_retrieval_equals_unpruned. A group is
+    # tested only once all its strict subsumers are entailed, as the
+    # descent of the inferred taxonomy tested it only once all its parents
+    # had passed; the descent made 21 and 14 tests on the consistent
+    # random_abox_ontology and random_full_ontology draws.
+    assert realize_work(build_disease_ontology(), monkeypatch)[0] == 0
+    rng = random.Random(SEED)
+    tests = {"abox": 0, "full": 0}
+    consistent = {"abox": 0, "full": 0}
+    for _ in range(80):
+        draws = {"abox": random_abox_ontology(rng), "full": random_full_ontology(rng)}
+        random_alc_ontology(rng)
+        for kind, ontology in draws.items():
+            if is_consistent(ontology):
+                consistent[kind] += 1
+                tests[kind] += realize_work(ontology, monkeypatch)[0]
+    assert consistent == {"abox": 62, "full": 70}
+    assert tests["abox"] <= 21 and tests["full"] <= 14, tests
+    # Each bacterial disease needs one test for Bacterial, and the descent
+    # made the same.
+    for count, expected in ((8, 4), (32, 16)):
+        ontology, _ = disease_abox_ontology(random.Random(1), count)
+        assert realize_work(ontology, monkeypatch)[0] == expected
+
+
+def test_realize_runs_the_tableau_only_for_candidate_names(monkeypatch):
+    # Classifying the fixture first took 25 runs, one per name and one for
+    # ⊤; Giardia's label refutes all but its few types.
+    assert realize_work(build_disease_ontology(), monkeypatch)[1] <= 6
+    # No individual, no candidate.
+    rng = random.Random(SEED)
+    for _ in range(20):
+        assert realize_work(random_alc_ontology(rng)[0], monkeypatch) == (0, 0)
+    assert realize_work(told_tree(30, 3)[2], monkeypatch) == (0, 0)
+    # The same two typed individuals in a tree of 30 names and of 300.
+    counts = []
+    for size in (30, 300):
+        names, _, ontology = told_tree(size, 3)
+        a, b = Iri("http://example.org/tree#a"), Iri("http://example.org/tree#b")
+        ontology = model.add_axioms(ontology, [ConceptAssertion(Named(names[4]), a),
+                                               ConceptAssertion(Named(names[7]), b)])
+        assert realize(ontology) == {a: (names[4],), b: (names[7],)}
+        counts.append(realize_work(ontology, monkeypatch))
+    assert counts[0] == counts[1], counts
