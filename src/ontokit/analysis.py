@@ -229,7 +229,7 @@ def _role_fillers(
     `r⁻ ⊑* role`. Exact, because the role hierarchy is closed under
     inverse: an assertion `materialize_inverses` chains to is already below
     `role` through the told one it came from."""
-    subsumers, _, _ = _role_closure_of(ontology)
+    subsumers, _ = _role_closure_of(ontology)
     target = NamedRole(role)
 
     def implies(expr) -> bool:

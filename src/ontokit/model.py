@@ -621,8 +621,9 @@ def signature(ontology: Ontology) -> tuple[Entity, ...]:
 
 
 def _sorted_entities(entities: dict[EntityKind, set[Iri]]) -> tuple[Entity, ...]:
-    return tuple(sorted((Entity(kind, iri) for kind, iris in entities.items() for iri in iris),
-                        key=Entity.sort_key))
+    """The entities in `Entity.sort_key` order: kind by kind, each kind's
+    IRIs sorted as text."""
+    return tuple(Entity(kind, iri) for kind in EntityKind for iri in sorted(entities[kind]))
 
 
 def declared_entities(ontology: Ontology) -> tuple[Entity, ...]:

@@ -23,6 +23,11 @@ backjumps past choices a clash does not depend on, and an entry that
 depends on none is an entailment, which classification and the ABox
 queries read off instead of testing it (`_decided`).
 
+The compiled TBox and its role closure read no assertion. Blocking has one
+rule, `_equality_blocking`: a run blocks by equality when the TBox has
+inverse flows (`uses_inverse`, set only by `normalize`) or the concepts it
+starts from, a query or the ABox's assertions, have an inverse role.
+
 Each Ontology instance keeps a reasoning context (`_Context`), filled on
 first use: the closure of its role hierarchy, which role-filler queries
 read without compiling a TBox; the closure of its told subsumptions, which
@@ -41,7 +46,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property, reduce
 from operator import and_, or_
-from typing import Container, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Container, Hashable, Iterable, Optional, Sequence
 
 from .model import (
     AnnotationAssertion,
@@ -168,8 +173,9 @@ class NormalizedTBox(_Value, cached=True):
     from the general inclusions (see `normalize`): additions triggered by a
     primitive name, edge triggers for domains `(R, C)` and ranges
     `(R⁻, C)`, per-node constraints, and internalized disjunctions for the
-    rest. `uses_inverse`, set by any inverse role, role absorption's too,
-    makes the tableau block by equality.
+    rest. `uses_inverse`, set by an `InverseRoles` axiom, an inverse role
+    in a general inclusion or a definition, or role absorption, makes the
+    tableau block by equality. No field reads an assertion.
     """
 
     definitions: dict[Iri, ConceptExpression]
@@ -192,9 +198,10 @@ class NormalizedTBox(_Value, cached=True):
         return ConceptTable(self)
 
 
-def _roles_in(expr: ConceptExpression) -> Iterator[RoleExpression]:
-    return (part.role for part in subexpressions(expr)
-            if isinstance(part, (Existential, Universal)))
+def _has_inverse(concepts: Iterable[ConceptExpression]) -> bool:
+    """Whether an inverse role occurs in any of the concepts."""
+    return any(isinstance(part, (Existential, Universal)) and isinstance(part.role, InverseRole)
+               for concept in concepts for part in subexpressions(concept))
 
 
 def _absorption(lhs: ConceptExpression, rhs: ConceptExpression,
@@ -245,59 +252,36 @@ def _closure(direct: dict[Hashable, set]) -> dict[Hashable, frozenset]:
     return closed
 
 
-def _role_closure(ontology: Ontology) -> tuple[dict, frozenset, bool]:
-    exprs: set[RoleExpression] = set()
-    base: set[tuple[RoleExpression, RoleExpression]] = set()
-    transitive_seed: set[RoleExpression] = set()
-    uses_inverse = False
+def _role_closure(ontology: Ontology) -> tuple[dict, frozenset]:
+    """The role hierarchy closed under inverses, read off the role axioms
+    alone (`SubRoleOf`, `InverseRoles`, `TransitiveRole`): each role
+    expression they name -> its subsumers, itself included, and the
+    transitive role expressions. A role they do not name has no entry, and
+    every reader takes it as its own only subsumer."""
+    direct: dict[RoleExpression, set[RoleExpression]] = {}
+    transitive_seed: list[RoleExpression] = []
     for axiom in ontology.axioms:
         if isinstance(axiom, SubRoleOf):
-            sub_n, sup_n = NamedRole(axiom.sub), NamedRole(axiom.sup)
-            base.add((sub_n, sup_n))
-            base.add((InverseRole(axiom.sub), InverseRole(axiom.sup)))
-            exprs |= {sub_n, sup_n, InverseRole(axiom.sub), InverseRole(axiom.sup)}
+            pairs = [(NamedRole(axiom.sub), NamedRole(axiom.sup)),
+                     (InverseRole(axiom.sub), InverseRole(axiom.sup))]
         elif isinstance(axiom, InverseRoles):
-            uses_inverse = True
             r, s = axiom.first, axiom.second
-            pairs = [
-                (NamedRole(r), InverseRole(s)), (InverseRole(s), NamedRole(r)),
-                (InverseRole(r), NamedRole(s)), (NamedRole(s), InverseRole(r)),
-            ]
-            base.update(pairs)
-            exprs |= {e for pair in pairs for e in pair}
+            pairs = [(NamedRole(r), InverseRole(s)), (InverseRole(s), NamedRole(r)),
+                     (InverseRole(r), NamedRole(s)), (NamedRole(s), InverseRole(r))]
         elif isinstance(axiom, TransitiveRole):
-            transitive_seed |= {NamedRole(axiom.role), InverseRole(axiom.role)}
-            exprs |= {NamedRole(axiom.role), InverseRole(axiom.role)}
-        elif isinstance(axiom, (SubConceptOf, EquivalentConcepts, DisjointConcepts,
-                                RoleDomain, RoleRange, ConceptAssertion)):
-            concepts: list[ConceptExpression] = []
-            if isinstance(axiom, SubConceptOf):
-                concepts = [axiom.sub, axiom.sup]
-            elif isinstance(axiom, (EquivalentConcepts, DisjointConcepts)):
-                concepts = list(axiom.operands)
-            elif isinstance(axiom, RoleDomain):
-                concepts = [axiom.concept]
-                exprs.add(NamedRole(axiom.role))
-            elif isinstance(axiom, RoleRange):
-                # A range is a domain constraint of the inverse role.
-                concepts = [axiom.concept]
-                exprs |= {NamedRole(axiom.role), InverseRole(axiom.role)}
-            else:
-                concepts = [axiom.concept]
-            for c in concepts:
-                for role in _roles_in(c):
-                    exprs.add(role)
-                    exprs.add(inverse_of(role))
-                    if isinstance(role, InverseRole):
-                        uses_inverse = True
-    direct: dict[RoleExpression, set[RoleExpression]] = {e: set() for e in exprs}
-    for sub, sup in base:
-        direct[sub].add(sup)
+            # A pair of a role with itself only makes the role a key.
+            pairs = [(role, role) for role in (NamedRole(axiom.role), InverseRole(axiom.role))]
+            transitive_seed += (role for role, _ in pairs)
+        else:
+            continue
+        for sub, sup in pairs:
+            direct.setdefault(sub, set()).add(sup)
+            direct.setdefault(sup, set())
     subsumers = _closure(direct)
     # A role equivalent to a transitive role is transitive as well.
     transitive = frozenset(e for e in subsumers for t in transitive_seed
                            if t in subsumers[e] and e in subsumers[t])
-    return subsumers, transitive, uses_inverse
+    return subsumers, transitive
 
 
 def normalize(ontology: Ontology) -> NormalizedTBox:
@@ -324,6 +308,7 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     way."""
     candidates: dict[Iri, list[ConceptExpression]] = {}
     raw_gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
+    uses_inverse = False
     for axiom in ontology.axioms:
         if isinstance(axiom, SubConceptOf):
             raw_gcis.append((axiom.sub, axiom.sup))
@@ -346,7 +331,9 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
             raw_gcis.append((Existential(NamedRole(axiom.role), Top()), axiom.concept))
         elif isinstance(axiom, RoleRange):
             raw_gcis.append((Top(), Universal(NamedRole(axiom.role), axiom.concept)))
-        elif isinstance(axiom, (SubRoleOf, InverseRoles, TransitiveRole, Declaration,
+        elif isinstance(axiom, InverseRoles):
+            uses_inverse = True
+        elif isinstance(axiom, (SubRoleOf, TransitiveRole, Declaration,
                                 ConceptAssertion, RoleAssertion, DataAssertion,
                                 AnnotationAssertion)):
             pass  # role axioms are handled by the closure; assertions by the ABox
@@ -403,9 +390,8 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
             demote(name)
 
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
-    # The closure's scan of every concept axiom also finds any inverse role
-    # in the inclusions and definitions.
-    role_subsumers, transitive, uses_inverse = _role_closure_of(ontology)
+    uses_inverse = uses_inverse or _has_inverse(itertools.chain(*general, definitions.values()))
+    role_subsumers, transitive = _role_closure_of(ontology)
 
     absorbed: dict[Iri, list[ConceptExpression]] = {}
     domain_triggers: list[tuple[RoleExpression, ConceptExpression]] = []
@@ -462,11 +448,11 @@ def is_satisfiable(
     return satisfiable(tbox.table, nnf_concept, limits, _equality_blocking(tbox, [nnf_concept]))
 
 
-def _equality_blocking(tbox: NormalizedTBox, queries: list[ConceptExpression]) -> bool:
-    """Subset blocking is only sound without inverse flows; a query can
-    introduce inverses the TBox does not have."""
-    return tbox.uses_inverse or any(isinstance(r, InverseRole)
-                                    for c in queries for r in _roles_in(c))
+def _equality_blocking(tbox: NormalizedTBox, queries: Iterable[ConceptExpression]) -> bool:
+    """Subset blocking is only sound without inverse flows: the TBox's, or
+    those of the concepts a run starts from, a query or the ABox's
+    assertions."""
+    return tbox.uses_inverse or _has_inverse(queries)
 
 
 def is_subsumed_by(
@@ -503,7 +489,7 @@ class _Context:
 
     __slots__ = ("role_closure", "told", "abox")
 
-    def __init__(self, role_closure: Optional[tuple[dict, frozenset, bool]] = None,
+    def __init__(self, role_closure: Optional[tuple[dict, frozenset]] = None,
                  told: Optional[dict[Iri, frozenset[Iri]]] = None,
                  abox: Optional[_CompiledABox] = None):
         self.role_closure = role_closure
@@ -512,15 +498,14 @@ class _Context:
 
 
 class _CompiledABox(_Value):
-    """The compiled TBox and its `ConceptTable`, made together so that
-    every label kept here reads the same ids; the sorted individuals; the
-    NNF concept assertions and the role assertions on root indices; and the
-    consistency check's labels of ids, with their dependency sets, per
-    `ReasonerLimits`, None where there is no clash-free graph."""
+    """The compiled TBox, whose `ConceptTable` gives every label kept here
+    its ids; the sorted individuals; the NNF concept assertions and the
+    role assertions on root indices; and the consistency check's labels of
+    ids, with their dependency sets, per `ReasonerLimits`, None where there
+    is no clash-free graph."""
 
     __slots__ = ()
     tbox: NormalizedTBox
-    table: ConceptTable
     individuals: list[Iri]
     root: dict[Iri, int]
     concepts: list[tuple[int, ConceptExpression]]
@@ -536,7 +521,7 @@ def _context(ontology: Ontology) -> _Context:
     return context
 
 
-def _role_closure_of(ontology: Ontology) -> tuple[dict, frozenset, bool]:
+def _role_closure_of(ontology: Ontology) -> tuple[dict, frozenset]:
     """`_role_closure(ontology)`, made once per instance."""
     context = _context(ontology)
     if context.role_closure is None:
@@ -549,10 +534,13 @@ def _compiled(ontology: Ontology) -> _CompiledABox:
     abox = context.abox
     if abox is None:
         tbox = normalize(ontology)
+        # Built before the context holds the TBox, so that two threads
+        # never intern into two tables of one TBox.
+        tbox.table
         individuals = _individuals_of(ontology)
         root = {individual: i for i, individual in enumerate(individuals)}
         abox = context.abox = _CompiledABox(
-            tbox, tbox.table, individuals, root,
+            tbox, individuals, root,
             concepts=[(root[axiom.individual], to_nnf(axiom.concept))
                       for axiom in ontology.axioms if isinstance(axiom, ConceptAssertion)],
             edges=[(root[axiom.subject], root[axiom.object], axiom.role)
@@ -572,10 +560,10 @@ def _abox_labels(
     completion graph, in `abox.individuals` order, or None when there is
     none. With no named individuals the initial graph is empty and trivially
     clash-free."""
-    extra = [(abox.root[individual], to_nnf(concept)) for individual, concept in extra]
-    return abox_labels(abox.table, len(abox.individuals), abox.concepts + extra,
-                       abox.edges, limits,
-                       _equality_blocking(abox.tbox, [c for _, c in extra]))
+    concepts = abox.concepts + [(abox.root[individual], to_nnf(concept))
+                                for individual, concept in extra]
+    return abox_labels(abox.tbox.table, len(abox.individuals), concepts, abox.edges, limits,
+                       _equality_blocking(abox.tbox, (c for _, c in concepts)))
 
 
 def _consistency_labels(abox: _CompiledABox,
@@ -752,7 +740,7 @@ def materialize_inverses(ontology: Ontology) -> Ontology:
     whenever r(a,b) holds and inv(r) ⊑* s for a named s, add s(b,a).
     Idempotent by construction (least fixpoint). Role-filler queries read
     the same closure off the told assertions without building it."""
-    role_subsumers, _, _ = _role_closure_of(ontology)
+    role_subsumers, _ = _role_closure_of(ontology)
     asserted = {a for a in ontology.axioms if isinstance(a, RoleAssertion)}
     closure = set(asserted)
     frontier = list(asserted)
@@ -776,8 +764,9 @@ def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
     """Each named concept's told subsumers, itself included: the transitive
     closure of named-to-named subclass axioms and of the named members of
     equivalence axioms. Keys run in told-topological order (fewest told
-    subsumer: a strict subsumer's closure is a proper subset. Made once per
-    instance, like the role closure; each call returns a fresh dict."""
+    subsumers first: a strict subsumer's closure is a proper subset). Made
+    once per instance, like the role closure; each call returns a fresh
+    dict."""
     context = _context(ontology)
     if context.told is None:
         direct: dict[Iri, set[Iri]] = {name: set() for name in _named_concepts_of(ontology)}

@@ -288,7 +288,7 @@ def generate_site(
     paths = _page_paths(entities)
     links: dict[Iri, str] = {}
     pages: dict[Iri, list[_Page]] = {}
-    for entity in entities:  # declared_entities sorts by Entity.sort_key
+    for entity in entities:  # declared_entities sorts by kind, then IRI
         links.setdefault(entity.iri, paths[entity])
         pages.setdefault(entity.iri, []).append(_Page(entity))
     anchors = _Anchors(links)

@@ -125,7 +125,8 @@ def test_range_is_an_edge_trigger_of_the_inverse_role():
     tbox = normalize(ontology_of([RoleRange(r.iri, c)], concepts="C", roles="r"))
     assert tbox.domain_triggers == ((InverseRole(r.iri), c),)
     assert tbox.node_constraints == ()
-    assert InverseRole(r.iri) in tbox.role_subsumers
+    # A range is no role axiom: r⁻ is its own only subsumer.
+    assert tbox.subsumers_of(InverseRole(r.iri)) == frozenset({InverseRole(r.iri)})
     assert not tbox.uses_inverse
 
 

@@ -9,6 +9,7 @@ from ontokit.model import (
     Bottom,
     Complement,
     ConceptAssertion,
+    DataAssertion,
     Declaration,
     DisjointConcepts,
     Entity,
@@ -55,8 +56,9 @@ from ontokit.reasoner import (
     to_nnf,
 )
 from ontokit.disease import DISEASE_NS, GIARDIA
-from ontokit.model import UndeclaredEntityError, add_axiom, axiom_references, signature
-from genontology import disease_abox_ontology, random_full_ontology
+from ontokit.model import (
+    UndeclaredEntityError, add_axiom, axiom_references, signature, subexpressions)
+from genontology import disease_abox_ontology, random_abox_ontology, random_full_ontology
 from modelsearch import Interpretation, check_model, eval_concept, find_countermodel
 
 NS = "http://example.org/t#"
@@ -200,6 +202,31 @@ def test_normalize_role_hierarchy_closed_under_inverse(disease_tbox):
     assert InverseRole(iri("hasStructure")) in subs[InverseRole(iri("hasOrganismStructure"))]
     # hasOrganismStructure⁻ ⊑ hasStructure⁻ ≡ isStructureOf
     assert NamedRole(iri("isStructureOf")) in subs[InverseRole(iri("hasOrganismStructure"))]
+
+
+def test_normalize_reads_no_assertion(disease):
+    # The compiled TBox, its role closure and its blocking flag included,
+    # comes from the TBox and RBox axioms alone: an ontology that gains
+    # only assertions compiles to an equal TBox.
+    draws = [disease]
+    for generate in (random_full_ontology, random_abox_ontology):
+        rng = random.Random(5)
+        draws += [generate(rng) for _ in range(300)]
+    with_assertions = inverse_in_assertions = 0
+    for ontology in draws:
+        assertions = [axiom for axiom in ontology.axioms
+                      if isinstance(axiom, (ConceptAssertion, RoleAssertion, DataAssertion))]
+        tbox_only = make_ontology(ontology.iri, ontology.prefixes,
+                                  [axiom for axiom in ontology.axioms if axiom not in assertions],
+                                  strict=ontology.strict)
+        assert normalize(ontology) == normalize(tbox_only)
+        with_assertions += bool(assertions)
+        inverse_in_assertions += any(
+            isinstance(part, (Existential, Universal)) and isinstance(part.role, InverseRole)
+            for axiom in assertions if isinstance(axiom, ConceptAssertion)
+            for part in subexpressions(axiom.concept))
+    assert with_assertions >= 300 and inverse_in_assertions >= 20, (
+        with_assertions, inverse_in_assertions)
 
 
 def test_normalize_rejects_unknown_axiom_kind():

@@ -146,7 +146,7 @@ def test_context_lives_and_dies_with_its_instance():
     onto = build_disease_ontology()
     assert onto._reasoning is None
     realize(onto)
-    table = weakref.ref(onto._reasoning.abox.table)
+    table = weakref.ref(onto._reasoning.abox.tbox.table)
     assert table() is not None
     assert onto == build_disease_ontology()
     assert "_reasoning" not in repr(onto)
@@ -217,7 +217,7 @@ def test_threads_sharing_an_instance_answer_like_a_serial_run():
                 assert not any(thread.is_alive() for thread in threads)
                 assert not errors, errors
                 assert results == expected
-                table = shared._reasoning.abox.table
+                table = shared._reasoning.abox.tbox.table
                 assert len(table.ids) == len(table.exprs) == len(table.kinds)
                 assert all(table.ids[expr] == i for i, expr in enumerate(table.exprs))
     finally:

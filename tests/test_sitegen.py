@@ -510,21 +510,27 @@ def test_generate_site_renders_each_axiom_and_anchor_once(monkeypatch):
         assert max(counts.values()) == 1, (name, counts.most_common(3))
 
 
+def counting_sorts(monkeypatch):
+    """The entity sets `model._sorted_entities` is asked to sort, by size."""
+    sorted_sizes = []
+    original = model._sorted_entities
+
+    def counting(entities):
+        sorted_sizes.append(sum(map(len, entities.values())))
+        return original(entities)
+
+    monkeypatch.setattr(model, "_sorted_entities", counting)
+    return sorted_sizes
+
+
 def test_asserted_taxonomy_then_site_sort_the_signature_once(monkeypatch):
-    calls = collections.Counter()
-    original = Entity.sort_key
-
-    def counting(entity):
-        calls["sort_key"] += 1
-        return original(entity)
-
     ontology = _told_ontology(60)  # lenient: declared_entities is the signature
     n_entities = len(model.signature(_told_ontology(60)))
-    monkeypatch.setattr(Entity, "sort_key", counting)
+    sorted_sizes = counting_sorts(monkeypatch)
     taxonomy = asserted_taxonomy(ontology)
     generate_site(ontology, taxonomy, taxonomy)
     # One sort of the signature; the page names sort by IRI and kind order.
-    assert calls["sort_key"] == n_entities
+    assert sorted_sizes == [n_entities]
 
 
 def test_strict_site_sorts_the_declared_entities_once(fixture_dir, monkeypatch):
@@ -532,15 +538,8 @@ def test_strict_site_sorts_the_declared_entities_once(fixture_dir, monkeypatch):
         ontology = parse(handle.read(), strict=True)
     taxonomy = asserted_taxonomy(ontology)  # computes the signature too
     n_entities = len(declared_entities(ontology))
-    calls = collections.Counter()
-    original = Entity.sort_key
-
-    def counting(entity):
-        calls["sort_key"] += 1
-        return original(entity)
-
-    monkeypatch.setattr(Entity, "sort_key", counting)
+    sorted_sizes = counting_sorts(monkeypatch)
     generate_site(ontology, taxonomy, taxonomy)
     # One sort of the declared entities; the page names sort by IRI and
     # kind order.
-    assert calls["sort_key"] == n_entities
+    assert sorted_sizes == [n_entities]

@@ -21,6 +21,8 @@ from ontokit.model import (
     EntityKind,
     EquivalentConcepts,
     Existential,
+    Intersection,
+    InverseRole,
     Iri,
     Named,
     NamedRole,
@@ -491,8 +493,38 @@ def test_realize_compiles_the_tbox_once(monkeypatch):
 
     monkeypatch.setattr(reasoner, "normalize", counting)
     assert realize(disease)[GIARDIA] == (Iri(DISEASE_NS + "OrganismStructure"),)
-    # The consistency check and the taxonomy share one compiled TBox.
+    # The consistency check and the candidates' satisfiability runs share
+    # one compiled TBox.
     assert len(calls) == 1
+
+
+def test_an_inverse_role_in_an_assertion_blocks_only_the_abox_runs(monkeypatch):
+    # The TBox has no inverse role; a's assertion `∃r⁻.(A ⊓ ∀r.D)` has the
+    # only one, and puts a in D through its r-predecessor.
+    a, d, e = (Named(Iri(NS + name)) for name in "ADE")
+    r = NamedRole(Iri(NS + "r"))
+    first, second = Iri(NS + "a"), Iri(NS + "b")
+    axioms = [Declaration(Entity(EntityKind.INDIVIDUAL, first)),
+              Declaration(Entity(EntityKind.INDIVIDUAL, second)),
+              SubConceptOf(a, Existential(r, a)), SubConceptOf(d, e),
+              ConceptAssertion(Existential(InverseRole(r.iri), Intersection((a, Universal(r, d)))),
+                               first),
+              ConceptAssertion(a, second)]
+    ontology = make_ontology(Iri(NS.rstrip("#")), (("", NS),), axioms)
+    blocking = []
+
+    class Recording(tableau._Tableau):
+        def __init__(self, table, limits, equality_blocking):
+            blocking.append(equality_blocking)
+            super().__init__(table, limits, equality_blocking)
+
+    monkeypatch.setattr(tableau, "_Tableau", Recording)
+    assert is_consistent(ontology)
+    assert blocking == [True]  # the ABox run has the assertion's inverse role
+    blocking.clear()
+    classify(ontology)
+    assert blocking and not any(blocking)  # the TBox's runs do not
+    assert realize(ontology) == oracle_realize(ontology) == {first: (d.iri,), second: (a.iri,)}
 
 
 # ---------------------------------------------------------------------------
