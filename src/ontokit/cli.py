@@ -144,28 +144,17 @@ def _taxonomy_payload(taxonomy: Taxonomy) -> dict:
 
 
 def _tree_lines(taxonomy: Taxonomy) -> list[str]:
-    lines: list[str] = ["⊤"]
-
-    def label(group: int) -> str:
-        members = taxonomy.members(group)
-        text = " ≡ ".join(iri.fragment for iri in members)
-        parents = [p for p in taxonomy.parents_of(group)]
-        named_parents = sorted(
-            iri.fragment for p in parents for iri in taxonomy.members(p)
-        )
+    lines: list[str] = []
+    for depth, group in taxonomy.tree():
+        if group == Taxonomy.TOP:
+            lines.append("⊤")
+            continue
+        text = " ≡ ".join(iri.fragment for iri in taxonomy.members(group))
+        named_parents = sorted(iri.fragment for p in taxonomy.parents_of(group)
+                               for iri in taxonomy.members(p))
         if len(named_parents) > 1:
             text += f" [parents: {', '.join(named_parents)}]"
-        return text
-
-    def walk(group: int, depth: int) -> None:
-        for child in taxonomy.children_of(group):
-            if child == Taxonomy.BOTTOM and not taxonomy.members(child):
-                continue
-            text = label(child) if taxonomy.members(child) else "⊥"
-            lines.append("  " * depth + text)
-            walk(child, depth + 1)
-
-    walk(Taxonomy.TOP, 1)
+        lines.append("  " * depth + text)
     bottom = taxonomy.members(Taxonomy.BOTTOM)
     if bottom:
         lines.append("unsatisfiable: " + ", ".join(iri.fragment for iri in bottom))

@@ -56,7 +56,11 @@ from .model import (
     _Value,
 )
 
-MAX_NESTING = 512
+# The deepest expression is MAX_NESTING - 1 levels. The reasoner's sort keys,
+# `to_nnf` and the site renderer recurse on nesting, each at 2-4 frames a
+# level, so every subcommand must carry that depth within the default
+# recursion limit of 1000, under a test runner's frames too.
+MAX_NESTING = 128
 
 
 class SourceLocation(_Value):
@@ -434,8 +438,7 @@ class _Parser:
         self.pos = pos + 1
         self.expect("(", "'('")
         self.depth += 1
-        # One frame per level of nesting, so that MAX_NESTING levels stay
-        # inside the recursion limit: no helper between two levels.
+        # One frame per level of nesting: no helper between two levels.
         if token == "ObjectIntersectionOf" or token == "ObjectUnionOf":
             items = [self.parse_concept(), self.parse_concept()]
             while self.tokens[self.pos] != ")":

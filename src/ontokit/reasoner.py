@@ -305,7 +305,9 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     unfolding never does that, so it could carry none of `A`'s other
     inclusions, and the absence of `A` from a label would prove nothing
     (see `_decided`). Multiple and cyclic definitions are demoted the same
-    way."""
+    way. A definition `A ≡ C` is cyclic when `A` occurs in `C`, or in the
+    body of a defined name that occurs in `C`, and so on; `_closure` of the
+    defined names each body uses finds them."""
     candidates: dict[Iri, list[ConceptExpression]] = {}
     raw_gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
     uses_inverse = False
@@ -340,6 +342,10 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
         else:
             raise UnsupportedAxiomError(f"unsupported axiom kind: {type(axiom).__name__}")
 
+    def demote(name: Iri, body: ConceptExpression) -> None:
+        raw_gcis.append((Named(name), body))
+        raw_gcis.append((body, Named(name)))
+
     # Unique definitions only; names with several candidate axioms fall back
     # to general inclusions.
     definitions: dict[Iri, ConceptExpression] = {}
@@ -349,45 +355,22 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
             definitions[name] = bodies[0]
         else:
             for body in bodies:
-                raw_gcis.append((Named(name), body))
-                raw_gcis.append((body, Named(name)))
-
-    def _cycle_names() -> set[Iri]:
-        state: dict[Iri, int] = {}  # 1 = visiting, 2 = done
-        cyclic: set[Iri] = set()
-
-        def visit(name: Iri, stack: list[Iri]) -> None:
-            if state.get(name) == 2:
-                return
-            if state.get(name) == 1:
-                cyclic.update(stack[stack.index(name):])
-                return
-            state[name] = 1
-            stack.append(name)
-            for part in subexpressions(definitions[name]):
-                if isinstance(part, Named) and part.iri in definitions:
-                    visit(part.iri, stack)
-            stack.pop()
-            state[name] = 2
-
-        for name in sorted(definitions):
-            visit(name, [])
-        return cyclic
-
-    def demote(name: Iri) -> None:
-        body = definitions.pop(name)
-        raw_gcis.append((Named(name), body))
-        raw_gcis.append((body, Named(name)))
+                demote(name, body)
 
     # Cyclic definitions are demoted the same way, and so is every
     # definition whose body can be absorbed.
-    for name in sorted(_cycle_names()):
-        demote(name)
+    uses = {name: {part.iri for part in subexpressions(body)
+                   if isinstance(part, Named) and part.iri in definitions}
+            for name, body in definitions.items()}
+    reach = _closure(uses)
+    for name in sorted(name for name, used in uses.items()
+                       if any(name in reach[other] for other in used)):
+        demote(name, definitions.pop(name))
     for name in sorted(definitions):
         body = to_nnf(definitions[name])
         if isinstance(body, (Intersection, Existential)) \
                 and _absorption(body, Named(name), definitions) is not None:
-            demote(name)
+            demote(name, definitions.pop(name))
 
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
     uses_inverse = uses_inverse or _has_inverse(itertools.chain(*general, definitions.values()))
@@ -619,18 +602,17 @@ def instances_of(
 
 
 def _abox_entails(abox: _CompiledABox, limits: ReasonerLimits, individual: Iri,
-                  read: tuple[int, int], group: int, first: Iri) -> bool:
+                  read: tuple[int, int], bit: int, name: Iri) -> bool:
     """Whether the ABox entails that `individual` belongs to the named
-    concepts of the bitset `group`, which are equivalent and the first of
-    which is `first`. `read` is what `_decided` reads off the individual's
-    node in the consistency check's graph. It decides where it can, a
-    refutation first; otherwise one ABox test on `first` does."""
+    concept `name`, whose bit is `bit`. `read` is what `_decided` reads off
+    the individual's node in the consistency check's graph. It decides
+    where it can, a refutation first; otherwise one ABox test does."""
     known, undecided = read
-    if (known | undecided) & group != group:
+    if not (known | undecided) & bit:
         return False
-    if known & group:
+    if known & bit:
         return True
-    return _abox_labels(abox, limits, extra=[(individual, Complement(Named(first)))]) is None
+    return _abox_labels(abox, limits, extra=[(individual, Complement(Named(name)))]) is None
 
 
 def entailed_types(

@@ -252,23 +252,21 @@ def _html_page(title: str, body: str) -> str:
 
 
 def _tree_html(taxonomy: Taxonomy, anchors: _Anchors) -> str:
-    def group_label(group: int) -> str:
-        return " ≡ ".join(anchors[iri] for iri in taxonomy.members(group))
-
-    def subtree(group: int) -> str:
-        children = [
-            child for child in taxonomy.children_of(group)
-            if child != Taxonomy.BOTTOM or taxonomy.members(child)
-        ]
-        if not children:
-            return ""
-        rows = []
-        for child in children:
-            label = group_label(child) if taxonomy.members(child) else "⊥"
-            rows.append(f"<li>{label}{subtree(child)}</li>\n")
-        return "<ul>\n" + "".join(rows) + "</ul>\n"
-
-    return "<ul>\n<li>⊤" + subtree(Taxonomy.TOP) + "</li>\n</ul>\n"
+    """Nested lists of `taxonomy.tree()`: a deeper item opens a list inside
+    the item before it; a shallower one first closes the lists between."""
+    parts: list[str] = []
+    previous = -1
+    for depth, group in taxonomy.tree():
+        if depth > previous:
+            parts.append("<ul>\n")
+        else:
+            parts.append("</li>\n" + "</ul>\n</li>\n" * (previous - depth))
+        label = ("⊤" if group == Taxonomy.TOP
+                 else " ≡ ".join(anchors[iri] for iri in taxonomy.members(group)))
+        parts.append("<li>" + label)
+        previous = depth
+    parts.append("</li>\n" + "</ul>\n</li>\n" * previous + "</ul>\n")
+    return "".join(parts)
 
 
 def generate_site(

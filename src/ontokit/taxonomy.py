@@ -64,6 +64,18 @@ class Taxonomy:
     def children_of(self, group: int) -> tuple[int, ...]:
         return self._children.get(group, ())
 
+    def tree(self) -> Iterator[tuple[int, int]]:
+        """(depth, group) in pre-order, from ⊤ at depth 0: the one walk
+        behind the text and the HTML trees. Each group appears under each
+        of its parents, children in group order, and ⊥ only when it has
+        members. A stack, not recursion, so any depth is walked."""
+        stack = [(0, self.TOP)]
+        while stack:
+            depth, group = stack.pop()
+            yield depth, group
+            stack.extend((depth + 1, child) for child in reversed(self.children_of(group))
+                         if child != self.BOTTOM or self.groups[child])
+
     def equivalents_of(self, iri: Iri) -> tuple[Iri, ...]:
         return self.groups[self.group_of(iri)]
 

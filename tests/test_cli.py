@@ -24,7 +24,7 @@ from ontokit.model import (
     declared_entities,
     make_ontology,
 )
-from ontokit.parser import parse, serialize
+from ontokit.parser import MAX_NESTING, parse, serialize
 from genontology import random_alc_ontology
 
 
@@ -587,3 +587,76 @@ def test_query_fillers_of_roundtrip(capsys, ofn, tmp_path):
                           "--subject", "s1", "--role", "isSymptomsOf")
     assert code == 0
     assert out.strip() == "d1"
+
+
+# ---------------------------------------------------------------------------
+# Deep inputs: no walk recurses on the depth of a taxonomy or of a chain of
+# definitions, and every subcommand carries the deepest expression the
+# parser admits.
+# ---------------------------------------------------------------------------
+
+DEEP = 1200
+
+
+def _write_ofn(path, lines):
+    path.write_text("\n".join(["Prefix(:=<http://x#>)", "Ontology(<http://x>",
+                               *lines, ")"]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def told_chain(tmp_path):
+    """C0000 above C0001 above … C1199: a told chain of 1,200 classes."""
+    return _write_ofn(tmp_path / "chain.ofn",
+                      [f"SubClassOf(:C{i + 1:04d} :C{i:04d})" for i in range(DEEP - 1)])
+
+
+def test_classify_prints_a_told_chain_deeper_than_the_recursion_limit(capsys, told_chain):
+    code, out, err = invoke(capsys, "classify", told_chain)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + DEEP and lines[0] == "⊤"
+    assert lines[-1] == "  " * DEEP + f"C{DEEP - 1:04d}"
+
+
+def test_site_nests_a_told_chain_deeper_than_the_recursion_limit(capsys, told_chain, tmp_path):
+    out_dir = tmp_path / "site"
+    code, out, err = invoke(capsys, "site", told_chain, "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(" total, 0 broken")
+    index = (out_dir / "index.html").read_text(encoding="utf-8")
+    tree = index.split("<h2>Class hierarchy (inferred)</h2>\n")[1].split("<h2>")[0]
+    # Every list opens before the first one closes: 1,200 lists below ⊤'s.
+    assert tree.startswith("<ul>\n<li>⊤<ul>\n")
+    assert tree.count("<ul>") == 1 + DEEP
+    assert tree.rindex("<ul>") < tree.index("</ul>")
+    assert tree.endswith("</li>\n</ul>\n" * (1 + DEEP))
+
+
+def test_check_compiles_a_chain_of_definitions_deeper_than_the_recursion_limit(
+        capsys, tmp_path):
+    path = _write_ofn(tmp_path / "definitions.ofn", ["Declaration(ObjectProperty(:r))"] + [
+        f"EquivalentClasses(:A{i} ObjectSomeValuesFrom(:r :A{i + 1}))" for i in range(DEEP)])
+    assert invoke(capsys, "check", path) == (0, "consistent: true\n", "")
+
+
+@pytest.mark.parametrize("opening", ["ObjectIntersectionOf(:C ", "ObjectUnionOf(:C ",
+                                     "ObjectSomeValuesFrom(:r ", "ObjectAllValuesFrom(:r ",
+                                     "ObjectComplementOf("])
+def test_every_subcommand_carries_the_deepest_expression_the_parser_admits(
+        capsys, tmp_path, opening):
+    depth = MAX_NESTING - 1
+    path = _write_ofn(tmp_path / "deep.ofn", [
+        "Declaration(ObjectProperty(:r))", "Declaration(NamedIndividual(:x))",
+        "ClassAssertion(:A :x)",
+        "SubClassOf(:A " + opening * depth + ":B" + ")" * depth + ")"])
+    ontology = parse(pathlib.Path(path).read_text(encoding="utf-8"))
+    assert parse(serialize(ontology)) == ontology
+    probes = tmp_path / "deep.probes"
+    probes.write_text("Probe: A, B\n", encoding="utf-8")
+    for argv in (["check"], ["classify"], ["diff"], ["stats"],
+                 ["probe", "--probes", str(probes)],
+                 ["query", "--kind", "InstancesOf", "--subject", "A"],
+                 ["site", "--out", str(tmp_path / "site")]):
+        code, _, err = invoke(capsys, argv[0], path, *argv[1:])
+        assert code in (0, 1) and err == "", argv

@@ -248,6 +248,43 @@ def test_closure_pairs_are_each_names_equivalents_and_ancestors(disease_taxonomy
         assert tree.closure_pairs() == expected
 
 
+def test_tree_walks_in_the_order_of_a_recursive_pre_order_walk(disease, disease_taxonomy):
+    def recursive(tree):
+        walk = []
+
+        def visit(group, depth):
+            walk.append((depth, group))
+            for child in tree.children_of(group):
+                if child != Taxonomy.BOTTOM or tree.members(child):
+                    visit(child, depth + 1)
+
+        visit(Taxonomy.TOP, 0)
+        return walk
+
+    rng = random.Random(SEED)
+    taxonomies = [disease_taxonomy, asserted_taxonomy(disease)]
+    taxonomies += [classify(random_alc_ontology(rng)[0]) for _ in range(40)]
+    for tree in taxonomies:
+        assert list(tree.tree()) == recursive(tree)
+    assert any(tree.members(Taxonomy.BOTTOM) for tree in taxonomies)
+
+
+def test_a_cycle_reached_through_a_name_already_searched_is_demoted():
+    # b → c → a → b is a cycle. A depth-first search from `a` finishes `c`,
+    # closing a → c → a, before it reaches `b`, and then sees `b`'s way back
+    # to `a` only through the finished `c`.
+    ns = "http://example.org/cycle#"
+    a, b, c = (Named(Iri(ns + name)) for name in "abc")
+    r = NamedRole(Iri(ns + "r"))
+    ontology = make_ontology(Iri("http://example.org/cycle"), (("", ns),), [
+        EquivalentConcepts((a, Intersection((Universal(r, c), Universal(r, b))))),
+        EquivalentConcepts((b, Universal(r, c))),
+        EquivalentConcepts((c, Universal(r, a))),
+    ])
+    assert normalize(ontology).definitions == {}
+    assert classify(ontology) == oracle_classify(ontology)
+
+
 def test_realize_equals_oracle_on_fixture(disease):
     assert realize(disease) == oracle_realize(disease)
 
