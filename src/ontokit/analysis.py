@@ -20,15 +20,16 @@ from .model import (
     NamedRole,
     Ontology,
     RoleAssertion,
-    signature,
     _Value,
+    _derive,
+    _entities,
 )
 from .reasoner import (
     DEFAULT_LIMITS,
     ReasonerLimits,
     Taxonomy,
     _compiled,
-    _role_closure_of,
+    _role_closure,
     build_taxonomy,
     classify,
     instances_of,
@@ -147,10 +148,10 @@ def parse_probe_file(text: str) -> list[ProbeSpec]:
 
 
 def _fragment_index(ontology: Ontology, kind: EntityKind) -> dict[str, Iri]:
+    """Each fragment of the IRIs of `kind` -> the least IRI with it."""
     index: dict[str, Iri] = {}
-    for entity in signature(ontology):
-        if entity.kind is kind:
-            index.setdefault(entity.iri.fragment, entity.iri)
+    for iri in sorted(_derive(ontology, _entities)[kind]):
+        index.setdefault(iri.fragment, iri)
     return index
 
 
@@ -164,7 +165,7 @@ def run_probes(
     each probe tests that intersection on the ontology's own compiled TBox;
     the input ontology is left untouched."""
     concepts = _fragment_index(ontology, EntityKind.CONCEPT)
-    taken = {entity.iri.fragment for entity in signature(ontology)}
+    taken = {iri.fragment for iris in _derive(ontology, _entities).values() for iri in iris}
     results: list[ProbeResult] = []
     for probe in probes:
         if probe.name in taken:
@@ -229,7 +230,7 @@ def _role_fillers(
     `r⁻ ⊑* role`. Exact, because the role hierarchy is closed under
     inverse: an assertion `materialize_inverses` chains to is already below
     `role` through the told one it came from."""
-    subsumers, _ = _role_closure_of(ontology)
+    subsumers, _ = _derive(ontology, _role_closure)
     target = NamedRole(role)
 
     def implies(expr) -> bool:
@@ -258,7 +259,7 @@ def answer_competency_query(
             raise UnknownEntityError("FillersOf takes an individual IRI"
                                      if kind is QueryKind.FILLERS_OF
                                      else "role-filler queries take an individual IRI")
-        if not any(e.iri == subject for e in signature(ontology)):
+        if not any(subject in iris for iris in _derive(ontology, _entities).values()):
             raise UnknownEntityError(f"unknown subject entity: <{subject}>")
         role = query.role or _fragment_index(ontology, EntityKind.OBJECT_ROLE).get(
             _ROLE_OF_KIND[kind])
@@ -278,8 +279,7 @@ def answer_competency_query(
     # INSTANCES_OF
     subject = query.subject
     if isinstance(subject, Iri):
-        known = {e.iri for e in signature(ontology) if e.kind is EntityKind.CONCEPT}
-        if subject not in known:
+        if subject not in _derive(ontology, _entities)[EntityKind.CONCEPT]:
             raise UnknownEntityError(f"unknown concept: <{subject}>")
         subject = Named(subject)
     return tuple(sorted(instances_of(subject, ontology, limits)))

@@ -36,7 +36,7 @@ from .model import (
     published_reference,
     signature,
 )
-from .parser import ParseError, parse
+from .parser import ParseError, parse_file
 from .reasoner import (
     DEFAULT_LIMITS,
     InconsistentOntologyError,
@@ -106,8 +106,7 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load(args) -> Ontology:
-    with open(args.input, encoding="utf-8") as handle:
-        return parse(handle.read(), strict=args.strict)
+    return parse_file(args.input, strict=args.strict)
 
 
 def _limits(args) -> ReasonerLimits:

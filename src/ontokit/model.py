@@ -6,9 +6,9 @@ plus the signature/counting/usage queries everything else is built on. An
 `_Value` records: tuples of their type's name and their fields, which hash
 and compare in C. The Ontology is a plain frozen class whose equality ignores
 order. Construction validates invariants, and no operation mutates its
-inputs. The only things written after construction are an Ontology's
-signature and the reasoner's compiled context, which are never compared or
-printed.
+inputs. The only thing written after construction is an Ontology's cache of
+what is derived from it (`_derive`): its signature, and what the reasoner
+compiles from it. The cache is never compared, printed, copied or pickled.
 """
 
 from __future__ import annotations
@@ -451,16 +451,9 @@ class Ontology:
             axioms=tuple(axioms),
             strict=strict,
             warnings=tuple(warnings),
-            # The signature as one set of IRIs per kind, handed over by the
-            # operation that built the instance (`make_ontology`,
-            # `add_axioms`) or made on first use, and `signature`'s sort of
-            # it; an operation that changes the axioms builds a new Ontology.
-            _entities=None,
-            _signature=None,
-            # What the reasoner compiles from this instance
-            # (`reasoner._context`), typed loosely so that this module
-            # imports nothing from the reasoner.
-            _reasoning=None,
+            # Every value derived from this instance, made once (`_derive`);
+            # an operation that changes the axioms builds a new Ontology.
+            _derived={},
         )
 
     def __setattr__(self, name, value):
@@ -488,11 +481,24 @@ class Ontology:
     __hash__ = None  # type: ignore[assignment]
 
     def __getstate__(self):
-        # A copy or an unpickled instance compiles afresh: the reasoning
-        # context is a cache kept with this instance, not part of its value.
+        # A copy or an unpickled instance derives afresh: the cache is kept
+        # with this instance, not part of its value.
         state = dict(self.__dict__)
-        state["_reasoning"] = None
+        state["_derived"] = {}
         return state
+
+
+def _derive(ontology: Ontology, make, key=None):
+    """`make(ontology)`, made on first use and kept in the instance's cache
+    under `key` (by default `make` itself). A value is stored only once it
+    is complete, and the first one stored is the one every caller gets: two
+    threads that make it at once both return the kept one. A `make` that
+    raises stores nothing."""
+    derived = ontology._derived
+    key = make if key is None else key
+    if key not in derived:
+        derived.setdefault(key, make(ontology))
+    return derived[key]
 
 
 def _declared_by_kind(axioms: Iterable[Axiom]) -> dict[EntityKind, set[Iri]]:
@@ -533,17 +539,16 @@ def _admitted(axioms: tuple[Axiom, ...], strict: bool
     return known, warnings
 
 
+def _entities(ontology: Ontology) -> dict[EntityKind, set[Iri]]:
+    """The signature as one unsorted set of IRIs per kind, read through
+    `_derive`. `make_ontology` and `add_axioms` hand theirs over; an
+    instance built directly walks its axioms for it on first use."""
+    return _admitted(ontology.axioms, strict=False)[0]
+
+
 def _with_entities(ontology: Ontology, entities: dict[EntityKind, set[Iri]]) -> Ontology:
-    object.__setattr__(ontology, "_entities", entities)
+    ontology._derived[_entities] = entities
     return ontology
-
-
-def _entities_of(ontology: Ontology) -> dict[EntityKind, set[Iri]]:
-    """The signature per kind, unsorted; an instance built directly, not by
-    `make_ontology` or `add_axioms`, walks its axioms for it once."""
-    if ontology._entities is None:
-        _with_entities(ontology, _admitted(ontology.axioms, strict=False)[0])
-    return ontology._entities
 
 
 def add_axiom(ontology: Ontology, axiom: Axiom) -> Ontology:
@@ -564,7 +569,7 @@ def add_axioms(ontology: Ontology, axioms: Iterable[Axiom]) -> Ontology:
     added = tuple(a for a in dict.fromkeys(axioms) if a not in present)
     if not added:
         return ontology
-    known = {kind: set(iris) for kind, iris in _entities_of(ontology).items()}
+    known = {kind: set(iris) for kind, iris in _derive(ontology, _entities).items()}
     # Strict mode checks against the declarations made so far, lenient mode
     # against the signature so far.
     declared = _declared_by_kind(ontology.axioms) if ontology.strict else known
@@ -613,11 +618,13 @@ def signature(ontology: Ontology) -> tuple[Entity, ...]:
     """All entities declared or referenced, ordered by (kind, IRI text).
 
     Sorted on the first call and kept on the instance, from the entities
-    that the operation building it collected (see `_entities_of`).
+    that the operation building it collected (see `_entities`).
     """
-    if ontology._signature is None:
-        object.__setattr__(ontology, "_signature", _sorted_entities(_entities_of(ontology)))
-    return ontology._signature
+    return _derive(ontology, _sorted_signature)
+
+
+def _sorted_signature(ontology: Ontology) -> tuple[Entity, ...]:
+    return _sorted_entities(_derive(ontology, _entities))
 
 
 def _sorted_entities(entities: dict[EntityKind, set[Iri]]) -> tuple[Entity, ...]:

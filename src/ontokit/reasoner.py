@@ -28,17 +28,20 @@ rule, `_equality_blocking`: a run blocks by equality when the TBox has
 inverse flows (`uses_inverse`, set only by `normalize`) or the concepts it
 starts from, a query or the ABox's assertions, have an inverse role.
 
-Each Ontology instance keeps a reasoning context (`_Context`), filled on
-first use: the closure of its role hierarchy, which role-filler queries
-read without compiling a TBox; the closure of its told subsumptions, which
-classification and the asserted taxonomy share; and then the compiled TBox
-with its `ConceptTable`, the sorted individuals, the NNF assertions on root
-indices and the consistency check's labels of ids per `ReasonerLimits`. So
+Each Ontology instance keeps what reasoning derives from it in its one
+cache (`model._derive`), each part made on first use: the closure of its
+role hierarchy (`_role_closure`), which role-filler queries read without
+compiling a TBox; the closure of its told subsumptions, which
+classification and the asserted taxonomy share; the compiled ABox
+(`_compile`): the compiled TBox with its `ConceptTable`, the sorted
+individuals and the NNF assertions on root indices; and the consistency
+check's labels of ids per `ReasonerLimits`, made from that kept ABox. So
 `is_consistent`, `classify`, `realize`, `entailed_types` and `instances_of`
 compile the TBox and check consistency once per instance and limits, not
 once per call. Public `normalize` still returns a fresh `NormalizedTBox`.
-The context lives and dies with its instance: `add_axiom` returns a new
-instance with none, and a copy or an unpickled instance starts without one.
+The cache lives and dies with its instance: `add_axiom` returns a new
+instance with no reasoning part, and a copy or an unpickled instance
+starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -81,9 +84,10 @@ from .model import (
     Universal,
     add_axioms,
     inverse_of,
-    signature,
     subexpressions,
     _Value,
+    _derive,
+    _entities,
 )
 from .tableau import (  # the witness types, limits and graph are also reached from here
     DEFAULT_LIMITS,
@@ -374,7 +378,7 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
 
     general = tuple((to_nnf(lhs), to_nnf(rhs)) for lhs, rhs in raw_gcis)
     uses_inverse = uses_inverse or _has_inverse(itertools.chain(*general, definitions.values()))
-    role_subsumers, transitive = _role_closure_of(ontology)
+    role_subsumers, transitive = _derive(ontology, _role_closure)
 
     absorbed: dict[Iri, list[ConceptExpression]] = {}
     domain_triggers: list[tuple[RoleExpression, ConceptExpression]] = []
@@ -454,38 +458,10 @@ def is_subsumed_by(
 # ---------------------------------------------------------------------------
 
 
-def _individuals_of(ontology: Ontology) -> list[Iri]:
-    found: set[Iri] = set()
-    for entity in signature(ontology):
-        if entity.kind is EntityKind.INDIVIDUAL:
-            found.add(entity.iri)
-    return sorted(found)
-
-
-class _Context:
-    """What reasoning compiles from one Ontology instance, kept on it
-    (`Ontology._reasoning`) and filled part by part on first use: the role
-    closure, the told closure, then the compiled ABox. Two threads that
-    fill the same part at once each make it and one is kept; a part is
-    complete before it is stored, so a call that reads it once sees a whole
-    part."""
-
-    __slots__ = ("role_closure", "told", "abox")
-
-    def __init__(self, role_closure: Optional[tuple[dict, frozenset]] = None,
-                 told: Optional[dict[Iri, frozenset[Iri]]] = None,
-                 abox: Optional[_CompiledABox] = None):
-        self.role_closure = role_closure
-        self.told = told
-        self.abox = abox
-
-
 class _CompiledABox(_Value):
-    """The compiled TBox, whose `ConceptTable` gives every label kept here
-    its ids; the sorted individuals; the NNF concept assertions and the
-    role assertions on root indices; and the consistency check's labels of
-    ids, with their dependency sets, per `ReasonerLimits`, None where there
-    is no clash-free graph."""
+    """The compiled TBox, whose `ConceptTable` gives the ids of every label
+    made from this ABox; the sorted individuals; and the NNF concept
+    assertions and the role assertions on root indices."""
 
     __slots__ = ()
     tbox: NormalizedTBox
@@ -493,43 +469,27 @@ class _CompiledABox(_Value):
     root: dict[Iri, int]
     concepts: list[tuple[int, ConceptExpression]]
     edges: list[tuple[int, int, Iri]]
-    labels: dict[ReasonerLimits, Optional[list[dict[int, int]]]]
 
 
-def _context(ontology: Ontology) -> _Context:
-    context = ontology._reasoning
-    if context is None:
-        context = _Context()
-        object.__setattr__(ontology, "_reasoning", context)
-    return context
-
-
-def _role_closure_of(ontology: Ontology) -> tuple[dict, frozenset]:
-    """`_role_closure(ontology)`, made once per instance."""
-    context = _context(ontology)
-    if context.role_closure is None:
-        context.role_closure = _role_closure(ontology)
-    return context.role_closure
+def _compile(ontology: Ontology) -> _CompiledABox:
+    """What every ABox query runs on, kept per instance by `_compiled`."""
+    tbox = normalize(ontology)
+    # Built before the cache holds the TBox, so that two threads never
+    # intern into two tables of one TBox.
+    tbox.table
+    individuals = sorted(_derive(ontology, _entities)[EntityKind.INDIVIDUAL])
+    root = {individual: i for i, individual in enumerate(individuals)}
+    return _CompiledABox(
+        tbox, individuals, root,
+        concepts=[(root[axiom.individual], to_nnf(axiom.concept))
+                  for axiom in ontology.axioms if isinstance(axiom, ConceptAssertion)],
+        edges=[(root[axiom.subject], root[axiom.object], axiom.role)
+               for axiom in ontology.axioms if isinstance(axiom, RoleAssertion)])
 
 
 def _compiled(ontology: Ontology) -> _CompiledABox:
-    context = _context(ontology)
-    abox = context.abox
-    if abox is None:
-        tbox = normalize(ontology)
-        # Built before the context holds the TBox, so that two threads
-        # never intern into two tables of one TBox.
-        tbox.table
-        individuals = _individuals_of(ontology)
-        root = {individual: i for i, individual in enumerate(individuals)}
-        abox = context.abox = _CompiledABox(
-            tbox, individuals, root,
-            concepts=[(root[axiom.individual], to_nnf(axiom.concept))
-                      for axiom in ontology.axioms if isinstance(axiom, ConceptAssertion)],
-            edges=[(root[axiom.subject], root[axiom.object], axiom.role)
-                   for axiom in ontology.axioms if isinstance(axiom, RoleAssertion)],
-            labels={})
-    return abox
+    """`_compile(ontology)`, made once per instance."""
+    return _derive(ontology, _compile)
 
 
 def _abox_labels(
@@ -549,12 +509,12 @@ def _abox_labels(
                        _equality_blocking(abox.tbox, (c for _, c in concepts)))
 
 
-def _consistency_labels(abox: _CompiledABox,
+def _consistency_labels(ontology: Ontology,
                         limits: ReasonerLimits) -> Optional[list[dict[int, int]]]:
-    """The consistency check's labels, checked once per instance and limits."""
-    if limits not in abox.labels:
-        abox.labels[limits] = _abox_labels(abox, limits)
-    return abox.labels[limits]
+    """The consistency check's labels, checked once per instance and limits
+    on the kept compiled ABox, whose table gives their ids."""
+    return _derive(ontology, lambda ontology: _abox_labels(_compiled(ontology), limits),
+                   (_consistency_labels, limits))
 
 
 def _consistent_abox(
@@ -564,7 +524,7 @@ def _consistent_abox(
     consistency check's completion graph, which every ABox query starts
     from. Raises InconsistentOntologyError when there is no such graph."""
     abox = _compiled(ontology)
-    labels = _consistency_labels(abox, limits)
+    labels = _consistency_labels(ontology, limits)
     if labels is None:
         raise InconsistentOntologyError("ontology is inconsistent")
     return abox, dict(zip(abox.individuals, labels))
@@ -573,12 +533,11 @@ def _consistent_abox(
 def is_consistent(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> bool:
     """ABox consistency. With no named individuals the verdict is True by
     construction."""
-    return _consistency_labels(_compiled(ontology), limits) is not None
+    return _consistency_labels(ontology, limits) is not None
 
 
 def _named_concepts_of(ontology: Ontology) -> list[Iri]:
-    return sorted({e.iri for e in signature(ontology)
-                   if e.kind is EntityKind.CONCEPT and e.iri not in BUILTIN_CONCEPTS})
+    return sorted(_derive(ontology, _entities)[EntityKind.CONCEPT] - BUILTIN_CONCEPTS)
 
 
 def instances_of(
@@ -722,7 +681,7 @@ def materialize_inverses(ontology: Ontology) -> Ontology:
     whenever r(a,b) holds and inv(r) ⊑* s for a named s, add s(b,a).
     Idempotent by construction (least fixpoint). Role-filler queries read
     the same closure off the told assertions without building it."""
-    role_subsumers, _ = _role_closure_of(ontology)
+    role_subsumers, _ = _derive(ontology, _role_closure)
     asserted = {a for a in ontology.axioms if isinstance(a, RoleAssertion)}
     closure = set(asserted)
     frontier = list(asserted)
@@ -749,23 +708,23 @@ def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
     subsumers first: a strict subsumer's closure is a proper subset). Made
     once per instance, like the role closure; each call returns a fresh
     dict."""
-    context = _context(ontology)
-    if context.told is None:
-        direct: dict[Iri, set[Iri]] = {name: set() for name in _named_concepts_of(ontology)}
-        for axiom in ontology.axioms:
-            if isinstance(axiom, SubConceptOf) and isinstance(axiom.sub, Named) \
-                    and isinstance(axiom.sup, Named):
-                if axiom.sub.iri in direct and axiom.sup.iri in direct:
-                    direct[axiom.sub.iri].add(axiom.sup.iri)
-            elif isinstance(axiom, EquivalentConcepts):
-                named_ops = [op.iri for op in axiom.operands
-                             if isinstance(op, Named) and op.iri in direct]
-                for a in named_ops:
-                    direct[a].update(named_ops)
-        told = _closure(direct)
-        context.told = {name: told[name] for name in
-                        sorted(told, key=lambda name: (len(told[name]), name))}
-    return dict(context.told)
+    return dict(_derive(ontology, _told_closure))
+
+
+def _told_closure(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
+    direct: dict[Iri, set[Iri]] = {name: set() for name in _named_concepts_of(ontology)}
+    for axiom in ontology.axioms:
+        if isinstance(axiom, SubConceptOf) and isinstance(axiom.sub, Named) \
+                and isinstance(axiom.sup, Named):
+            if axiom.sub.iri in direct and axiom.sup.iri in direct:
+                direct[axiom.sub.iri].add(axiom.sup.iri)
+        elif isinstance(axiom, EquivalentConcepts):
+            named_ops = [op.iri for op in axiom.operands
+                         if isinstance(op, Named) and op.iri in direct]
+            for a in named_ops:
+                direct[a].update(named_ops)
+    told = _closure(direct)
+    return {name: told[name] for name in sorted(told, key=lambda name: (len(told[name]), name))}
 
 
 def _reading(names: Sequence[Iri], tbox: NormalizedTBox) -> tuple[dict[int, int], int]:

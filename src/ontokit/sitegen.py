@@ -232,14 +232,21 @@ def _safe_name(fragment: str) -> str:
 
 
 def _page_paths(entities: tuple[Entity, ...]) -> dict[Entity, str]:
-    by_name: dict[str, list[Entity]] = {}
-    for entity in sorted(entities, key=lambda e: (e.iri, KIND_ORDER[e.kind])):
-        by_name.setdefault(_safe_name(entity.iri.fragment), []).append(entity)
+    """Each entity's page, taken in (IRI, kind) order: its safe name, or
+    once that is taken, the name with the first free suffix `-2`, `-3`, ...
+    The site index holds the name "index"."""
+    taken = {"index.html"}
+    last: dict[str, int] = {}  # a name -> the last suffix it took
     paths: dict[Entity, str] = {}
-    for name, group in by_name.items():
-        for index, entity in enumerate(group):
-            suffix = "" if index == 0 else f"-{index + 1}"
-            paths[entity] = f"{name}{suffix}.html"
+    for entity in sorted(entities, key=lambda e: (e.iri, KIND_ORDER[e.kind])):
+        name = _safe_name(entity.iri.fragment)
+        path, suffix = f"{name}.html", last.get(name, 1)
+        while path in taken:
+            suffix += 1
+            path = f"{name}-{suffix}.html"
+        taken.add(path)
+        last[name] = suffix
+        paths[entity] = path
     return paths
 
 

@@ -25,6 +25,7 @@ from ontokit.model import (
     make_ontology,
 )
 from ontokit.parser import MAX_NESTING, parse, serialize
+from ontokit.sitegen import generate_site
 from genontology import random_alc_ontology
 
 
@@ -345,6 +346,25 @@ def test_site_writes_documents_and_verifies(capsys, ofn, tmp_path):
     assert (out_dir / "Giardia_lambliia.html").exists()
     page = (out_dir / "Giardia_lambliia.html").read_text(encoding="utf-8")
     assert "locomotion: Flagellates" in page
+
+
+def test_site_gives_an_entity_named_index_a_page_of_its_own(capsys, tmp_path):
+    source = tmp_path / "index.ofn"
+    source.write_text("Prefix(:=<http://x#>)\nOntology(<http://x>\n"
+                      "Declaration(Class(:index)) Declaration(Class(:A)) "
+                      "SubClassOf(:A :index)\n)\n", encoding="utf-8")
+    ontology = parse(source.read_text(encoding="utf-8"))
+    docs = generate_site(ontology, reasoner.classify(ontology), analysis.asserted_taxonomy(ontology))
+    paths = [doc.relative_path for doc in docs]
+    assert sorted(paths) == ["A.html", "index-2.html", "index.html"]
+    assert "Entity counts" in docs[paths.index("index.html")].body
+    assert "Entity counts" not in docs[paths.index("index-2.html")].body
+    out_dir = tmp_path / "site"
+    code, out, _ = invoke(capsys, "site", str(source), "--out", str(out_dir))
+    assert code == 0
+    assert "wrote 3 documents" in out and "0 broken" in out
+    assert {path.name: path.read_text(encoding="utf-8") for path in out_dir.iterdir()} == {
+        doc.relative_path: doc.body for doc in docs}
 
 
 def test_site_checks_consistency_once(capsys, ofn, tmp_path, monkeypatch):

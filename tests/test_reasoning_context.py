@@ -12,9 +12,16 @@ import weakref
 
 import pytest
 
-from ontokit import reasoner
-from ontokit.analysis import asserted_taxonomy
-from ontokit.disease import DISEASE_NS, build_disease_ontology
+from ontokit import model, reasoner
+from ontokit.analysis import (
+    CompetencyQuery,
+    ProbeSpec,
+    QueryKind,
+    answer_competency_query,
+    asserted_taxonomy,
+    run_probes,
+)
+from ontokit.disease import DISEASE_NS, GIARDIA, build_disease_ontology
 from ontokit.model import (
     Bottom,
     ConceptAssertion,
@@ -25,15 +32,19 @@ from ontokit.model import (
     Iri,
     Named,
     NamedRole,
+    Ontology,
     SubConceptOf,
     Top,
     Union,
     add_axiom,
+    add_axioms,
     make_ontology,
+    signature,
 )
 from ontokit.parser import parse, serialize
 from ontokit.reasoner import (
     InconsistentOntologyError,
+    DEFAULT_LIMITS,
     ReasonerLimits,
     ResourceLimitExceeded,
     classify,
@@ -50,6 +61,11 @@ from genontology import NS, random_abox_ontology
 
 def t(fragment):
     return Iri(NS + fragment)
+
+
+def reasoning_parts(ontology):
+    """The keys of what the instance's cache holds beyond its signature."""
+    return set(ontology._derived) - {model._entities, model._sorted_signature}
 
 
 def outcome(call, ontology):
@@ -147,15 +163,15 @@ def test_told_closure_is_built_once_per_instance(monkeypatch):
 
 def test_context_lives_and_dies_with_its_instance():
     onto = build_disease_ontology()
-    assert onto._reasoning is None
+    assert not reasoning_parts(onto)
     realize(onto)
-    table = weakref.ref(onto._reasoning.abox.tbox.table)
+    table = weakref.ref(reasoner._compiled(onto).tbox.table)
     assert table() is not None
     assert onto == build_disease_ontology()
-    assert "_reasoning" not in repr(onto)
+    assert "_derived" not in repr(onto)
     extended = add_axiom(onto, Declaration(Entity(EntityKind.INDIVIDUAL,
                                                   Iri(DISEASE_NS + "another"))))
-    assert extended._reasoning is None
+    assert not reasoning_parts(extended)
     del onto
     gc.collect()
     assert table() is None
@@ -168,9 +184,9 @@ def test_reasoned_instances_copy_and_pickle():
                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in (copy.deepcopy(onto), *pickled, copy.copy(onto)):
         assert other == onto
-        assert other._reasoning is None
+        assert not reasoning_parts(other)
         assert realize(other) == expected
-    assert onto._reasoning is not None  # the copies took nothing from it
+    assert reasoning_parts(onto)  # the copies took nothing from it
     tbox = normalize(onto)
     verdict = is_satisfiable(Named(Iri(DISEASE_NS + "Infectious")), tbox)
     for other in (copy.deepcopy(tbox), pickle.loads(pickle.dumps(tbox))):
@@ -220,8 +236,133 @@ def test_threads_sharing_an_instance_answer_like_a_serial_run():
                 assert not any(thread.is_alive() for thread in threads)
                 assert not errors, errors
                 assert results == expected
-                table = shared._reasoning.abox.tbox.table
+                table = reasoner._compiled(shared).tbox.table
                 assert len(table.ids) == len(table.exprs) == len(table.kinds)
                 assert all(table.ids[expr] == i for i, expr in enumerate(table.exprs))
     finally:
         sys.setswitchinterval(interval)
+
+
+class CountingCache(dict):
+    """An instance's cache that counts the values stored under each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = {}
+
+    def setdefault(self, key, value):
+        self.stored[key] = self.stored.get(key, 0) + 1
+        return super().setdefault(key, value)
+
+
+def every_entry_point(ontology, limits):
+    """Each public call that reads what reasoning derives from an instance."""
+    def d(fragment):
+        return Iri(DISEASE_NS + fragment)
+
+    probes = [ProbeSpec("FreshProbe", ("Autoimmune", "Infectious"))]
+    queries = [CompetencyQuery(QueryKind.FILLERS_OF, GIARDIA, d("hasStructure")),
+               CompetencyQuery(QueryKind.SYMPTOMS_OF, GIARDIA),
+               CompetencyQuery(QueryKind.SUPER_CONCEPTS_OF, d("Protozoa")),
+               CompetencyQuery(QueryKind.INSTANCES_OF, d("OrganismStructure"))]
+    return [
+        is_consistent(ontology, limits),
+        classify(ontology, limits),
+        realize(ontology, limits),
+        entailed_types(ontology, limits),
+        instances_of(Named(d("OrganismStructure")), ontology, limits),
+        instances_of(Top(), ontology, limits),
+        asserted_taxonomy(ontology),
+        run_probes(ontology, probes, limits),
+        [answer_competency_query(query, ontology, limits) for query in queries],
+        signature(ontology),
+    ]
+
+
+def test_every_entry_point_makes_each_part_once(monkeypatch):
+    disease = build_disease_ontology()
+    # Built directly, so that the instance walks its axioms for its entities.
+    onto = Ontology(disease.iri, disease.prefixes, disease.axioms)
+    cache = vars(onto)["_derived"] = CountingCache()
+    checks = []
+    original = reasoner._abox_labels
+
+    def counting(abox, limits, extra=()):
+        if extra == ():
+            checks.append(limits)
+        return original(abox, limits, extra)
+
+    monkeypatch.setattr(reasoner, "_abox_labels", counting)
+    expected = every_entry_point(disease, DEFAULT_LIMITS)
+    checks.clear()
+    assert every_entry_point(onto, DEFAULT_LIMITS) == expected
+    assert every_entry_point(onto, DEFAULT_LIMITS) == expected
+    parts = {model._entities, model._sorted_signature, reasoner._role_closure,
+             reasoner._told_closure, reasoner._compile,
+             (reasoner._consistency_labels, DEFAULT_LIMITS)}
+    assert cache.stored == dict.fromkeys(parts, 1)
+    assert set(cache) == parts
+    assert checks == [DEFAULT_LIMITS]
+    # Other limits add their own consistency check, and nothing else.
+    other = ReasonerLimits(max_steps=DEFAULT_LIMITS.max_steps - 1)
+    assert every_entry_point(onto, other) == expected
+    assert cache.stored == {**dict.fromkeys(parts, 1), (reasoner._consistency_labels, other): 1}
+    assert checks == [DEFAULT_LIMITS, other]
+
+
+def test_copies_and_added_axioms_start_with_no_reasoning_part(monkeypatch):
+    onto = build_disease_ontology()
+    expected = realize(onto), signature(onto)
+    walks = []
+    original = model._admitted
+
+    def counting(axioms, strict):
+        walks.append(len(axioms))
+        return original(axioms, strict)
+
+    monkeypatch.setattr(model, "_admitted", counting)
+    pickled = [pickle.loads(pickle.dumps(onto, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (copy.copy(onto), copy.deepcopy(onto), *pickled):
+        assert other._derived == {}
+        # A copy walks its axioms once for its signature, then reasons afresh.
+        walks.clear()
+        assert (realize(other), signature(other)) == expected
+        assert walks == [len(onto.axioms)]
+    declared = Declaration(Entity(EntityKind.INDIVIDUAL, Iri(DISEASE_NS + "another")))
+    for extended in (add_axiom(onto, declared), add_axioms(onto, [declared])):
+        # Only the entity sets are handed over: the signature walks nothing.
+        assert set(extended._derived) == {model._entities}
+        walks.clear()
+        assert signature(extended) == tuple(sorted(
+            expected[1] + (declared.entity,), key=Entity.sort_key))
+        assert walks == []
+        assert not reasoning_parts(extended)
+
+
+def test_threads_compiling_one_instance_get_the_kept_abox():
+    shared = parse(serialize(build_disease_ontology()))
+    results, errors = [None] * 8, []
+    barrier = threading.Barrier(8, timeout=60)
+
+    def worker(index):
+        try:
+            barrier.wait()
+            results[index] = reasoner._compiled(shared)
+        except Exception as exc:  # reported on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that compiles overlap
+    try:
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    kept = reasoner._compiled(shared)
+    assert all(result is kept for result in results)

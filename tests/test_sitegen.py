@@ -268,6 +268,18 @@ def test_page_path_collisions_resolved():
     assert paths == ["Name-2.html", "Name-3.html", "Name.html", "index.html"]
 
 
+def test_a_suffixed_name_takes_no_page_twice():
+    from ontokit.model import Declaration, Entity, EntityKind, make_ontology
+    o = make_ontology(Iri("http://x"), (), [
+        Declaration(Entity(EntityKind.CONCEPT, Iri("http://x#Name"))),
+        Declaration(Entity(EntityKind.CONCEPT, Iri("http://x#Name-2"))),
+        Declaration(Entity(EntityKind.INDIVIDUAL, Iri("http://y#Name"))),
+    ], strict=True)
+    docs = generate_site(o, classify(o), asserted_taxonomy(o))
+    paths = sorted(d.relative_path for d in docs)
+    assert paths == ["Name-2.html", "Name-3.html", "Name.html", "index.html"]
+
+
 def test_awkward_fragments_stay_flat():
     from ontokit.model import Declaration, Entity, EntityKind, make_ontology
     o = make_ontology(Iri("http://x"), (), [
