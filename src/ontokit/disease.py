@@ -325,14 +325,13 @@ def table1_probes() -> list[ProbeSpec]:
     ]
 
 
-def render_ledger(ontology: Ontology | None = None) -> str:
+def render_ledger() -> str:
     """The shipped ledger file: canonical axiom text, TAB, provenance kind,
-    TAB, note, ordered to match the canonical .ofn serialization."""
+    TAB, note, ordered to match the canonical .ofn serialization of
+    `build_disease_ontology()`."""
     from .parser import _axiom_group  # same grouping as serialize
 
-    if ontology is None:
-        ontology = build_disease_ontology()
-    prefixes = ontology.prefix_map()
+    prefixes = dict(PREFIXES)
     entries = fixture_ledger()
     keyed = sorted(
         (_axiom_group(e.axiom) + (render_axiom(e.axiom, prefixes), e) for e in entries)

@@ -23,10 +23,12 @@ backjumps past choices a clash does not depend on, and an entry that
 depends on none is an entailment, which classification and the ABox
 queries read off instead of testing it (`_decided`).
 
-The compiled TBox and its role closure read no assertion. Blocking has one
-rule, `_equality_blocking`: a run blocks by equality when the TBox has
-inverse flows (`uses_inverse`, set only by `normalize`) or the concepts it
-starts from, a query or the ABox's assertions, have an inverse role.
+The compiled TBox and its role closure read no assertion. Every run goes
+through `tableau._run`, which holds the one blocking rule: a run blocks by
+equality when the TBox has inverse flows (`uses_inverse`, set only by
+`normalize`) or an inverse role occurs in the concepts it starts from, a
+query or the ABox's assertions, as the table records for each id it
+interns.
 
 Each Ontology instance keeps what reasoning derives from it in its one
 cache (`model._derive`), each part made on first use: the closure of its
@@ -99,8 +101,7 @@ from .tableau import (  # the witness types, limits and graph are also reached f
     ResourceLimitExceeded,
     SatResult,
     _Graph,
-    abox_labels,
-    satisfiable,
+    _run,
 )
 from .taxonomy import Taxonomy, _bits, build_taxonomy, close_subsumers
 
@@ -431,15 +432,8 @@ def is_satisfiable(
 ) -> SatResult:
     """Decide concept satisfiability w.r.t. the TBox; a Satisfiable verdict
     carries the final completion graph as a witness."""
-    nnf_concept = to_nnf(concept)
-    return satisfiable(tbox.table, nnf_concept, limits, _equality_blocking(tbox, [nnf_concept]))
-
-
-def _equality_blocking(tbox: NormalizedTBox, queries: Iterable[ConceptExpression]) -> bool:
-    """Subset blocking is only sound without inverse flows: the TBox's, or
-    those of the concepts a run starts from, a query or the ABox's
-    assertions."""
-    return tbox.uses_inverse or _has_inverse(queries)
+    tableau, final = _run(tbox.table, 1, [(0, to_nnf(concept))], [], limits)
+    return SatResult(False) if final is None else SatResult(True, final, tableau)
 
 
 def is_subsumed_by(
@@ -505,8 +499,9 @@ def _abox_labels(
     clash-free."""
     concepts = abox.concepts + [(abox.root[individual], to_nnf(concept))
                                 for individual, concept in extra]
-    return abox_labels(abox.tbox.table, len(abox.individuals), concepts, abox.edges, limits,
-                       _equality_blocking(abox.tbox, (c for _, c in concepts)))
+    roots = len(abox.individuals)
+    _, final = _run(abox.tbox.table, roots, concepts, abox.edges, limits)
+    return None if final is None else final.labels[:roots]
 
 
 def _consistency_labels(ontology: Ontology,

@@ -86,17 +86,14 @@ class GraphEdge(_Value):
     role: Iri
 
 
-class CompletionGraph(_Value, cached=True):
+class CompletionGraph(_Value):
     """Frozen snapshot of the tableau working state returned as a witness."""
 
+    __slots__ = ()
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
     blocking: tuple[tuple[int, int], ...]  # (blocked node, blocking ancestor)
     clash: bool
-
-    @cached_property
-    def node_by_id(self) -> dict[int, GraphNode]:
-        return {node.id: node for node in self.nodes}
 
 
 class SatResult(_Value, cached=True):
@@ -140,12 +137,12 @@ class ConceptTable:
     """Int ids for the concepts and roles of one compiled TBox.
 
     For each concept id: its kind, its operand ids (the filler for ∃ and
-    ∀), its role id, the id it clashes with (a name and its complement) and
-    its rank; for each named concept's IRI, its id. Ids, ranks and the
-    rules read off the TBox (unfoldings, transitive propagations, domain
-    constraints) are made on first use, so compiling a TBox costs nothing
-    until the tableau runs on it. For each role id: the ids of its
-    subsumers and of its inverse.
+    ∀), its role id, the id it clashes with (a name and its complement),
+    whether an inverse role occurs in it and its rank; for each named
+    concept's IRI, its id. Ids, ranks and the rules read off the TBox
+    (unfoldings, transitive propagations, domain constraints) are made on
+    first use, so compiling a TBox costs nothing until the tableau runs on
+    it. For each role id: the ids of its subsumers and of its inverse.
 
     Interning writes to the table, so a tableau run holds `lock` from start
     to end: threads that share a TBox run on it one at a time."""
@@ -159,6 +156,7 @@ class ConceptTable:
         self.absorbed = tbox.absorbed
         self.role_subsumers = tbox.role_subsumers
         self.domain_triggers = tbox.domain_triggers
+        self.uses_inverse = tbox.uses_inverse
         self.lock = threading.Lock()
         self.ids: dict[ConceptExpression, int] = {}
         self.names: dict[Iri, int] = {}  # the id of each named concept
@@ -167,6 +165,7 @@ class ConceptTable:
         self.args: list[tuple[int, ...]] = []
         self.roles: list[int] = []
         self.partner: list[int] = []  # -1: clashes with nothing
+        self.has_inverse: list[bool] = []
         self.ranks: list[Optional[str]] = []
         self.unfoldings: list[Optional[tuple[int, ...]]] = []
         self.propagations: list[Optional[tuple[tuple[int, int], ...]]] = []
@@ -177,7 +176,7 @@ class ConceptTable:
         self.domain: list[Optional[tuple[int, ...]]] = []
         # Transitive roles in repr order, as the ∀-rule tries them.
         self.transitive = [self.role(t) for t in sorted(tbox.transitive_roles, key=repr)]
-        self.node_constraints = tuple(self.concept(c) for c in tbox.node_constraints)
+        self.node_constraints = tuple(map(self.concept, tbox.node_constraints))
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -197,7 +196,7 @@ class ConceptTable:
         kind = _KIND_OF[type(expr)]
         role = -1
         if kind in (AND, OR):
-            args = tuple(self.concept(op) for op in expr.operands)
+            args = tuple(map(self.concept, expr.operands))
         elif kind in (SOME, ALL):
             role = self.role(expr.role)
             args = (self.concept(expr.filler),)
@@ -212,6 +211,9 @@ class ConceptTable:
         self.args.append(args)
         self.roles.append(role)
         self.partner.append(-1)
+        self.has_inverse.append(
+            role >= 0 and not isinstance(self.role_exprs[role], NamedRole)
+            or True in map(self.has_inverse.__getitem__, args))
         self.ranks.append(None)
         self.unfoldings.append(None)
         self.propagations.append(None)
@@ -234,7 +236,7 @@ class ConceptTable:
         self.role_inverse.append(-1)
         self.domain.append(None)
         sups = self.role_subsumers.get(expr, (expr,))
-        self.role_sups[r] = frozenset(self.role(s) for s in sups)
+        self.role_sups[r] = frozenset(map(self.role, sups))
         self.role_inverse[r] = self.role(inverse_of(expr))
         return r
 
@@ -255,8 +257,8 @@ class ConceptTable:
             if self.kinds[i] == NAMED:
                 iri = self.exprs[i].iri
                 defn = self.definitions.get(iri)
-                found = tuple(self.concept(e) for e in
-                              ((defn,) if defn is not None else ()) + self.absorbed.get(iri, ()))
+                found = tuple(map(self.concept, ((defn,) if defn is not None else ())
+                                  + self.absorbed.get(iri, ())))
             else:
                 operand = self.exprs[i].operand
                 neg = (self.negated_definitions.get(operand.iri)
@@ -304,16 +306,19 @@ class _Clash(Exception):
 class _Work:
     """Work done by one tableau run, over every copy of its graph."""
 
-    __slots__ = ("steps", "nodes", "copies", "max_steps", "max_nodes")
+    __slots__ = ("steps", "nodes", "copies", "max_steps", "max_nodes", "limits")
 
     def __init__(self, limits: ReasonerLimits):
         self.steps = self.nodes = self.copies = 0
         self.max_steps = limits.max_steps
         self.max_nodes = limits.max_nodes
+        self.limits = limits
 
-    def exceeded(self) -> ResourceLimitExceeded:
+    def exceeded(self, limit: str = "step", field: str = "max_steps") -> ResourceLimitExceeded:
+        """The error for the `limit` set by the `ReasonerLimits` field
+        `field`: the limit and how far the run got."""
         return ResourceLimitExceeded(
-            f"step limit exceeded (max_steps {self.max_steps}) after {self.steps} "
+            f"{limit} limit exceeded ({field} {getattr(self.limits, field)}) after {self.steps} "
             f"steps: {self.nodes} nodes created, {self.copies} graph copies")
 
 
@@ -362,9 +367,9 @@ class _Graph:
 
     def new_node(self, parent: Optional[int]) -> int:
         work = self.work
+        if work.nodes >= work.max_nodes:
+            raise work.exceeded("node", "max_nodes")
         work.nodes += 1
-        if work.nodes > work.max_nodes:
-            raise ResourceLimitExceeded(f"node limit exceeded ({work.max_nodes})")
         work.steps += 1
         if work.steps > work.max_steps:
             raise work.exceeded()
@@ -592,8 +597,7 @@ class _Tableau:
                     return current
                 node, disjunction = choice
                 if len(frames) >= self.limits.max_branch_depth:
-                    raise ResourceLimitExceeded(
-                        f"branch depth limit exceeded ({self.limits.max_branch_depth})")
+                    raise current.work.exceeded("branch depth", "max_branch_depth")
                 frames.append([current, node, args[disjunction], 0,
                                current.labels[node][disjunction], 0])
                 current = alternative()
@@ -627,41 +631,30 @@ class _Tableau:
 
 
 def _run(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
-         edges: list[tuple[int, int, Iri]], limits: ReasonerLimits,
-         equality_blocking: bool) -> tuple[_Tableau, Optional[_Graph]]:
+         edges: list[tuple[int, int, Iri]],
+         limits: ReasonerLimits) -> tuple[_Tableau, Optional[_Graph]]:
     """One tableau run from `roots` root nodes, the NNF `concepts` (root,
     concept) and the `edges` (source root, target root, named role): the
     tableau and its final clash-free graph, or None for the graph when
-    there is none."""
-    tableau = _Tableau(table, limits, equality_blocking)
+    there is none.
+
+    Subset blocking is only sound without inverse flows, so the run blocks
+    by equality when the TBox has them (`uses_inverse`) or an inverse role
+    occurs in a concept it starts from, a query or an ABox's assertions."""
     with table.lock:
+        # Interned before `init_node` adds the node constraints, which the
+        # table interned when it was made, so the ids are the same.
+        ids = [table.concept(concept) for _, concept in concepts]
+        tableau = _Tableau(table, limits, table.uses_inverse
+                           or True in map(table.has_inverse.__getitem__, ids))
         g = tableau.graph()
         try:
             for _ in range(roots):
                 tableau.init_node(g, parent=None)
-            for root, concept in concepts:
-                g.add(root, table.concept(concept), 0)
+            for (root, _), i in zip(concepts, ids):
+                g.add(root, i, 0)
             for source, target, role in edges:
                 g.add_edge(source, target, table.role(NamedRole(role)), 0)
         except _Clash:
             return tableau, None
         return tableau, tableau.search(g)
-
-
-def satisfiable(table: ConceptTable, concept: ConceptExpression, limits: ReasonerLimits,
-                equality_blocking: bool) -> SatResult:
-    """Satisfiability of an NNF concept; a Satisfiable verdict carries the
-    final completion graph as a witness."""
-    tableau, final = _run(table, 1, [(0, concept)], [], limits, equality_blocking)
-    return SatResult(False) if final is None else SatResult(True, final, tableau)
-
-
-def abox_labels(table: ConceptTable, roots: int, concepts: list[tuple[int, ConceptExpression]],
-                edges: list[tuple[int, int, Iri]], limits: ReasonerLimits,
-                equality_blocking: bool) -> Optional[list[dict[int, int]]]:
-    """Consistency of `roots` root nodes with the NNF `concepts` and the
-    `edges` (see `_run`). Returns each root's label of ids, with their
-    dependency sets, in a clash-free completion graph, or None when there
-    is none."""
-    _, final = _run(table, roots, concepts, edges, limits, equality_blocking)
-    return None if final is None else final.labels[:roots]

@@ -309,6 +309,7 @@ def interpretation_from_witness(graph: CompletionGraph,
     subtrees are dropped), then the role extensions are closed under the
     ontology's sub-role, inverse, and transitivity axioms.
     """
+    node_by_id = {node.id: node for node in graph.nodes}
     blocker = dict(graph.blocking)
     dropped: set[int] = set()
     for node in graph.nodes:
@@ -317,7 +318,7 @@ def interpretation_from_witness(graph: CompletionGraph,
             if ancestor in blocker:
                 dropped.add(node.id)
                 break
-            ancestor = graph.node_by_id[ancestor].parent
+            ancestor = node_by_id[ancestor].parent
 
     def resolve(node_id: int) -> int:
         while node_id in blocker:
@@ -330,7 +331,7 @@ def interpretation_from_witness(graph: CompletionGraph,
 
     concepts: dict[Iri, set[int]] = {}
     for node_id in kept:
-        for expr in graph.node_by_id[node_id].label:
+        for expr in node_by_id[node_id].label:
             if isinstance(expr, Named):
                 concepts.setdefault(expr.iri, set()).add(remap[node_id])
 
@@ -393,14 +394,15 @@ def verify_saturated(witness: CompletionGraph, tbox) -> list[str]:
     declaratively and independently of the engine's control flow.
     """
     problems: list[str] = []
+    node_by_id = {node.id: node for node in witness.nodes}
     blocked_direct = {blocked for blocked, _ in witness.blocking}
 
     def is_blocked(node_id: int) -> bool:
-        ancestor = witness.node_by_id[node_id].parent
+        ancestor = node_by_id[node_id].parent
         while ancestor is not None:
             if ancestor in blocked_direct:
                 return True
-            ancestor = witness.node_by_id[ancestor].parent
+            ancestor = node_by_id[ancestor].parent
         return node_id in blocked_direct
 
     out_edges: dict[int, list] = {}
@@ -456,19 +458,19 @@ def verify_saturated(witness: CompletionGraph, tbox) -> list[str]:
                     problems.append(f"{where}: negative unfolding missing")
             elif isinstance(expr, Universal):
                 for target in neighbours(node.id, expr.role):
-                    if expr.filler not in witness.node_by_id[target].label:
+                    if expr.filler not in node_by_id[target].label:
                         problems.append(f"{where}: universal not propagated")
                 for trans in tbox.transitive_roles:
                     if expr.role in subsumers(trans):
                         again = Universal(trans, expr.filler)
                         for target in neighbours(node.id, trans):
-                            if again not in witness.node_by_id[target].label:
+                            if again not in node_by_id[target].label:
                                 problems.append(
                                     f"{where}: transitive universal missing")
             elif isinstance(expr, Existential):
                 if is_blocked(node.id):
                     continue
-                if not any(expr.filler in witness.node_by_id[t].label
+                if not any(expr.filler in node_by_id[t].label
                            for t in neighbours(node.id, expr.role)):
                     problems.append(f"{where}: existential unwitnessed")
     return problems

@@ -39,7 +39,7 @@ def test_ledger_has_exactly_one_entry_per_axiom(disease):
 
 def test_shipped_ledger_file_matches_builder(disease, fixture_dir):
     shipped = (fixture_dir / "ledger").read_text(encoding="utf-8")
-    assert render_ledger(disease) == shipped
+    assert render_ledger() == shipped
     assert len(shipped.splitlines()) == len(disease.axioms)
 
 

@@ -334,7 +334,7 @@ def test_sat_result_is_its_verdict(disease, monkeypatch):
             setattr(yes, name, value)
 
 
-def test_completion_graph_equality_and_node_index(disease):
+def test_completion_graph_equality_hash_repr_and_pickle(disease):
     witness = is_satisfiable(named("Infectious"), normalize(disease)).witness
     again = is_satisfiable(named("Infectious"), normalize(disease)).witness
     assert len(witness.nodes) == 3 and len(witness.edges) == 2
@@ -344,15 +344,12 @@ def test_completion_graph_equality_and_node_index(disease):
     assert rebuilt == witness and repr(rebuilt) == repr(witness)
     assert witness != CompletionGraph(witness.nodes, witness.edges, witness.blocking, True)
     assert witness != CompletionGraph(witness.nodes[:1], (), (), False)
-    assert witness.node_by_id is witness.node_by_id
-    assert witness.node_by_id == {node.id: node for node in witness.nodes}
     assert repr(CompletionGraph((GraphNode(0, frozenset({named("Virus")}), None),), (), (), False)) \
         == ("CompletionGraph(nodes=(GraphNode(id=0, label=frozenset({Named(iri=Iri(value="
             f"'{DISEASE_NS}Virus'))}}), parent=None),), edges=(), blocking=(), clash=False)")
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         restored = pickle.loads(pickle.dumps(witness, protocol))
         assert type(restored) is CompletionGraph and restored == witness
-        assert restored.node_by_id == witness.node_by_id
     with pytest.raises(AttributeError):
         witness.clash = True
 
@@ -780,17 +777,25 @@ def test_node_limit_raises():
     chain = [SubConceptOf(Named(t(c)), Existential(NamedRole(t("r")), Named(t(n))))
              for c, n in zip("ABCD", "BCDE")]
     o = tiny_ontology(chain)
-    with pytest.raises(ResourceLimitExceeded):
+    with pytest.raises(ResourceLimitExceeded) as raised:
         is_satisfiable(Named(t("A")), normalize(o), ReasonerLimits(max_nodes=3))
+    # A, B and C are made; D would be the fourth node. Each node is a step,
+    # and so is each of the six concepts added to their labels.
+    assert str(raised.value) == ("node limit exceeded (max_nodes 3) after 9 steps: "
+                                 "3 nodes created, 0 graph copies")
 
 
 def test_branch_depth_limit_raises():
     disjunctions = Intersection(tuple(
         Union((Named(t(f"L{i}")), Named(t(f"R{i}")))) for i in range(4)))
     o = tiny_ontology([])
-    with pytest.raises(ResourceLimitExceeded):
+    with pytest.raises(ResourceLimitExceeded) as raised:
         is_satisfiable(disjunctions, normalize(o),
                        ReasonerLimits(max_branch_depth=2))
+    # The third choice trips the limit, after the two copies the first two
+    # choices made.
+    assert str(raised.value) == ("branch depth limit exceeded (max_branch_depth 2) after "
+                                 "10 steps: 1 nodes created, 2 graph copies")
 
 
 def thrash_tbox(k):

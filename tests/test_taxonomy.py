@@ -23,12 +23,14 @@ from ontokit.model import (
     Existential,
     Intersection,
     InverseRole,
+    InverseRoles,
     Iri,
     Named,
     NamedRole,
     OWL_THING,
     SubConceptOf,
     Top,
+    Union,
     Universal,
     make_ontology,
 )
@@ -324,20 +326,20 @@ def test_witness_never_refutes_a_defined_name():
 
 
 def test_classify_fixture_makes_few_satisfiability_tests(disease, monkeypatch):
-    # Every tableau run, whichever function starts it.
-    calls = []
-    original = reasoner.satisfiable
+    # Every tableau run, whichever function starts it, makes one `_Work`.
+    runs = []
+    original = tableau._Work.__init__
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counting(self, limits):
+        original(self, limits)
+        runs.append(1)
 
-    monkeypatch.setattr(reasoner, "satisfiable", counting)
+    monkeypatch.setattr(tableau._Work, "__init__", counting)
     classify(disease)
     # The pre-pass makes one test per name and one for ⊤, 25 here. Every
     # name is primitive, so each label decides every name and no test
     # follows; the all-pairs builder made 574 in all.
-    assert len(calls) <= 30, len(calls)
+    assert len(runs) <= 30, len(runs)
 
 
 def test_classify_on_random_tboxes_makes_few_subsumption_tests(monkeypatch):
@@ -535,6 +537,20 @@ def test_realize_compiles_the_tbox_once(monkeypatch):
     assert len(calls) == 1
 
 
+def record_blocking(monkeypatch):
+    """The list that each `_Tableau` made from now on appends its mode to:
+    True for equality blocking, False for subset blocking."""
+    blocking = []
+
+    class Recording(tableau._Tableau):
+        def __init__(self, table, limits, equality_blocking):
+            blocking.append(equality_blocking)
+            super().__init__(table, limits, equality_blocking)
+
+    monkeypatch.setattr(tableau, "_Tableau", Recording)
+    return blocking
+
+
 def test_an_inverse_role_in_an_assertion_blocks_only_the_abox_runs(monkeypatch):
     # The TBox has no inverse role; a's assertion `∃r⁻.(A ⊓ ∀r.D)` has the
     # only one, and puts a in D through its r-predecessor.
@@ -548,20 +564,44 @@ def test_an_inverse_role_in_an_assertion_blocks_only_the_abox_runs(monkeypatch):
                                first),
               ConceptAssertion(a, second)]
     ontology = make_ontology(Iri(NS.rstrip("#")), (("", NS),), axioms)
-    blocking = []
-
-    class Recording(tableau._Tableau):
-        def __init__(self, table, limits, equality_blocking):
-            blocking.append(equality_blocking)
-            super().__init__(table, limits, equality_blocking)
-
-    monkeypatch.setattr(tableau, "_Tableau", Recording)
+    blocking = record_blocking(monkeypatch)
     assert is_consistent(ontology)
     assert blocking == [True]  # the ABox run has the assertion's inverse role
     blocking.clear()
     classify(ontology)
     assert blocking and not any(blocking)  # the TBox's runs do not
     assert realize(ontology) == oracle_realize(ontology) == {first: (d.iri,), second: (a.iri,)}
+
+
+def test_a_run_blocks_by_equality_for_an_inverse_role_at_any_depth(monkeypatch):
+    # A TBox with no inverse flow, where A's r-chain needs blocking.
+    a, b, c, d = (Named(Iri(NS + name)) for name in "ABCD")
+    r, s = (NamedRole(Iri(NS + name)) for name in "rs")
+    axioms = [SubConceptOf(a, Existential(r, a))]
+    tbox = normalize(make_ontology(Iri(NS.rstrip("#")), (("", NS),), axioms))
+    assert not tbox.uses_inverse
+    nested = Existential(r, Union((b, Universal(InverseRole(s.iri), c))))
+    blocking = record_blocking(monkeypatch)
+    # The only inverse role is two levels below the query.
+    assert is_satisfiable(Intersection((a, nested)), tbox)
+    assert blocking == [True]
+    blocking.clear()
+    assert is_satisfiable(Intersection((a, Existential(r, Union((b, Universal(s, c)))))), tbox)
+    assert blocking == [False]
+    # A new query whose operand an earlier run interned: the table reads
+    # the operand's flag off its id.
+    blocking.clear()
+    assert is_satisfiable(Intersection((d, nested)), tbox)
+    assert is_satisfiable(nested, tbox)
+    assert blocking == [True, True]
+    # With an inverse flow in the TBox, every run blocks by equality.
+    blocking.clear()
+    flows = make_ontology(Iri(NS.rstrip("#")), (("", NS),),
+                          axioms + [InverseRoles(r.iri, s.iri)])
+    assert normalize(flows).uses_inverse
+    classify(flows)
+    assert is_satisfiable(Intersection((a, Existential(r, b))), normalize(flows))
+    assert len(blocking) > 1 and all(blocking)
 
 
 # ---------------------------------------------------------------------------
