@@ -28,6 +28,7 @@ from .reasoner import (
     DEFAULT_LIMITS,
     ReasonerLimits,
     Taxonomy,
+    _ancestors,
     _compiled,
     _role_closure,
     build_taxonomy,
@@ -270,12 +271,13 @@ def answer_competency_query(
             subject = subject.iri
         if not isinstance(subject, Iri):
             raise UnknownEntityError("taxonomy queries take a named concept")
-        taxonomy = classify(ontology, limits)
-        if subject not in taxonomy.concepts():
+        if subject not in told_subsumers(ontology):
             raise UnknownEntityError(f"unknown concept: <{subject}>")
+        # A subject's ancestors follow from its own run; its descendants
+        # need a verdict on every name.
         if kind is QueryKind.SUPER_CONCEPTS_OF:
-            return taxonomy.ancestors_of(subject)
-        return taxonomy.descendants_of(subject)
+            return _ancestors(ontology, subject, limits)
+        return classify(ontology, limits).descendants_of(subject)
     # INSTANCES_OF
     subject = query.subject
     if isinstance(subject, Iri):

@@ -32,9 +32,10 @@ from .model import (
     Iri,
     Ontology,
     UndeclaredEntityError,
+    _derive,
+    _entities,
     compute_counts,
     published_reference,
-    signature,
 )
 from .parser import ParseError, parse_file
 from .reasoner import (
@@ -126,7 +127,8 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
 def _resolve_iri(ontology: Ontology, name: str) -> Iri:
     if name.startswith("http://") or name.startswith("https://"):
         return Iri(name)
-    match = min((e.iri for e in signature(ontology) if e.iri.fragment == name), default=None)
+    match = min((iri for iris in _derive(ontology, _entities).values()
+                 for iri in iris if iri.fragment == name), default=None)
     if match is None:
         raise UnknownEntityError(f"unknown entity name: {name}")
     return match
@@ -303,12 +305,19 @@ def _cmd_site(args) -> int:
     # writeback at close, and re-publishing into the same directory is the
     # usual call. The bytes and the mode (0o666 minus the umask) are those
     # "w" would give; a publish cut short is mended by running it again.
+    # The descriptor is written directly: for pages this small, a file
+    # object around it costs more than the write.
     for doc in documents:
+        data = memoryview(doc.body.encode("utf-8"))
         fd = os.open(os.path.join(args.out, doc.relative_path),
                      os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "wb") as handle:
-            handle.write(doc.body.encode("utf-8"))
-            handle.truncate()
+        try:
+            written = 0
+            while written < len(data):  # a write may take only part
+                written += os.write(fd, data[written:])
+            os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     report = verify_links(documents)
     lines = [
         f"wrote {len(documents)} documents to {args.out}",

@@ -657,23 +657,18 @@ class EntityCounts(_Value):
 
 
 def compute_counts(ontology: Ontology) -> EntityCounts:
-    """Counts over declared entities; built-in top/bottom concepts excluded."""
-    return _counts_of(declared_entities(ontology))
-
-
-def _counts_of(entities: Iterable[Entity]) -> EntityCounts:
-    tally = {kind: 0 for kind in EntityKind}
-    for entity in entities:
-        if entity.kind is EntityKind.CONCEPT and entity.iri in BUILTIN_CONCEPTS:
-            continue
-        tally[entity.kind] += 1
+    """Counts over declared entities; built-in top/bottom concepts excluded.
+    Read off the entity sets of each kind, unsorted: the kept ones, or the
+    declarations alone in strict mode, as in `declared_entities`."""
+    declared = (_declared_by_kind(ontology.axioms) if ontology.strict
+                else _derive(ontology, _entities))
     return EntityCounts(
-        concepts=tally[EntityKind.CONCEPT],
-        object_roles=tally[EntityKind.OBJECT_ROLE],
-        data_roles=tally[EntityKind.DATA_ROLE],
-        annotation_roles=tally[EntityKind.ANNOTATION_ROLE],
-        individuals=tally[EntityKind.INDIVIDUAL],
-        datatypes=tally[EntityKind.DATATYPE],
+        concepts=len(declared[EntityKind.CONCEPT] - BUILTIN_CONCEPTS),
+        object_roles=len(declared[EntityKind.OBJECT_ROLE]),
+        data_roles=len(declared[EntityKind.DATA_ROLE]),
+        annotation_roles=len(declared[EntityKind.ANNOTATION_ROLE]),
+        individuals=len(declared[EntityKind.INDIVIDUAL]),
+        datatypes=len(declared[EntityKind.DATATYPE]),
     )
 
 

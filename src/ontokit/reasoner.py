@@ -803,6 +803,35 @@ def classify(ontology: Ontology, limits: ReasonerLimits = DEFAULT_LIMITS) -> Tax
                           lambda c, d: subsumed(Named(c), d), top_names=top, bottom_names=bottom)
 
 
+def _ancestors(ontology: Ontology, name: Iri, limits: ReasonerLimits) -> tuple[Iri, ...]:
+    """`classify(ontology, limits).ancestors_of(name)` for a named concept
+    `name`, read off its own satisfiability run instead of a run for every
+    name: the named concepts strictly above it, sorted.
+
+    The root label of the run, read as in `classify`'s pre-pass
+    (`_subsumers_read`), gives the known subsumers (entailed or told) and
+    the possible ones; every other name is refuted. Each possible one is
+    decided by one subsumption test. A subsumer is dropped as an
+    equivalent when it is told to be below `name`, or else when one test
+    shows it is. An unsatisfiable name is below every satisfiable name,
+    which only a run for every name can tell, so it is classified."""
+    tbox = _compiled(ontology).tbox
+    root = is_satisfiable(Named(name), tbox, limits).root_label
+    if root is None:
+        return classify(ontology, limits).ancestors_of(name)
+    told = told_subsumers(ontology)
+    names = list(told)
+    bit = {other: 1 << i for i, other in enumerate(names)}
+    known, possible = _subsumers_read(root, told[name], _reading(names, tbox), bit)
+
+    def subsumed(sub: Iri, sup: Iri) -> bool:
+        return is_subsumed_by(Named(sub), Named(sup), tbox, limits)
+
+    above = [names[i] for i in _bits(known & ~bit[name])]
+    above += (names[i] for i in _bits(possible) if subsumed(name, names[i]))
+    return tuple(sorted(up for up in above if name not in told[up] and not subsumed(up, name)))
+
+
 def _subsumers_read(label: dict[int, int], told: Iterable[Iri], reading: tuple[dict[int, int], int],
                     bit: dict[Iri, int]) -> tuple[int, int]:
     """A name's known and possible subsumers, as bitsets over `bit`, read

@@ -1,8 +1,10 @@
+import importlib
+import pathlib
 import random
 
 import pytest
 
-from ontokit import analysis, reasoner
+from ontokit import analysis, reasoner, tableau
 from ontokit.analysis import (
     CompetencyQuery,
     ProbeNameCollisionError,
@@ -29,10 +31,20 @@ from ontokit.model import (
     add_axiom,
     signature,
 )
-from ontokit.parser import serialize
-from ontokit.reasoner import Taxonomy, classify, materialize_inverses, normalize
+from ontokit.parser import parse, serialize
+from ontokit.reasoner import (
+    DEFAULT_LIMITS,
+    ReasonerLimits,
+    ResourceLimitExceeded,
+    Taxonomy,
+    classify,
+    materialize_inverses,
+    normalize,
+)
 from ontokit.disease import DISEASE_NS, GIARDIA
-from genontology import random_alc_ontology, random_full_ontology
+from genontology import random_abox_ontology, random_alc_ontology, random_full_ontology
+
+SEED = 20261018
 
 
 def iri(fragment):
@@ -409,3 +421,150 @@ def test_role_fillers_agree_with_materialized_inverses():
                 implied += len(expected - told)
     # Some answers come only through inverses or sub-roles.
     assert implied > 0
+
+
+# ---------------------------------------------------------------------------
+# SuperConceptsOf reads the subject's own run
+# ---------------------------------------------------------------------------
+
+
+def super_concepts(ontology, name, limits=DEFAULT_LIMITS):
+    query = CompetencyQuery(QueryKind.SUPER_CONCEPTS_OF, name)
+    return answer_competency_query(query, ontology, limits)
+
+
+def count_runs(monkeypatch):
+    """A list that gains one entry per tableau run (`tableau._Work`)."""
+    runs = []
+    original = tableau._Work.__init__
+
+    def counting(self, limits):
+        original(self, limits)
+        runs.append(1)
+
+    monkeypatch.setattr(tableau._Work, "__init__", counting)
+    return runs
+
+
+def test_super_concepts_of_equal_classify_ancestors(disease):
+    # Every name of the fixture and of 600 random draws, with their
+    # unsatisfiable names (classify's fallback) and names equivalent to ⊤.
+    # One random_full_ontology draw thrashes: classify trips the default
+    # step limit after about 30 s, and 20,000 steps after 0.1 s. Both sides
+    # get the smaller limit, and that draw is compared on no name.
+    limits = ReasonerLimits(max_steps=20_000)
+    rng = random.Random(SEED)
+    draws = [disease]
+    for _ in range(200):
+        draws += [random_alc_ontology(rng)[0], random_full_ontology(rng),
+                  random_abox_ontology(rng)]
+    names = unsatisfiable = top = tripped = 0
+    for ontology in draws:
+        try:
+            taxonomy = classify(ontology, limits)
+        except ResourceLimitExceeded:
+            tripped += 1
+            continue
+        unsatisfiable += len(taxonomy.members(Taxonomy.BOTTOM))
+        top += len(taxonomy.members(Taxonomy.TOP))
+        for name in taxonomy.concepts():
+            assert super_concepts(ontology, name, limits) == taxonomy.ancestors_of(name), name
+            names += 1
+    assert tripped <= 1 and names > 1500, (tripped, names)
+    assert unsatisfiable > 20 and top > 20, (unsatisfiable, top)
+
+
+EDGE_CASES = """Prefix(:=<http://x#>)
+Prefix(owl:=<http://www.w3.org/2002/07/owl#>)
+Ontology(<http://x>
+Declaration(ObjectProperty(:r))
+SubClassOf(:Bad :A)
+SubClassOf(:Bad ObjectComplementOf(:A))
+SubClassOf(owl:Thing :T)
+EquivalentClasses(:E :F)
+SubClassOf(:G :H)
+SubClassOf(:H ObjectIntersectionOf(:G :K))
+EquivalentClasses(:I ObjectAllValuesFrom(:r :C))
+EquivalentClasses(:J ObjectAllValuesFrom(:r :D))
+SubClassOf(:O ObjectAllValuesFrom(:r :C))
+)
+"""
+
+
+def test_super_concepts_of_edge_cases(monkeypatch):
+    ontology = parse(EDGE_CASES)
+    x = lambda names: tuple(Iri("http://x#" + name) for name in names.split())
+    tests = []
+    original = reasoner.is_subsumed_by
+
+    def recording(sub, sup, tbox, limits):
+        if isinstance(sub, Named):
+            tests.append((sub.iri.fragment, sup.iri.fragment))
+        return original(sub, sup, tbox, limits)
+
+    monkeypatch.setattr(reasoner, "is_subsumed_by", recording)
+    answers = {name: super_concepts(ontology, name) for name in x("Bad T E G H O")}
+    assert answers == {
+        # Unsatisfiable: below every satisfiable name, from a classification.
+        x("Bad")[0]: x("A C D E F G H I J K O T"),
+        # Equivalent to ⊤: no name is strictly above it.
+        x("T")[0]: (),
+        # A told equivalent is dropped untested.
+        x("E")[0]: x("T"),
+        # An inferred equivalent is dropped by one test: H ⊑ G is not told,
+        # while G ⊑ H is.
+        x("G")[0]: x("K T"),
+        x("H")[0]: x("K T"),
+        # A defined name absent from the label is only a possible subsumer,
+        # which one test decides: O ⊑ I holds, O ⊑ J does not.
+        x("O")[0]: x("I T"),
+    }
+    assert ("F", "E") not in tests and ("E", "F") not in tests
+    assert ("H", "G") in tests and ("G", "H") not in tests
+    assert ("O", "I") in tests and ("O", "J") in tests
+    taxonomy = classify(ontology)
+    for name in taxonomy.concepts():
+        assert super_concepts(ontology, Named(name)) == taxonomy.ancestors_of(name)
+
+
+def test_super_concepts_of_rejects_a_non_concept_before_reasoning(disease, monkeypatch):
+    runs = count_runs(monkeypatch)
+    for kind in (QueryKind.SUPER_CONCEPTS_OF, QueryKind.SUB_CONCEPTS_OF):
+        for subject in (iri("hasSymptoms"), GIARDIA, Iri("http://nowhere#x")):
+            with pytest.raises(UnknownEntityError, match=rf"^unknown concept: <{subject}>$"):
+                answer_competency_query(CompetencyQuery(kind, subject), disease)
+    assert runs == []
+
+
+def test_super_concepts_of_answers_where_classify_trips_a_limit():
+    # Hard's run makes a node per existential; Easy's runs make one each.
+    ontology = parse("""Prefix(:=<http://x#>)
+Ontology(<http://x>
+SubClassOf(:Easy :Up)
+SubClassOf(:Hard ObjectIntersectionOf(ObjectSomeValuesFrom(:r :X1) ObjectSomeValuesFrom(:r :X2)
+  ObjectSomeValuesFrom(:r :X3) ObjectSomeValuesFrom(:r :X4)))
+)
+""")
+    limits = ReasonerLimits(max_nodes=3)
+    with pytest.raises(ResourceLimitExceeded):
+        classify(ontology, limits)
+    assert super_concepts(ontology, Iri("http://x#Easy"), limits) == (Iri("http://x#Up"),)
+    with pytest.raises(ResourceLimitExceeded):
+        answer_competency_query(
+            CompetencyQuery(QueryKind.SUB_CONCEPTS_OF, Iri("http://x#Up")), ontology, limits)
+
+
+def test_super_concepts_of_runs_the_subjects_tests_only(disease, monkeypatch):
+    runs = count_runs(monkeypatch)
+    # One run for the subject and one test for each of its three ancestors;
+    # classifying made 25.
+    assert super_concepts(disease, iri("OrganismStructure")) == (
+        iri("Disease"), iri("DiseaseStructure"), iri("Infectious"))
+    assert len(runs) <= 5, len(runs)
+    # The benchmark's seeded TBox of 1,600 classes: classifying made 1,601.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    ontology = parse(importlib.import_module("gen").tbox_spec(1009, 1600).text)
+    last = list(reasoner.told_subsumers(ontology))[-1]
+    runs.clear()
+    assert super_concepts(ontology, last)
+    assert len(runs) <= 10, len(runs)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ontokit import analysis, cli, reasoner
+from ontokit import analysis, cli, model, reasoner
 from ontokit.cli import run
 from ontokit.model import (
     Declaration,
@@ -314,6 +314,51 @@ def test_query_superconcepts(capsys, ofn):
                           "--subject", "OrganismStructure")
     assert code == 0
     assert set(out.split()) == {"Disease", "DiseaseStructure", "Infectious"}
+
+
+def test_stats_and_queries_sort_no_entities(capsys, ofn, monkeypatch):
+    # Counts and name lookups read the kept entity sets of each kind.
+    calls = []
+    original = model._sorted_entities
+
+    def counting(entities):
+        calls.append(1)
+        return original(entities)
+
+    monkeypatch.setattr(model, "_sorted_entities", counting)
+    subjects = {"SubConceptsOf": "Disease", "SuperConceptsOf": "OrganismStructure",
+                "InstancesOf": "Infectious", "FillersOf": "Giardia_lambliia"}
+    for strict in ((), ("--strict",)):
+        assert invoke(capsys, "stats", ofn, *strict)[0] == 0
+        for kind in analysis.QueryKind:
+            role = ("--role", "hasStructure") if kind is analysis.QueryKind.FILLERS_OF else ()
+            subject = subjects.get(kind.value, "Giardia_lambliia")
+            code, out, err = invoke(capsys, "query", ofn, "--kind", kind.value,
+                                    "--subject", subject, *role, *strict)
+            assert (code, err) == (0, ""), (kind, err)
+    assert calls == []
+
+
+def test_names_resolve_to_the_least_iri_with_that_fragment(disease):
+    # The least IRI of any kind whose fragment is the name, as a scan of
+    # the sorted signature finds it; punned and shared fragments included.
+    def by_signature(ontology, name):
+        return min((e.iri for e in model.signature(ontology) if e.iri.fragment == name),
+                   default=None)
+
+    shared = parse("Prefix(:=<http://b#>)\nOntology(<http://x>\n"
+                   "Declaration(Class(:X))\nDeclaration(Class(<http://a#X>))\n"
+                   "Declaration(NamedIndividual(<http://a/X>))\n"
+                   "Declaration(ObjectProperty(:X))\nDeclaration(Class(<http://c#Y>))\n)\n")
+    rng = random.Random(3)
+    ontologies = [shared, disease] + [random_alc_ontology(rng)[0] for _ in range(20)]
+    for ontology in ontologies:
+        names = {e.iri.fragment for e in model.signature(ontology)}
+        for name in sorted(names):
+            assert cli._resolve_iri(ontology, name) == by_signature(ontology, name)
+        with pytest.raises(analysis.UnknownEntityError, match="^unknown entity name: Nowhere$"):
+            cli._resolve_iri(ontology, "Nowhere")
+    assert cli._resolve_iri(shared, "X") == Iri("http://a#X")
 
 
 def test_query_instances(capsys, ofn):

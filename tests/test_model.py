@@ -1,3 +1,4 @@
+import collections
 import copy
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 from ontokit.analysis import CompetencyQuery, HierarchyDiff, ProbeResult, ProbeSpec, QueryKind
 from ontokit.model import (
     AnnotationAssertion,
+    BUILTIN_CONCEPTS,
     Bottom,
     Complement,
     ConceptAssertion,
@@ -47,6 +49,7 @@ from ontokit.model import (
     add_axioms,
     axiom_references,
     compute_counts,
+    declared_entities,
     make_ontology,
     signature,
     usages,
@@ -227,6 +230,31 @@ def test_counts_agree_with_signature(disease):
     assert counts.concepts == by_kind[EntityKind.CONCEPT]
     assert counts.object_roles == by_kind[EntityKind.OBJECT_ROLE]
     assert counts.individuals == by_kind[EntityKind.INDIVIDUAL]
+
+
+def test_counts_equal_the_declared_entities_less_the_built_in_concepts(disease):
+    # Read off the entity sets of each kind; in strict mode only the
+    # declarations count, as `declared_entities` has them.
+    def by_declared_entities(ontology):
+        tally = collections.Counter(entity.kind for entity in declared_entities(ontology)
+                                    if entity.iri not in BUILTIN_CONCEPTS
+                                    or entity.kind is not EntityKind.CONCEPT)
+        return EntityCounts(tally[EntityKind.CONCEPT], tally[EntityKind.OBJECT_ROLE],
+                            tally[EntityKind.DATA_ROLE], tally[EntityKind.ANNOTATION_ROLE],
+                            tally[EntityKind.INDIVIDUAL], tally[EntityKind.DATATYPE])
+
+    from genontology import random_full_ontology
+    rng = random.Random(5)
+    ontologies = [disease, Ontology(Iri("http://x"))]
+    ontologies += (random_full_ontology(rng) for _ in range(20))
+    builtins = [Declaration(Entity(EntityKind.CONCEPT, iri)) for iri in sorted(BUILTIN_CONCEPTS)]
+    for ontology in ontologies:
+        declared = [a for a in ontology.axioms if isinstance(a, Declaration)]
+        strict = make_ontology(ontology.iri, (), declared + builtins, strict=True)
+        with_builtins = make_ontology(ontology.iri, (), ontology.axioms + tuple(builtins))
+        for other in (ontology, strict, with_builtins):
+            assert compute_counts(other) == by_declared_entities(other)
+    assert compute_counts(strict) == compute_counts(make_ontology(strict.iri, (), declared))
 
 
 def test_usages_range_axiom(disease):

@@ -234,6 +234,47 @@ def test_verify_links_ignores_absolute_urls():
     assert verify_links(docs).total_links == 0
 
 
+def links_checked_one_by_one(documents):
+    """`verify_links` by definition: every target of every page, in page
+    order, checked on its own."""
+    known = {doc.relative_path for doc in documents}
+    total, broken = 0, []
+    for doc in sorted(documents, key=lambda d: d.relative_path):
+        for target in sitegen._HREF.findall(doc.body):
+            if target.startswith(sitegen._NOT_CHECKED):
+                continue
+            total += 1
+            if target.split("#", 1)[0] not in known:
+                broken.append((doc.relative_path, target))
+    return sitegen.LinkReport(total, len(broken), tuple(broken))
+
+
+def test_verify_links_equals_the_check_of_each_target(disease, disease_taxonomy):
+    # Pages whose targets are all plain page paths take one set test; the
+    # rest are walked target by target. Paths with "#" or an unchecked
+    # prefix are page paths a plain target can never be counted against.
+    sites = [_site(disease, disease_taxonomy)]
+    rng = random.Random(7)
+    for _ in range(6):
+        ontology = random_full_ontology(rng)
+        sites.append(generate_site(ontology, classify(ontology), asserted_taxonomy(ontology)))
+    page = lambda path, *targets: SiteDocument(
+        path, path, "".join(f'<a href="{target}">x</a>' for target in targets))
+    sites.append((
+        page("index.html", "a.html", "b.html#top", "#here", "http://x/a.html", "gone.html"),
+        page("a.html", "a.html", "index.html", "index.html"),
+        page("b.html", "a#b.html", "#", "mailto:someone", "a.html#"),
+        page("a#b.html", "a#b.html", "b.html"),
+        page("#c.html", "#c.html", "http://x.html"),
+        page("http://x.html", "http://x.html", "a.html"),
+        page("empty.html"),
+    ))
+    for docs in sites:
+        assert verify_links(docs) == links_checked_one_by_one(docs)
+    assert verify_links(sites[-1]) == sitegen.LinkReport(11, 3, (
+        ("a#b.html", "a#b.html"), ("b.html", "a#b.html"), ("index.html", "gone.html")))
+
+
 # ---------------------------------------------------------------------------
 # Properties on random ontologies
 # ---------------------------------------------------------------------------
