@@ -21,6 +21,7 @@ from .model import (
     Ontology,
     RoleAssertion,
     _Value,
+    _by_kind,
     _derive,
     _entities,
 )
@@ -238,12 +239,11 @@ def _role_fillers(
         return expr == target or target in subsumers.get(expr, ())
 
     fillers = set()
-    for axiom in ontology.axioms:
-        if isinstance(axiom, RoleAssertion):
-            if axiom.subject == subject and implies(NamedRole(axiom.role)):
-                fillers.add(axiom.object)
-            if axiom.object == subject and implies(InverseRole(axiom.role)):
-                fillers.add(axiom.subject)
+    for axiom in _derive(ontology, _by_kind).get(RoleAssertion, ()):
+        if axiom.subject == subject and implies(NamedRole(axiom.role)):
+            fillers.add(axiom.object)
+        if axiom.object == subject and implies(InverseRole(axiom.role)):
+            fillers.add(axiom.subject)
     return tuple(sorted(fillers))
 
 

@@ -125,10 +125,14 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
 
 
 def _resolve_iri(ontology: Ontology, name: str) -> Iri:
-    if name.startswith("http://") or name.startswith("https://"):
+    """The IRI a `--subject` or `--role` names: an entity's IRI written in
+    full, any `http(s)` text as it stands, or else the least entity IRI
+    whose fragment is the name."""
+    entities = _derive(ontology, _entities).values()
+    if name.startswith(("http://", "https://")) or any(name in iris for iris in entities):
         return Iri(name)
-    match = min((iri for iris in _derive(ontology, _entities).values()
-                 for iri in iris if iri.fragment == name), default=None)
+    match = min((iri for iris in entities for iri in iris if iri.fragment == name),
+                default=None)
     if match is None:
         raise UnknownEntityError(f"unknown entity name: {name}")
     return match

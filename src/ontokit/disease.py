@@ -327,14 +327,13 @@ def table1_probes() -> list[ProbeSpec]:
 
 def render_ledger() -> str:
     """The shipped ledger file: canonical axiom text, TAB, provenance kind,
-    TAB, note, ordered to match the canonical .ofn serialization of
-    `build_disease_ontology()`."""
-    from .parser import _axiom_group  # same grouping as serialize
+    TAB, note, ordered as the axiom's line in the canonical .ofn
+    serialization of `build_disease_ontology()`."""
+    from .parser import serialize
 
     prefixes = dict(PREFIXES)
-    entries = fixture_ledger()
-    keyed = sorted(
-        (_axiom_group(e.axiom) + (render_axiom(e.axiom, prefixes), e) for e in entries)
-    )
-    lines = [f"{text}\t{e.kind.value}\t{e.note}" for _, _, text, e in keyed]
+    position = {line: i for i, line in enumerate(serialize(build_disease_ontology()).splitlines())}
+    rows = [(render_axiom(e.axiom, prefixes), e) for e in fixture_ledger()]
+    rows.sort(key=lambda row: position[row[0]])
+    lines = [f"{text}\t{e.kind.value}\t{e.note}" for text, e in rows]
     return "\n".join(lines) + "\n"

@@ -7,8 +7,11 @@ plus the signature/counting/usage queries everything else is built on. An
 and compare in C. The Ontology is a plain frozen class whose equality ignores
 order. Construction validates invariants, and no operation mutates its
 inputs. The only thing written after construction is an Ontology's cache of
-what is derived from it (`_derive`): its signature, and what the reasoner
-compiles from it. The cache is never compared, printed, copied or pickled.
+what is derived from it (`_derive`): its signature, its axioms filed by
+record type (`_by_kind`), and what the reasoner compiles from it. The cache
+is never compared, printed, copied or pickled. That index is the one way to
+read an ontology's axioms of a kind; a walker over every kind dispatches on
+`type(axiom)` through a table, as `axiom_references` does.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import _tuplegetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -375,57 +378,62 @@ def subexpressions(expr: ConceptExpression) -> Iterator[ConceptExpression]:
         expr = stack.pop()
 
 
-def _expr_refs(expr: ConceptExpression) -> Iterator[tuple[EntityKind, Iri]]:
-    for part in subexpressions(expr):
-        if isinstance(part, Named):
-            if part.iri not in BUILTIN_CONCEPTS:
-                yield (EntityKind.CONCEPT, part.iri)
-        elif isinstance(part, (Existential, Universal)):
-            yield (EntityKind.OBJECT_ROLE, part.role.iri)
+def _unknown_axiom(axiom: Axiom, *_) -> NoReturn:
+    """What an axiom table answers for a type it has no entry for."""
+    raise TypeError(f"unknown axiom type: {type(axiom).__name__}")
 
 
-def axiom_references(axiom: Axiom) -> Iterator[tuple[Optional[EntityKind], Iri]]:
-    """Yield (kind, iri) for every entity position in the axiom.
+_CONCEPT, _ROLE, _INDIVIDUAL = EntityKind.CONCEPT, EntityKind.OBJECT_ROLE, EntityKind.INDIVIDUAL
+
+
+def _concept_refs(exprs: Iterable[ConceptExpression], refs: list) -> list:
+    """`refs`, with the references of each expression appended in
+    `subexpressions` order: a concept name, or the role of a restriction.
+    A named operand, the commonest, is read without the walk."""
+    for expr in exprs:
+        if type(expr) is Named:
+            if expr.iri not in BUILTIN_CONCEPTS:
+                refs.append((_CONCEPT, expr.iri))
+            continue
+        for part in subexpressions(expr):
+            kind = type(part)
+            if kind is Named:
+                if part.iri not in BUILTIN_CONCEPTS:
+                    refs.append((_CONCEPT, part.iri))
+            elif kind is Existential or kind is Universal:
+                refs.append((_ROLE, part.role.iri))
+    return refs
+
+
+# Each axiom type -> the (kind, iri) of its entity positions, in field order.
+_REFERENCES = {
+    Declaration: lambda a: [(a.entity.kind, a.entity.iri)],
+    SubConceptOf: lambda a: _concept_refs((a.sub, a.sup), []),
+    EquivalentConcepts: lambda a: _concept_refs(a.operands, []),
+    DisjointConcepts: lambda a: _concept_refs(a.operands, []),
+    SubRoleOf: lambda a: [(_ROLE, a.sub), (_ROLE, a.sup)],
+    InverseRoles: lambda a: [(_ROLE, a.first), (_ROLE, a.second)],
+    TransitiveRole: lambda a: [(_ROLE, a.role)],
+    RoleDomain: lambda a: _concept_refs((a.concept,), [(_ROLE, a.role)]),
+    RoleRange: lambda a: _concept_refs((a.concept,), [(_ROLE, a.role)]),
+    ConceptAssertion: lambda a: _concept_refs((a.concept,), []) + [(_INDIVIDUAL, a.individual)],
+    RoleAssertion: lambda a: [(_ROLE, a.role), (_INDIVIDUAL, a.subject),
+                              (_INDIVIDUAL, a.object)],
+    DataAssertion: lambda a: [(EntityKind.DATA_ROLE, a.role), (_INDIVIDUAL, a.subject),
+                              (EntityKind.DATATYPE, a.value.datatype)],
+    AnnotationAssertion: lambda a: [(EntityKind.ANNOTATION_ROLE, a.role), (None, a.subject),
+                                    (EntityKind.DATATYPE, a.value.datatype)],
+}
+
+
+def axiom_references(axiom: Axiom) -> list[tuple[Optional[EntityKind], Iri]]:
+    """(kind, iri) for every entity position in the axiom, in field order,
+    an expression's in `subexpressions` order.
 
     A kind of None marks a position compatible with any entity kind
     (annotation subjects), which never forces a declaration.
     """
-    if isinstance(axiom, Declaration):
-        yield (axiom.entity.kind, axiom.entity.iri)
-    elif isinstance(axiom, SubConceptOf):
-        yield from _expr_refs(axiom.sub)
-        yield from _expr_refs(axiom.sup)
-    elif isinstance(axiom, (EquivalentConcepts, DisjointConcepts)):
-        for op in axiom.operands:
-            yield from _expr_refs(op)
-    elif isinstance(axiom, SubRoleOf):
-        yield (EntityKind.OBJECT_ROLE, axiom.sub)
-        yield (EntityKind.OBJECT_ROLE, axiom.sup)
-    elif isinstance(axiom, InverseRoles):
-        yield (EntityKind.OBJECT_ROLE, axiom.first)
-        yield (EntityKind.OBJECT_ROLE, axiom.second)
-    elif isinstance(axiom, TransitiveRole):
-        yield (EntityKind.OBJECT_ROLE, axiom.role)
-    elif isinstance(axiom, (RoleDomain, RoleRange)):
-        yield (EntityKind.OBJECT_ROLE, axiom.role)
-        yield from _expr_refs(axiom.concept)
-    elif isinstance(axiom, ConceptAssertion):
-        yield from _expr_refs(axiom.concept)
-        yield (EntityKind.INDIVIDUAL, axiom.individual)
-    elif isinstance(axiom, RoleAssertion):
-        yield (EntityKind.OBJECT_ROLE, axiom.role)
-        yield (EntityKind.INDIVIDUAL, axiom.subject)
-        yield (EntityKind.INDIVIDUAL, axiom.object)
-    elif isinstance(axiom, DataAssertion):
-        yield (EntityKind.DATA_ROLE, axiom.role)
-        yield (EntityKind.INDIVIDUAL, axiom.subject)
-        yield (EntityKind.DATATYPE, axiom.value.datatype)
-    elif isinstance(axiom, AnnotationAssertion):
-        yield (EntityKind.ANNOTATION_ROLE, axiom.role)
-        yield (None, axiom.subject)
-        yield (EntityKind.DATATYPE, axiom.value.datatype)
-    else:
-        raise TypeError(f"unknown axiom type: {type(axiom).__name__}")
+    return _REFERENCES.get(type(axiom), _unknown_axiom)(axiom)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +509,31 @@ def _derive(ontology: Ontology, make, key=None):
     return derived[key]
 
 
-def _declared_by_kind(axioms: Iterable[Axiom]) -> dict[EntityKind, set[Iri]]:
+def _by_kind(ontology: Ontology) -> dict[type, list[Axiom]]:
+    """The ontology's axioms filed by record type, read through `_derive`:
+    each type that occurs -> its axioms, in axiom order. It is the one way
+    to get the axioms of a kind; a reader asks `.get(kind, ())` for each
+    kind it reads and walks no other axiom."""
+    kinds: dict[type, list[Axiom]] = {}
+    for axiom in ontology.axioms:
+        kind = type(axiom)
+        if kind in kinds:
+            kinds[kind].append(axiom)
+        else:
+            kinds[kind] = [axiom]
+    return kinds
+
+
+def _declared_by_kind(declarations: Iterable[Declaration]) -> dict[EntityKind, set[Iri]]:
+    """The IRIs the declarations declare, per entity kind."""
     declared: dict[EntityKind, set[Iri]] = {kind: set() for kind in EntityKind}
-    for axiom in axioms:
-        if isinstance(axiom, Declaration):
-            declared[axiom.entity.kind].add(axiom.entity.iri)
+    for axiom in declarations:
+        declared[axiom.entity.kind].add(axiom.entity.iri)
     return declared
+
+
+def _declarations(ontology: Ontology) -> Iterable[Declaration]:
+    return _derive(ontology, _by_kind).get(Declaration, ())
 
 
 def _admit(axiom: Axiom, known: dict[EntityKind, set[Iri]], strict: bool,
@@ -531,10 +558,10 @@ def _admitted(axioms: tuple[Axiom, ...], strict: bool
     the entities per kind and the auto-declaration warnings. Declarations
     count wherever they stand. A strict walk that returns has met only
     declared entities, so in both modes the entities are the signature."""
-    known = _declared_by_kind(axioms)
+    known = _declared_by_kind(a for a in axioms if type(a) is Declaration)
     warnings: list[str] = []
     for axiom in axioms:
-        if not isinstance(axiom, Declaration):
+        if type(axiom) is not Declaration:
             _admit(axiom, known, strict, warnings)
     return known, warnings
 
@@ -572,10 +599,10 @@ def add_axioms(ontology: Ontology, axioms: Iterable[Axiom]) -> Ontology:
     known = {kind: set(iris) for kind, iris in _derive(ontology, _entities).items()}
     # Strict mode checks against the declarations made so far, lenient mode
     # against the signature so far.
-    declared = _declared_by_kind(ontology.axioms) if ontology.strict else known
+    declared = _declared_by_kind(_declarations(ontology)) if ontology.strict else known
     warnings = list(ontology.warnings)
     for axiom in added:
-        if isinstance(axiom, Declaration):
+        if type(axiom) is Declaration:
             known[axiom.entity.kind].add(axiom.entity.iri)
             declared[axiom.entity.kind].add(axiom.entity.iri)
         else:
@@ -637,7 +664,7 @@ def declared_entities(ontology: Ontology) -> tuple[Entity, ...]:
     """The declared-entity set: explicit declarations, plus (in lenient mode)
     every typed reference, which the ontology treats as auto-declared."""
     if ontology.strict:
-        return _sorted_entities(_declared_by_kind(ontology.axioms))
+        return _sorted_entities(_declared_by_kind(_declarations(ontology)))
     return signature(ontology)
 
 
@@ -660,7 +687,7 @@ def compute_counts(ontology: Ontology) -> EntityCounts:
     """Counts over declared entities; built-in top/bottom concepts excluded.
     Read off the entity sets of each kind, unsorted: the kept ones, or the
     declarations alone in strict mode, as in `declared_entities`."""
-    declared = (_declared_by_kind(ontology.axioms) if ontology.strict
+    declared = (_declared_by_kind(_declarations(ontology)) if ontology.strict
                 else _derive(ontology, _entities))
     return EntityCounts(
         concepts=len(declared[EntityKind.CONCEPT] - BUILTIN_CONCEPTS),

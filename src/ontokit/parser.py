@@ -6,7 +6,9 @@ property axioms the model supports, and the ALC-with-inverses concept
 constructors. One `findall` of one pattern reads a document into its token
 texts, and a recursive descent walks them. Parsing aborts on the first error
 with an exact (line, column); serialization is canonical and
-byte-deterministic.
+byte-deterministic. It renders the axioms kind by kind, read from the
+ontology's index (`model._by_kind`), each through its type's entry in one
+table of texts.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .model import (
     InverseRole,
     InverseRoles,
     Iri,
-    KIND_ORDER,
     Literal,
     Named,
     NamedRole,
@@ -54,6 +55,9 @@ from .model import (
     XSD_STRING,
     make_ontology,
     _Value,
+    _by_kind,
+    _derive,
+    _unknown_axiom,
 )
 
 # The deepest expression is MAX_NESTING - 1 levels. The reasoner's sort keys,
@@ -589,64 +593,66 @@ def render_axiom(axiom: Axiom, prefixes: dict[str, str]) -> str:
     return _axiom_text(axiom, _Names(prefixes))
 
 
+def _concepts_text(exprs: tuple[ConceptExpression, ...], names: _Names) -> str:
+    return " ".join(_concept_text(expr, names) for expr in exprs)
+
+
+# Each axiom type -> its text, from the axiom and the IRI texts.
+_AXIOM_TEXT: dict[type, Callable[[Axiom, _Names], str]] = {
+    Declaration: lambda a, n: f"Declaration({a.entity.kind.value}({n[a.entity.iri]}))",
+    SubConceptOf: lambda a, n: (f"SubClassOf({_concept_text(a.sub, n)} "
+                                f"{_concept_text(a.sup, n)})"),
+    EquivalentConcepts: lambda a, n: f"EquivalentClasses({_concepts_text(a.operands, n)})",
+    DisjointConcepts: lambda a, n: f"DisjointClasses({_concepts_text(a.operands, n)})",
+    SubRoleOf: lambda a, n: f"SubObjectPropertyOf({n[a.sub]} {n[a.sup]})",
+    InverseRoles: lambda a, n: f"InverseObjectProperties({n[a.first]} {n[a.second]})",
+    TransitiveRole: lambda a, n: f"TransitiveObjectProperty({n[a.role]})",
+    RoleDomain: lambda a, n: f"ObjectPropertyDomain({n[a.role]} {_concept_text(a.concept, n)})",
+    RoleRange: lambda a, n: f"ObjectPropertyRange({n[a.role]} {_concept_text(a.concept, n)})",
+    ConceptAssertion: lambda a, n: (f"ClassAssertion({_concept_text(a.concept, n)} "
+                                    f"{n[a.individual]})"),
+    RoleAssertion: lambda a, n: (f"ObjectPropertyAssertion({n[a.role]} {n[a.subject]} "
+                                 f"{n[a.object]})"),
+    DataAssertion: lambda a, n: (f"DataPropertyAssertion({n[a.role]} {n[a.subject]} "
+                                 f"{_literal_text(a.value, n)})"),
+    AnnotationAssertion: lambda a, n: (f"AnnotationAssertion({n[a.role]} {n[a.subject]} "
+                                       f"{_literal_text(a.value, n)})"),
+}
+
+
 def _axiom_text(axiom: Axiom, names: _Names) -> str:
-    r = names.__getitem__
-    c = lambda expr: _concept_text(expr, names)
-    if isinstance(axiom, Declaration):
-        return f"Declaration({axiom.entity.kind.value}({r(axiom.entity.iri)}))"
-    if isinstance(axiom, SubConceptOf):
-        return f"SubClassOf({c(axiom.sub)} {c(axiom.sup)})"
-    if isinstance(axiom, EquivalentConcepts):
-        return f"EquivalentClasses({' '.join(c(op) for op in axiom.operands)})"
-    if isinstance(axiom, DisjointConcepts):
-        return f"DisjointClasses({' '.join(c(op) for op in axiom.operands)})"
-    if isinstance(axiom, SubRoleOf):
-        return f"SubObjectPropertyOf({r(axiom.sub)} {r(axiom.sup)})"
-    if isinstance(axiom, InverseRoles):
-        return f"InverseObjectProperties({r(axiom.first)} {r(axiom.second)})"
-    if isinstance(axiom, TransitiveRole):
-        return f"TransitiveObjectProperty({r(axiom.role)})"
-    if isinstance(axiom, RoleDomain):
-        return f"ObjectPropertyDomain({r(axiom.role)} {c(axiom.concept)})"
-    if isinstance(axiom, RoleRange):
-        return f"ObjectPropertyRange({r(axiom.role)} {c(axiom.concept)})"
-    if isinstance(axiom, ConceptAssertion):
-        return f"ClassAssertion({c(axiom.concept)} {r(axiom.individual)})"
-    if isinstance(axiom, RoleAssertion):
-        return f"ObjectPropertyAssertion({r(axiom.role)} {r(axiom.subject)} {r(axiom.object)})"
-    if isinstance(axiom, DataAssertion):
-        return (f"DataPropertyAssertion({r(axiom.role)} {r(axiom.subject)} "
-                f"{_literal_text(axiom.value, names)})")
-    if isinstance(axiom, AnnotationAssertion):
-        return (f"AnnotationAssertion({r(axiom.role)} {r(axiom.subject)} "
-                f"{_literal_text(axiom.value, names)})")
-    raise TypeError(f"unknown axiom type: {type(axiom).__name__}")
+    return _AXIOM_TEXT.get(type(axiom), _unknown_axiom)(axiom, names)
 
 
-def _axiom_group(axiom: Axiom) -> tuple[int, int]:
-    # Declarations (grouped by entity kind), then logical axioms, then
-    # assertions, then annotations.
-    if isinstance(axiom, Declaration):
-        return (0, KIND_ORDER[axiom.entity.kind])
-    if isinstance(axiom, (ConceptAssertion, RoleAssertion, DataAssertion)):
-        return (2, 0)
-    if isinstance(axiom, AnnotationAssertion):
-        return (3, 0)
-    return (1, 0)
+# The groups `serialize` puts after the declarations, which it groups by
+# entity kind: logical axioms (every kind not named here), assertions,
+# annotations.
+_LOGICAL, _ASSERTIONS, _ANNOTATIONS = range(3)
+_GROUP = {ConceptAssertion: _ASSERTIONS, RoleAssertion: _ASSERTIONS,
+          DataAssertion: _ASSERTIONS, AnnotationAssertion: _ANNOTATIONS}
 
 
 def serialize(ontology: Ontology) -> str:
     """Canonical text form: prefixes sorted, axioms grouped by kind and
     sorted by their serialized text, one per line; byte-identical across runs
-    for equal inputs. Each distinct IRI is rendered once per call."""
+    for equal inputs. Each distinct IRI is rendered once per call. The
+    axioms are rendered kind by kind from the ontology's index, and each
+    group's texts are sorted as plain strings."""
     prefixes = ontology.prefix_map()
     lines = [f"Prefix({prefix}:=<{expansion}>)"
              for prefix, expansion in sorted(prefixes.items())]
     lines.append(f"Ontology(<{ontology.iri}>")
     names = _Names(prefixes)
-    rendered = sorted(
-        (_axiom_group(axiom) + (_axiom_text(axiom, names),) for axiom in ontology.axioms)
-    )
-    lines.extend(text for _, _, text in rendered)
+    declared: dict[EntityKind, list[str]] = {kind: [] for kind in EntityKind}
+    groups: list[list[str]] = [[] for _ in range(3)]
+    for kind, axioms in _derive(ontology, _by_kind).items():
+        text = _AXIOM_TEXT.get(kind, _unknown_axiom)
+        if kind is Declaration:
+            for axiom in axioms:
+                declared[axiom.entity.kind].append(text(axiom, names))
+        else:
+            groups[_GROUP.get(kind, _LOGICAL)].extend(text(axiom, names) for axiom in axioms)
+    for texts in (*declared.values(), *groups):
+        lines.extend(sorted(texts))
     lines.append(")")
     return "\n".join(lines) + "\n"

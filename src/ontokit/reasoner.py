@@ -88,6 +88,7 @@ from .model import (
     inverse_of,
     subexpressions,
     _Value,
+    _by_kind,
     _derive,
     _entities,
 )
@@ -263,30 +264,36 @@ def _role_closure(ontology: Ontology) -> tuple[dict, frozenset]:
     expression they name -> its subsumers, itself included, and the
     transitive role expressions. A role they do not name has no entry, and
     every reader takes it as its own only subsumer."""
+    index = _derive(ontology, _by_kind)
+    pairs: list[tuple[RoleExpression, RoleExpression]] = []
+    for axiom in index.get(SubRoleOf, ()):
+        pairs += [(NamedRole(axiom.sub), NamedRole(axiom.sup)),
+                  (InverseRole(axiom.sub), InverseRole(axiom.sup))]
+    for axiom in index.get(InverseRoles, ()):
+        r, s = axiom.first, axiom.second
+        pairs += [(NamedRole(r), InverseRole(s)), (InverseRole(s), NamedRole(r)),
+                  (InverseRole(r), NamedRole(s)), (NamedRole(s), InverseRole(r))]
+    transitive_seed = [role for axiom in index.get(TransitiveRole, ())
+                       for role in (NamedRole(axiom.role), InverseRole(axiom.role))]
+    # A pair of a role with itself only makes the role a key.
+    pairs += ((role, role) for role in transitive_seed)
     direct: dict[RoleExpression, set[RoleExpression]] = {}
-    transitive_seed: list[RoleExpression] = []
-    for axiom in ontology.axioms:
-        if isinstance(axiom, SubRoleOf):
-            pairs = [(NamedRole(axiom.sub), NamedRole(axiom.sup)),
-                     (InverseRole(axiom.sub), InverseRole(axiom.sup))]
-        elif isinstance(axiom, InverseRoles):
-            r, s = axiom.first, axiom.second
-            pairs = [(NamedRole(r), InverseRole(s)), (InverseRole(s), NamedRole(r)),
-                     (InverseRole(r), NamedRole(s)), (NamedRole(s), InverseRole(r))]
-        elif isinstance(axiom, TransitiveRole):
-            # A pair of a role with itself only makes the role a key.
-            pairs = [(role, role) for role in (NamedRole(axiom.role), InverseRole(axiom.role))]
-            transitive_seed += (role for role, _ in pairs)
-        else:
-            continue
-        for sub, sup in pairs:
-            direct.setdefault(sub, set()).add(sup)
-            direct.setdefault(sup, set())
+    for sub, sup in pairs:
+        direct.setdefault(sub, set()).add(sup)
+        direct.setdefault(sup, set())
     subsumers = _closure(direct)
     # A role equivalent to a transitive role is transitive as well.
     transitive = frozenset(e for e in subsumers for t in transitive_seed
                            if t in subsumers[e] and e in subsumers[t])
     return subsumers, transitive
+
+
+# The axiom kinds `normalize` accepts: the TBox kinds it reads, and the role
+# axioms and assertions, which the role closure and the ABox read.
+_NORMALIZED_KINDS = frozenset({
+    SubConceptOf, EquivalentConcepts, DisjointConcepts, RoleDomain, RoleRange, InverseRoles,
+    SubRoleOf, TransitiveRole, Declaration, ConceptAssertion, RoleAssertion, DataAssertion,
+    AnnotationAssertion})
 
 
 def normalize(ontology: Ontology) -> NormalizedTBox:
@@ -313,39 +320,32 @@ def normalize(ontology: Ontology) -> NormalizedTBox:
     way. A definition `A ≡ C` is cyclic when `A` occurs in `C`, or in the
     body of a defined name that occurs in `C`, and so on; `_closure` of the
     defined names each body uses finds them."""
+    index = _derive(ontology, _by_kind)
+    unsupported = [kind for kind in index if kind not in _NORMALIZED_KINDS]
+    if unsupported:
+        raise UnsupportedAxiomError(f"unsupported axiom kind: {unsupported[0].__name__}")
     candidates: dict[Iri, list[ConceptExpression]] = {}
-    raw_gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
-    uses_inverse = False
-    for axiom in ontology.axioms:
-        if isinstance(axiom, SubConceptOf):
-            raw_gcis.append((axiom.sub, axiom.sup))
-        elif isinstance(axiom, EquivalentConcepts):
-            ops = axiom.operands
-            if len(ops) == 2:
-                a, b = ops
-                if isinstance(a, Named) and a.iri not in BUILTIN_CONCEPTS:
-                    candidates.setdefault(a.iri, []).append(b)
-                    continue
-                if isinstance(b, Named) and b.iri not in BUILTIN_CONCEPTS:
-                    candidates.setdefault(b.iri, []).append(a)
-                    continue
-            for i in range(len(ops)):
-                raw_gcis.append((ops[i], ops[(i + 1) % len(ops)]))
-        elif isinstance(axiom, DisjointConcepts):
-            for i, j in itertools.combinations(range(len(axiom.operands)), 2):
-                raw_gcis.append((axiom.operands[i], Complement(axiom.operands[j])))
-        elif isinstance(axiom, RoleDomain):
-            raw_gcis.append((Existential(NamedRole(axiom.role), Top()), axiom.concept))
-        elif isinstance(axiom, RoleRange):
-            raw_gcis.append((Top(), Universal(NamedRole(axiom.role), axiom.concept)))
-        elif isinstance(axiom, InverseRoles):
-            uses_inverse = True
-        elif isinstance(axiom, (SubRoleOf, TransitiveRole, Declaration,
-                                ConceptAssertion, RoleAssertion, DataAssertion,
-                                AnnotationAssertion)):
-            pass  # role axioms are handled by the closure; assertions by the ABox
-        else:
-            raise UnsupportedAxiomError(f"unsupported axiom kind: {type(axiom).__name__}")
+    raw_gcis = [(axiom.sub, axiom.sup) for axiom in index.get(SubConceptOf, ())]
+    for axiom in index.get(EquivalentConcepts, ()):
+        ops = axiom.operands
+        if len(ops) == 2:
+            a, b = ops
+            if type(a) is Named and a.iri not in BUILTIN_CONCEPTS:
+                candidates.setdefault(a.iri, []).append(b)
+                continue
+            if type(b) is Named and b.iri not in BUILTIN_CONCEPTS:
+                candidates.setdefault(b.iri, []).append(a)
+                continue
+        for i in range(len(ops)):
+            raw_gcis.append((ops[i], ops[(i + 1) % len(ops)]))
+    for axiom in index.get(DisjointConcepts, ()):
+        for i, j in itertools.combinations(range(len(axiom.operands)), 2):
+            raw_gcis.append((axiom.operands[i], Complement(axiom.operands[j])))
+    raw_gcis += ((Existential(NamedRole(axiom.role), Top()), axiom.concept)
+                 for axiom in index.get(RoleDomain, ()))
+    raw_gcis += ((Top(), Universal(NamedRole(axiom.role), axiom.concept))
+                 for axiom in index.get(RoleRange, ()))
+    uses_inverse = InverseRoles in index
 
     def demote(name: Iri, body: ConceptExpression) -> None:
         raw_gcis.append((Named(name), body))
@@ -473,12 +473,13 @@ def _compile(ontology: Ontology) -> _CompiledABox:
     tbox.table
     individuals = sorted(_derive(ontology, _entities)[EntityKind.INDIVIDUAL])
     root = {individual: i for i, individual in enumerate(individuals)}
+    index = _derive(ontology, _by_kind)
     return _CompiledABox(
         tbox, individuals, root,
         concepts=[(root[axiom.individual], to_nnf(axiom.concept))
-                  for axiom in ontology.axioms if isinstance(axiom, ConceptAssertion)],
+                  for axiom in index.get(ConceptAssertion, ())],
         edges=[(root[axiom.subject], root[axiom.object], axiom.role)
-               for axiom in ontology.axioms if isinstance(axiom, RoleAssertion)])
+               for axiom in index.get(RoleAssertion, ())])
 
 
 def _compiled(ontology: Ontology) -> _CompiledABox:
@@ -677,7 +678,7 @@ def materialize_inverses(ontology: Ontology) -> Ontology:
     Idempotent by construction (least fixpoint). Role-filler queries read
     the same closure off the told assertions without building it."""
     role_subsumers, _ = _derive(ontology, _role_closure)
-    asserted = {a for a in ontology.axioms if isinstance(a, RoleAssertion)}
+    asserted = set(_derive(ontology, _by_kind).get(RoleAssertion, ()))
     closure = set(asserted)
     frontier = list(asserted)
     while frontier:
@@ -708,16 +709,15 @@ def told_subsumers(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
 
 def _told_closure(ontology: Ontology) -> dict[Iri, frozenset[Iri]]:
     direct: dict[Iri, set[Iri]] = {name: set() for name in _named_concepts_of(ontology)}
-    for axiom in ontology.axioms:
-        if isinstance(axiom, SubConceptOf) and isinstance(axiom.sub, Named) \
-                and isinstance(axiom.sup, Named):
-            if axiom.sub.iri in direct and axiom.sup.iri in direct:
-                direct[axiom.sub.iri].add(axiom.sup.iri)
-        elif isinstance(axiom, EquivalentConcepts):
-            named_ops = [op.iri for op in axiom.operands
-                         if isinstance(op, Named) and op.iri in direct]
-            for a in named_ops:
-                direct[a].update(named_ops)
+    index = _derive(ontology, _by_kind)
+    for axiom in index.get(SubConceptOf, ()):
+        sub, sup = axiom.sub, axiom.sup
+        if type(sub) is Named and type(sup) is Named and sub.iri in direct and sup.iri in direct:
+            direct[sub.iri].add(sup.iri)
+    for axiom in index.get(EquivalentConcepts, ()):
+        named_ops = [op.iri for op in axiom.operands if type(op) is Named and op.iri in direct]
+        for a in named_ops:
+            direct[a].update(named_ops)
     told = _closure(direct)
     return {name: told[name] for name in sorted(told, key=lambda name: (len(told[name]), name))}
 

@@ -1,10 +1,12 @@
 """Deterministic static website generation.
 
 One hyperlinked page per declared entity plus an index with entity counts and
-the inferred concept tree. Generation takes one pass over the axioms. It
-finds each axiom's references once, renders its Usage entry at most once, and
-adds each section entry straight to the pages that show it; each IRI's anchor
-is rendered once per site. A page then only sorts and joins its own entries.
+the inferred concept tree. Generation reads the axioms kind by kind from the
+ontology's index (`model._by_kind`). It finds each axiom's references once,
+renders its Usage entry, through a table per axiom type, at most once, and
+adds each section entry straight to the page that shows it, found by (kind,
+IRI); each IRI's anchor is rendered once per site. A page then only sorts
+and joins its own entries.
 Markup is hand-emitted minimal HTML with no scripts or external assets, so
 equal inputs produce byte-identical output and structural tests stay trivial.
 """
@@ -15,7 +17,7 @@ import enum
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .model import (
     AnnotationAssertion,
@@ -49,6 +51,9 @@ from .model import (
     Union,
     Universal,
     _Value,
+    _by_kind,
+    _derive,
+    _unknown_axiom,
     axiom_references,
     compute_counts,
     declared_entities,
@@ -187,35 +192,37 @@ def _role_html(role: RoleExpression, anchors: _Anchors) -> str:
     return anchors[role.iri]
 
 
+def _operands_html(exprs: tuple[ConceptExpression, ...], anchors: _Anchors,
+                   separator: str) -> str:
+    return separator.join(_expression_html(expr, anchors) for expr in exprs)
+
+
+def _value_html(axiom, anchors: _Anchors) -> str:
+    return (f"{_escape(axiom.role.fragment)}: "
+            f"{_escape(axiom.value.lexical)} ({anchors[axiom.subject]})")
+
+
+# Each axiom type -> its Usage entry, from the axiom and the anchors.
+_AXIOM_HTML: dict[type, Callable[[Axiom, _Anchors], str]] = {
+    Declaration: lambda a, n: f"declared {a.entity.kind.value}: {n[a.entity.iri]}",
+    SubConceptOf: lambda a, n: (f"{_expression_html(a.sub, n)} ⊑ "
+                                f"{_expression_html(a.sup, n)}"),
+    EquivalentConcepts: lambda a, n: _operands_html(a.operands, n, " ≡ "),
+    DisjointConcepts: lambda a, n: f"Disjoint({_operands_html(a.operands, n, ', ')})",
+    SubRoleOf: lambda a, n: f"{n[a.sub]} ⊑ {n[a.sup]}",
+    InverseRoles: lambda a, n: f"{n[a.first]} ≡ {n[a.second]}⁻",
+    TransitiveRole: lambda a, n: f"Transitive({n[a.role]})",
+    RoleDomain: lambda a, n: f"Domain({n[a.role]}) = {_expression_html(a.concept, n)}",
+    RoleRange: lambda a, n: f"Range({n[a.role]}) = {_expression_html(a.concept, n)}",
+    ConceptAssertion: lambda a, n: f"{_expression_html(a.concept, n)}({n[a.individual]})",
+    RoleAssertion: lambda a, n: f"{n[a.role]}({n[a.subject]}, {n[a.object]})",
+    DataAssertion: _value_html,
+    AnnotationAssertion: _value_html,
+}
+
+
 def _axiom_html(axiom: Axiom, anchors: _Anchors) -> str:
-    ent = anchors.__getitem__
-    con = lambda expr: _expression_html(expr, anchors)
-    if isinstance(axiom, Declaration):
-        return f"declared {axiom.entity.kind.value}: {ent(axiom.entity.iri)}"
-    if isinstance(axiom, SubConceptOf):
-        return f"{con(axiom.sub)} ⊑ {con(axiom.sup)}"
-    if isinstance(axiom, EquivalentConcepts):
-        return " ≡ ".join(con(op) for op in axiom.operands)
-    if isinstance(axiom, DisjointConcepts):
-        return "Disjoint(" + ", ".join(con(op) for op in axiom.operands) + ")"
-    if isinstance(axiom, SubRoleOf):
-        return f"{ent(axiom.sub)} ⊑ {ent(axiom.sup)}"
-    if isinstance(axiom, InverseRoles):
-        return f"{ent(axiom.first)} ≡ {ent(axiom.second)}⁻"
-    if isinstance(axiom, TransitiveRole):
-        return f"Transitive({ent(axiom.role)})"
-    if isinstance(axiom, RoleDomain):
-        return f"Domain({ent(axiom.role)}) = {con(axiom.concept)}"
-    if isinstance(axiom, RoleRange):
-        return f"Range({ent(axiom.role)}) = {con(axiom.concept)}"
-    if isinstance(axiom, ConceptAssertion):
-        return f"{con(axiom.concept)}({ent(axiom.individual)})"
-    if isinstance(axiom, RoleAssertion):
-        return f"{ent(axiom.role)}({ent(axiom.subject)}, {ent(axiom.object)})"
-    if isinstance(axiom, (DataAssertion, AnnotationAssertion)):
-        return (f"{_escape(axiom.role.fragment)}: "
-                f"{_escape(axiom.value.lexical)} ({ent(axiom.subject)})")
-    raise TypeError(f"unknown axiom type: {type(axiom).__name__}")
+    return _AXIOM_HTML.get(type(axiom), _unknown_axiom)(axiom, anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +299,17 @@ def generate_site(
     entities = declared_entities(ontology)
     paths = _page_paths(entities)
     links: dict[Iri, str] = {}
-    pages: dict[Iri, list[_Page]] = {}
+    pages: dict[tuple[EntityKind, Iri], _Page] = {}
+    shared: dict[Iri, list[_Page]] = {}  # each IRI's pages, one per kind
     for entity in entities:  # declared_entities sorts by kind, then IRI
         links.setdefault(entity.iri, paths[entity])
-        pages.setdefault(entity.iri, []).append(_Page(entity))
+        page = pages[entity.kind, entity.iri] = _Page(entity)
+        shared.setdefault(entity.iri, []).append(page)
     anchors = _Anchors(links)
-    _fill_pages(pages, ontology, inferred, realization or {}, anchors)
+    _fill_pages(pages, shared, ontology, inferred, realization or {}, anchors)
 
     documents = [_index_document(ontology, inferred, entities, paths, anchors)]
-    for entity_pages in pages.values():
-        documents.extend(page.document(paths[page.entity]) for page in entity_pages)
+    documents.extend(page.document(paths[page.entity]) for page in pages.values())
     return tuple(sorted(documents, key=lambda doc: doc.relative_path))
 
 
@@ -332,70 +340,77 @@ class _Page:
         return SiteDocument(path, iri.fragment, _html_page(title, "".join(parts)))
 
 
-def _fill_pages(pages: dict[Iri, list[_Page]], ontology: Ontology, inferred: Taxonomy,
+def _fill_pages(pages: dict[tuple[EntityKind, Iri], _Page], shared: dict[Iri, list[_Page]],
+                ontology: Ontology, inferred: Taxonomy,
                 realization: Mapping[Iri, tuple[Iri, ...]], anchors: _Anchors) -> None:
-    """One pass over the axioms adds every section entry to the pages that
-    show it. An axiom's Usage entry goes to each page whose entity it
-    references in a kind-compatible position (an annotation subject suits
-    any kind); the other sections read an axiom's top-level positions, where
-    a declared owl:Thing's page may be named too."""
+    """Add every section entry to the page that shows it, found by (kind,
+    IRI); an entry for a position that suits any kind (an annotation
+    subject) goes to each page of the IRI in `shared`. The axioms are read
+    kind by kind from the ontology's index. An axiom's Usage entry goes to
+    each page whose entity it references in a kind-compatible position; the
+    other sections read an axiom's top-level positions, where a declared
+    owl:Thing's page may be named too."""
 
     def add(kind: Optional[EntityKind], iri: Iri, heading: SectionHeading,
             entry: str) -> None:
-        for page in pages.get(iri, ()):
-            if kind is None or page.entity.kind is kind:
+        if kind is None:
+            for page in shared.get(iri, ()):
+                page.sections[heading].append(entry)
+        else:
+            page = pages.get((kind, iri))
+            if page is not None:
                 page.sections[heading].append(entry)
 
     concept, role, individual = EntityKind.CONCEPT, EntityKind.OBJECT_ROLE, EntityKind.INDIVIDUAL
-    for axiom in ontology.axioms:
-        if isinstance(axiom, Declaration):
-            continue
-        usage = _axiom_html(axiom, anchors)
-        for kind, iri in axiom_references(axiom):
-            add(kind, iri, SectionHeading.USAGE, usage)
-        if isinstance(axiom, SubConceptOf):
-            if isinstance(axiom.sub, Named):
-                add(concept, axiom.sub.iri, SectionHeading.ASSERTED_SUPERCLASSES,
-                    _expression_html(axiom.sup, anchors))
-        elif isinstance(axiom, (EquivalentConcepts, DisjointConcepts)):
-            heading = (SectionHeading.EQUIVALENT_TO if isinstance(axiom, EquivalentConcepts)
-                       else SectionHeading.DISJOINT_WITH)
+    index = _derive(ontology, _by_kind)
+    for kind, axioms in index.items():
+        if kind is not Declaration:
+            for axiom in axioms:
+                usage = _axiom_html(axiom, anchors)
+                for ref_kind, iri in axiom_references(axiom):
+                    add(ref_kind, iri, SectionHeading.USAGE, usage)
+    for axiom in index.get(SubConceptOf, ()):
+        if type(axiom.sub) is Named:
+            add(concept, axiom.sub.iri, SectionHeading.ASSERTED_SUPERCLASSES,
+                _expression_html(axiom.sup, anchors))
+    for kind, heading in ((EquivalentConcepts, SectionHeading.EQUIVALENT_TO),
+                          (DisjointConcepts, SectionHeading.DISJOINT_WITH)):
+        for axiom in index.get(kind, ()):
             rendered = [(op, _expression_html(op, anchors)) for op in axiom.operands]
             for named in axiom.operands:
-                if isinstance(named, Named):
+                if type(named) is Named:
                     for op, text in rendered:
                         if op != named:
                             add(concept, named.iri, heading, text)
-        elif isinstance(axiom, (RoleDomain, RoleRange)):
-            heading = (SectionHeading.DOMAIN_OF if isinstance(axiom, RoleDomain)
-                       else SectionHeading.RANGE_OF)
+    for kind, heading in ((RoleDomain, SectionHeading.DOMAIN_OF),
+                          (RoleRange, SectionHeading.RANGE_OF)):
+        for axiom in index.get(kind, ()):
             add(role, axiom.role, heading, _expression_html(axiom.concept, anchors))
-            if isinstance(axiom.concept, Named):
+            if type(axiom.concept) is Named:
                 add(concept, axiom.concept.iri, heading, anchors[axiom.role])
-        elif isinstance(axiom, ConceptAssertion):
-            add(individual, axiom.individual, SectionHeading.ASSERTED_SUPERCLASSES,
-                _expression_html(axiom.concept, anchors))
-            if isinstance(axiom.concept, Named):
-                add(concept, axiom.concept.iri, SectionHeading.MEMBERS,
-                    anchors[axiom.individual])
-        elif isinstance(axiom, SubRoleOf):
-            add(role, axiom.sup, SectionHeading.SUB_PROPERTIES, anchors[axiom.sub])
-        elif isinstance(axiom, InverseRoles):
-            add(role, axiom.first, SectionHeading.INVERSE_OF, anchors[axiom.second])
-            add(role, axiom.second, SectionHeading.INVERSE_OF, anchors[axiom.first])
-        elif isinstance(axiom, RoleAssertion):
-            pair = f"{anchors[axiom.subject]} → {anchors[axiom.object]}"
-            add(role, axiom.role, SectionHeading.PROPERTY_ASSERTIONS, pair)
-            entry = f"{anchors[axiom.role]}: {pair}"
-            add(individual, axiom.subject, SectionHeading.PROPERTY_ASSERTIONS, entry)
-            add(individual, axiom.object, SectionHeading.PROPERTY_ASSERTIONS, entry)
-        elif isinstance(axiom, DataAssertion):
-            # Plain text so the value row reads exactly "role: value".
-            add(individual, axiom.subject, SectionHeading.PROPERTY_ASSERTIONS,
-                _escape(f"{axiom.role.fragment}: {axiom.value.lexical}"))
-        elif isinstance(axiom, AnnotationAssertion):
-            add(None, axiom.subject, SectionHeading.ANNOTATIONS,
-                _escape(f"{axiom.role.fragment}: {axiom.value.lexical}"))
+    for axiom in index.get(ConceptAssertion, ()):
+        add(individual, axiom.individual, SectionHeading.ASSERTED_SUPERCLASSES,
+            _expression_html(axiom.concept, anchors))
+        if type(axiom.concept) is Named:
+            add(concept, axiom.concept.iri, SectionHeading.MEMBERS, anchors[axiom.individual])
+    for axiom in index.get(SubRoleOf, ()):
+        add(role, axiom.sup, SectionHeading.SUB_PROPERTIES, anchors[axiom.sub])
+    for axiom in index.get(InverseRoles, ()):
+        add(role, axiom.first, SectionHeading.INVERSE_OF, anchors[axiom.second])
+        add(role, axiom.second, SectionHeading.INVERSE_OF, anchors[axiom.first])
+    for axiom in index.get(RoleAssertion, ()):
+        pair = f"{anchors[axiom.subject]} → {anchors[axiom.object]}"
+        add(role, axiom.role, SectionHeading.PROPERTY_ASSERTIONS, pair)
+        entry = f"{anchors[axiom.role]}: {pair}"
+        add(individual, axiom.subject, SectionHeading.PROPERTY_ASSERTIONS, entry)
+        add(individual, axiom.object, SectionHeading.PROPERTY_ASSERTIONS, entry)
+    # Value rows are plain text, so that they read exactly "role: value".
+    for axiom in index.get(DataAssertion, ()):
+        add(individual, axiom.subject, SectionHeading.PROPERTY_ASSERTIONS,
+            _escape(f"{axiom.role.fragment}: {axiom.value.lexical}"))
+    for axiom in index.get(AnnotationAssertion, ()):
+        add(None, axiom.subject, SectionHeading.ANNOTATIONS,
+            _escape(f"{axiom.role.fragment}: {axiom.value.lexical}"))
 
     for iri in inferred.concepts():
         for parent in inferred.parent_concepts_of(iri):

@@ -361,6 +361,27 @@ def test_names_resolve_to_the_least_iri_with_that_fragment(disease):
     assert cli._resolve_iri(shared, "X") == Iri("http://a#X")
 
 
+def test_query_takes_an_entity_iri_in_full_whatever_its_scheme(capsys, tmp_path):
+    # The parser admits any IRI; a --subject or --role that is one of the
+    # ontology's IRIs resolves to it, a fragment still resolves by fragment,
+    # and http(s) text keeps its own handling and error texts.
+    path = tmp_path / "urn.ofn"
+    path.write_text("Prefix(:=<urn:example:onto#>)\nOntology(<urn:example:onto>\n"
+                    "SubClassOf(:A :B)\nSubClassOf(:B :C)\n"
+                    "ObjectPropertyAssertion(:r :i :j)\n)\n")
+    for subject in ("urn:example:onto#A", "A"):
+        assert invoke(capsys, "query", str(path), "--kind", "SuperConceptsOf",
+                      "--subject", subject) == (0, "B\nC\n", "")
+    assert invoke(capsys, "query", str(path), "--kind", "FillersOf", "--subject",
+                  "urn:example:onto#i", "--role", "urn:example:onto#r") == (0, "j\n", "")
+    code, out, err = invoke(capsys, "query", str(path), "--kind", "SuperConceptsOf",
+                            "--subject", "urn:example:onto#Z")
+    assert (code, out) == (2, "") and "unknown entity name: urn:example:onto#Z" in err
+    code, out, err = invoke(capsys, "query", str(path), "--kind", "SuperConceptsOf",
+                            "--subject", "http://nowhere#X")
+    assert (code, out) == (2, "") and "unknown concept: <http://nowhere#X>" in err
+
+
 def test_query_instances(capsys, ofn):
     code, out, _ = invoke(capsys, "query", ofn, "--kind", "InstancesOf",
                           "--subject", "Infectious", "--format", "json")

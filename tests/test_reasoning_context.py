@@ -297,7 +297,7 @@ def test_every_entry_point_makes_each_part_once(monkeypatch):
     checks.clear()
     assert every_entry_point(onto, DEFAULT_LIMITS) == expected
     assert every_entry_point(onto, DEFAULT_LIMITS) == expected
-    parts = {model._entities, model._sorted_signature, reasoner._role_closure,
+    parts = {model._entities, model._sorted_signature, model._by_kind, reasoner._role_closure,
              reasoner._told_closure, reasoner._compile,
              (reasoner._consistency_labels, DEFAULT_LIMITS)}
     assert cache.stored == dict.fromkeys(parts, 1)
